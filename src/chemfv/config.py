@@ -250,7 +250,6 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
         monitor = MonitorConfig(
             p=p_mon, tol_mass=v["monitor"]["tol_mass"],
             tol_grad=v["monitor"]["tol_grad"], tol_maxprin=v["monitor"]["tol_maxprin"],
-            cadence_steps=cadence_steps, cadence_time=cadence_time,
         )
     except ChemfvError as exc:
         raise ConfigError(f"invalid [monitor]: {exc}")

@@ -35,8 +35,6 @@ class MonitorConfig:
     tol_mass: float = 5e-2
     tol_grad: float = 5e-2
     tol_maxprin: float = 1e-8
-    cadence_steps: int | None = None
-    cadence_time: float | None = None
 
     def __post_init__(self):
         if not self.p >= 1.0:

@@ -9,6 +9,11 @@ advective flux upwinds its transported factor by the drift sign.  Fluxes are
 assembled face-wise with zero boundary faces, so with k = mu = 0 the total
 mass of u is conserved to round-off regardless of the nonlinearity.
 
+One kernel, ``_kernel``, computes every operator (face fluxes, divergence,
+lap v, the step limits) on raw arrays for ``step``, ``stable_dt``, ``run`` and
+the flux helpers.  ``run`` marches on raw arrays and builds a ``SimState`` only
+for the monitor hook and the result; ``step`` wraps the same one-step code.
+
 Loss of boundedness is detected numerically: a run ends with
 ``blowup_detected`` when sup u exceeds a threshold or the stable step
 underflows, and with ``corrupted`` when the update violates positivity or the
@@ -24,9 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .certificates import ModelParams, chi_prototype
+from .certificates import ModelParams
 from .errors import ChemfvError, CorruptionError, DomainError
-from .grid import Grid, ScalarField, _div_axis, _lr, _with_zero_boundary, laplacian
+from .grid import Grid, ScalarField, _with_zero_boundary, laplacian
 
 # Tolerances for the scheme-level invariants: u may dip to -1e-12 from
 # round-off; v may exceed its initial sup by 1e-10 relative.  Anything worse
@@ -88,39 +93,80 @@ class RunResult:
     sup_u_max: float
 
 
-def _diffusive_interior(u: np.ndarray, grid: Grid, m: float, axis: int) -> np.ndarray:
-    """Interior-face diffusive flux D_face (u_R - u_L)/h, arithmetic-mean D."""
-    h = grid.spacing[axis]
-    du = np.diff(u, axis=axis) / h
-    if m == 1.0:
-        return du
-    coef = (u + 1.0) ** (m - 1.0)
-    left, right = _lr(coef, axis)
-    return 0.5 * (left + right) * du
+def _kernel(grid: Grid, m: float, alpha: float = 0.0, chi0: float = 0.0,
+            a: float = 0.0, k: float = 0.0, mu: float = 0.0):
+    """Build the rates-and-limits kernel for ``grid`` and the given model.
 
-
-def _drift_interior(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
-                    axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interior-face chemotactic flux and its CFL speed along one axis.
-
-    The drift w = chi(v_face) (v_R - v_L)/h uses the arithmetic face mean of
-    v; the transported factor (u+1)^alpha comes from the upwind cell (the one
-    the drift points away from).  The speed bound is |w| (u+1)^max(alpha, 0)
-    maximized over the two adjacent cells.
+    ``rates(u, v, sup_u, sup_v)`` returns ``(faces, du_dt, dv_dt, dt_diff,
+    dt_adv, dt_react)``.  ``faces[axis]`` pairs the interior-face diffusive
+    flux D_face (u_R - u_L)/h, D_face the face mean of (u+1)^(m-1), with the
+    chemotactic flux (u+1)^alpha w: the drift w = chi(v_face) (v_R - v_L)/h
+    takes the face mean of v, and the factor comes from the upwind cell.
+    ``du_dt`` is the divergence of their difference plus k u - mu u^2, and
+    ``dv_dt`` is lap v - u v, with zero boundary faces.  The step limits are
+    unscaled.  The diffusive one uses max(1, max (u+1)^(m-1)), as v diffuses
+    with unit diffusivity.  The advective one bounds the speed
+    |w| (u+1)^max(alpha, 0) over both cells of a face.  The reaction one adds
+    sup u, the consumption rate of v, so the v update stays a convex
+    combination.  Face slices, sum 1/h^2 and the other per-run constants are
+    computed here once.
     """
-    h = grid.spacing[axis]
-    v_l, v_r = _lr(v, axis)
-    w = chi_prototype(0.5 * (v_l + v_r), params.chi0, params.a) * ((v_r - v_l) / h)
-    if params.alpha == 0.0:
-        return w, np.abs(w)
-    trans = (u + 1.0) ** params.alpha
-    t_l, t_r = _lr(trans, axis)
-    flux = np.where(w > 0.0, t_l, t_r) * w
-    if params.alpha > 0.0:
-        speed = np.abs(w) * np.maximum(t_l, t_r)
-    else:
-        speed = np.abs(w)
-    return flux, speed
+    h = grid.spacing
+    inv_h2 = sum(1.0 / hx**2 for hx in h)
+    dt_diff_linear = 1.0 / (2.0 * inv_h2)
+    h_min, two_dim = min(h), 2.0 * grid.dim
+    a_half, abs_k, two_mu = a * 0.5, abs(k), 2.0 * mu
+    axes = []
+    for axis, hx in enumerate(h):
+        lo = tuple(slice(0, -1) if i == axis else slice(None) for i in range(grid.dim))
+        hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(grid.dim))
+        axes.append((hx, lo, hi))
+
+    def rates(u: np.ndarray, v: np.ndarray, sup_u: float, sup_v: float):
+        coef = None if m == 1.0 else (u + 1.0) ** (m - 1.0)
+        trans = None if alpha == 0.0 or chi0 == 0.0 else (u + 1.0) ** alpha
+        du_dt = np.zeros(u.shape)
+        dv_dt = np.zeros(v.shape)
+        faces = []
+        speed_max = 0.0
+        for hx, lo, hi in axes:
+            f_diff = (u[hi] - u[lo]) / hx
+            if coef is not None:
+                f_diff = 0.5 * (coef[lo] + coef[hi]) * f_diff
+            v_l, v_r = v[lo], v[hi]
+            dv = (v_r - v_l) / hx
+            if chi0 == 0.0:
+                f_chem = np.zeros_like(f_diff)   # f - 0.0 == f bit for bit
+            else:
+                w = (chi0 / (1.0 + a_half * (v_l + v_r)) ** 2) * dv
+                if trans is None:
+                    f_chem, speed = w, np.abs(w)
+                else:
+                    t_l, t_r = trans[lo], trans[hi]
+                    f_chem = np.where(w > 0.0, t_l, t_r) * w
+                    speed = np.abs(w) * np.maximum(t_l, t_r) if alpha > 0.0 else np.abs(w)
+                speed_max = max(speed_max, float(speed.max()))
+            faces.append((f_diff, f_chem))
+            flux = (f_diff - f_chem) / hx
+            dv = dv / hx
+            du_dt[lo] += flux   # divergence: each cell gains its right face
+            du_dt[hi] -= flux   # and loses its left one; boundary faces are 0
+            dv_dt[lo] += dv
+            dv_dt[hi] -= dv
+        du_dt += k * u - mu * u * u
+        dv_dt -= u * v
+
+        dt_diff = (dt_diff_linear if coef is None
+                   else 1.0 / (2.0 * max(1.0, float(coef.max())) * inv_h2))
+        dt_adv = h_min / (two_dim * speed_max) if speed_max > 0.0 else math.inf
+        dt_react = 1.0 / (abs_k + two_mu * sup_u + sup_u + sup_v + 1.0)
+        return faces, du_dt, dv_dt, dt_diff, dt_adv, dt_react
+
+    return rates
+
+
+def _kernel_for(grid: Grid, params: ModelParams):
+    return _kernel(grid, params.m, params.alpha, params.chi0, params.a, params.k, params.mu)
 
 
 def diffusive_flux_u(u: ScalarField, m: float) -> tuple[np.ndarray, ...]:
@@ -129,10 +175,8 @@ def diffusive_flux_u(u: ScalarField, m: float) -> tuple[np.ndarray, ...]:
         raise DomainError("diffusive_flux_u requires u >= 0")
     if not np.isfinite(u.values).all():
         raise CorruptionError("non-finite u")
-    return tuple(
-        _with_zero_boundary(_diffusive_interior(u.values, u.grid, m, axis), axis)
-        for axis in range(u.grid.dim)
-    )
+    faces = _kernel(u.grid, m)(u.values, u.values, 0.0, 0.0)[0]
+    return tuple(_with_zero_boundary(f_diff, axis) for axis, (f_diff, _) in enumerate(faces))
 
 
 def chemotactic_flux(u: ScalarField, v: ScalarField, params: ModelParams) -> tuple[np.ndarray, ...]:
@@ -145,12 +189,8 @@ def chemotactic_flux(u: ScalarField, v: ScalarField, params: ModelParams) -> tup
         raise DomainError("chemotactic_flux requires u >= 0 and v >= 0")
     if not (np.isfinite(u.values).all() and np.isfinite(v.values).all()):
         raise CorruptionError("non-finite input fields")
-    return tuple(
-        _with_zero_boundary(
-            _drift_interior(u.values, v.values, u.grid, params, axis)[0], axis
-        )
-        for axis in range(u.grid.dim)
-    )
+    faces = _kernel_for(u.grid, params)(u.values, v.values, 0.0, 0.0)[0]
+    return tuple(_with_zero_boundary(f_chem, axis) for axis, (_, f_chem) in enumerate(faces))
 
 
 def reaction_u(u: ScalarField, k: float, mu: float) -> ScalarField:
@@ -163,64 +203,52 @@ def rhs_v(u: ScalarField, v: ScalarField) -> ScalarField:
     return ScalarField(v.grid, laplacian(v).values - u.values * v.values)
 
 
-def _dt_candidates(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
-                   speeds_max: float | None = None) -> tuple[float, float, float]:
-    """Diffusive, advective and reaction step-size candidates (unscaled).
-
-    The diffusive limit covers both equations, so the coefficient is
-    max(1, max (u+1)^(m-1)): the signal always diffuses with unit diffusivity.
-    The reaction limit includes sup u (the signal consumption rate) on top of
-    the logistic rates, keeping the v update a convex combination.
-    """
-    sup_u = float(u.max())
-    sup_v = float(v.max())
-    d_max = 1.0 if params.m == 1.0 else float(((u + 1.0) ** (params.m - 1.0)).max())
-    d_eff = max(1.0, d_max)
-    inv_h2 = sum(1.0 / h**2 for h in grid.spacing)
-    dt_diff = 1.0 / (2.0 * d_eff * inv_h2)
-    if speeds_max is None:
-        speeds_max = 0.0
-        for axis in range(grid.dim):
-            _, speed = _drift_interior(u, v, grid, params, axis)
-            if speed.size:
-                speeds_max = max(speeds_max, float(speed.max()))
-    if speeds_max > 0.0:
-        dt_adv = min(grid.spacing) / (2.0 * grid.dim * speeds_max)
-    else:
-        dt_adv = math.inf
-    rate = abs(params.k) + 2.0 * params.mu * sup_u + sup_u + sup_v + 1.0
-    dt_react = 1.0 / rate
-    return dt_diff, dt_adv, dt_react
-
-
 def stable_dt(state: SimState, params: ModelParams, config: SolverConfig) -> float:
     """Largest stable step at the current state, already scaled by ``safety``."""
     u, v = state.u.values, state.v.values
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+    _, sup_u, _, sup_v, finite = _extrema(u, v)
+    if not finite:
         raise CorruptionError("non-finite state")
-    dt_diff, dt_adv, dt_react = _dt_candidates(u, v, state.u.grid, params)
-    return config.safety * min(dt_diff, dt_adv, dt_react)
+    return config.safety * min(_kernel_for(state.u.grid, params)(u, v, sup_u, sup_v)[3:])
 
 
-def _zero_boundary_div(interior_faces: np.ndarray, axis: int, h: float,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Divergence contribution of interior-face fluxes with zero boundary faces.
+def _extrema(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float, float, bool]:
+    """min u, max u, min v, max v, and whether all four are finite.
 
-    Equivalent to ``_div_axis(_with_zero_boundary(F, axis), axis, h)`` but
-    assembled with slice arithmetic (np.pad is slow on small arrays).
+    This stands in for a finiteness pass: NaN propagates into both extrema of
+    its array, and an infinity shows in one of them.
     """
-    nd = interior_faces.ndim
-    shape = list(interior_faces.shape)
-    shape[axis] += 1
-    div = np.zeros(shape) if out is None else out
-    first = [slice(None)] * nd
-    last = [slice(None)] * nd
-    first[axis] = slice(0, -1)
-    last[axis] = slice(1, None)
-    scaled = interior_faces / h
-    div[tuple(first)] += scaled   # each cell's right face
-    div[tuple(last)] -= scaled    # each cell's left face
-    return div
+    u_lo, u_hi, v_lo, v_hi = float(u.min()), float(u.max()), float(v.min()), float(v.max())
+    finite = -math.inf < u_lo and u_hi < math.inf and -math.inf < v_lo and v_hi < math.inf
+    return u_lo, u_hi, v_lo, v_hi, finite
+
+
+def _advance(rates, u: np.ndarray, v: np.ndarray, sup_u: float, sup_v: float, t: float,
+             t_target: float | None, config: SolverConfig, v_cap: float):
+    """One forward-Euler step of finite arrays whose maxima are ``sup_u``/``sup_v``.
+
+    Returns ``(status, dt, t_new, u_new, v_new, sup_u_new, sup_v_new)``.  On
+    DT_UNDERFLOW, dt is the stability bound and everything else comes back
+    unchanged.
+    """
+    _, du_dt, dv_dt, dt_diff, dt_adv, dt_react = rates(u, v, sup_u, sup_v)
+    dt = config.safety * min(dt_diff, dt_adv, dt_react)
+    if dt < config.dt_min:
+        return DT_UNDERFLOW, dt, t, u, v, sup_u, sup_v
+    t_new = t + dt
+    if t_target is not None and t_new >= t_target:
+        dt = t_target - t
+        t_new = t_target
+    u_new = u + dt * du_dt
+    v_new = v + dt * dv_dt
+    u_lo, u_hi, v_lo, v_hi, finite = _extrema(u_new, v_new)
+    if not finite or u_lo < -U_NEG_TOL or v_lo < -U_NEG_TOL or v_hi > v_cap:
+        status = CORRUPTED
+    elif u_hi > config.u_max:
+        status = BLOWUP
+    else:
+        status = ADVANCED
+    return status, dt, t_new, u_new, v_new, u_hi, v_hi
 
 
 def step(state: SimState, params: ModelParams, config: SolverConfig, *,
@@ -233,78 +261,17 @@ def step(state: SimState, params: ModelParams, config: SolverConfig, *,
     snapshot; the input is never mutated.
     """
     grid = state.u.grid
-    u = state.u.values
-    v = state.v.values
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        return state, StepOutcome(CORRUPTED, 0.0, float(np.max(u)))
-
-    h = grid.spacing
-    chi0, a_sat, alpha, m = params.chi0, params.a, params.alpha, params.m
-    fluxes = []
-    v_grads = []
-    speeds_max = 0.0
-    trans = None if alpha == 0.0 else (u + 1.0) ** alpha
-    diff_coef = None if m == 1.0 else (u + 1.0) ** (m - 1.0)
-    for axis in range(grid.dim):
-        du = np.diff(u, axis=axis) / h[axis]
-        dv = np.diff(v, axis=axis) / h[axis]
-        if diff_coef is None:
-            f_u = du
-        else:
-            c_l, c_r = _lr(diff_coef, axis)
-            f_u = 0.5 * (c_l + c_r) * du
-        if chi0 != 0.0:
-            v_l, v_r = _lr(v, axis)
-            w = (chi0 / (1.0 + a_sat * 0.5 * (v_l + v_r)) ** 2) * dv
-            if trans is None:
-                f_chem = w
-                speed = np.abs(w)
-            else:
-                t_l, t_r = _lr(trans, axis)
-                f_chem = np.where(w > 0.0, t_l, t_r) * w
-                speed = np.abs(w) * np.maximum(t_l, t_r) if alpha > 0.0 else np.abs(w)
-            if speed.size:
-                speeds_max = max(speeds_max, float(speed.max()))
-            f_u = f_u - f_chem
-        fluxes.append(f_u)
-        v_grads.append(dv)
-
-    sup_u = float(u.max())
-    sup_v = float(v.max())
-    d_eff = 1.0 if diff_coef is None else max(1.0, float(diff_coef.max()))
-    dt_diff = 1.0 / (2.0 * d_eff * sum(1.0 / hx**2 for hx in h))
-    dt_adv = min(h) / (2.0 * grid.dim * speeds_max) if speeds_max > 0.0 else math.inf
-    dt_react = 1.0 / (abs(params.k) + 2.0 * params.mu * sup_u + sup_u + sup_v + 1.0)
-    dt_stable = config.safety * min(dt_diff, dt_adv, dt_react)
-    if dt_stable < config.dt_min:
-        return state, StepOutcome(DT_UNDERFLOW, dt_stable, sup_u)
-
-    dt = dt_stable
-    t_new = state.t + dt
-    if t_target is not None and t_new >= t_target:
-        dt = t_target - state.t
-        t_new = t_target
-
-    du_dt = _zero_boundary_div(fluxes[0], 0, h[0])
-    lap_v = _zero_boundary_div(v_grads[0], 0, h[0])
-    for axis in range(1, grid.dim):
-        _zero_boundary_div(fluxes[axis], axis, h[axis], out=du_dt)
-        _zero_boundary_div(v_grads[axis], axis, h[axis], out=lap_v)
-    du_dt += params.k * u - params.mu * u * u
-    u_new = u + dt * du_dt
-    v_new = v + dt * (lap_v - u * v)
-
-    new_state = SimState(t_new, ScalarField(grid, u_new), ScalarField(grid, v_new))
-    sup_u_new = float(u_new.max())
-    if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
-        return new_state, StepOutcome(CORRUPTED, dt, sup_u_new)
-    if float(u_new.min()) < -U_NEG_TOL or float(v_new.min()) < -U_NEG_TOL:
-        return new_state, StepOutcome(CORRUPTED, dt, sup_u_new)
-    if float(v_new.max()) > v0_sup * (1.0 + V_SUP_REL_TOL):
-        return new_state, StepOutcome(CORRUPTED, dt, sup_u_new)
-    if sup_u_new > config.u_max:
-        return new_state, StepOutcome(BLOWUP, dt, sup_u_new)
-    return new_state, StepOutcome(ADVANCED, dt, sup_u_new)
+    u, v = state.u.values, state.v.values
+    _, sup_u, _, sup_v, finite = _extrema(u, v)
+    if not finite:
+        return state, StepOutcome(CORRUPTED, 0.0, sup_u)
+    status, dt, t, u_new, v_new, sup_u_new, _ = _advance(
+        _kernel_for(grid, params), u, v, sup_u, sup_v, state.t, t_target, config,
+        v0_sup * (1.0 + V_SUP_REL_TOL))
+    if status == DT_UNDERFLOW:
+        return state, StepOutcome(status, dt, sup_u)
+    return (SimState(t, ScalarField(grid, u_new), ScalarField(grid, v_new)),
+            StepOutcome(status, dt, sup_u_new))
 
 
 MonitorHook = Callable[[SimState, float], None]
@@ -317,17 +284,20 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     The hook fires on the initial state, at the configured cadence (every N
     steps or at exact multiples of the output interval), on the final state,
     and on a blow-up state.  Initial data must be nonnegative and finite.
+    Each step's sup u and sup v carry over from its post-update check.
     """
-    u0 = initial.u.values
-    v0 = initial.v.values
-    if not (np.isfinite(u0).all() and np.isfinite(v0).all()):
+    grid = initial.u.grid
+    t, u, v = initial.t, initial.u.values, initial.v.values
+    u_lo, sup_u, v_lo, sup_v, finite = _extrema(u, v)
+    if not finite:
         raise CorruptionError("non-finite initial data")
-    if float(u0.min()) < 0.0 or float(v0.min()) < 0.0:
+    if u_lo < 0.0 or v_lo < 0.0:
         raise DomainError("initial data must be nonnegative")
-    v0_sup = float(v0.max())
+    v_cap = sup_v * (1.0 + V_SUP_REL_TOL)
     t_end = config.t_end
+    every_steps, every_time = config.output_every_steps, config.output_every_time
 
-    sup_u_max = float(u0.max())
+    sup_u_max = sup_u
     last_hook_t = math.nan
 
     def hook(state: SimState, dt: float) -> None:
@@ -340,31 +310,33 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     if sup_u_max > config.u_max:
         return RunResult(BLOWUP, initial, 0, sup_u_max)
 
+    rates = _kernel_for(grid, params)
     state = initial
+    status = COMPLETED
     steps = 0
     out_index = 1
-    while state.t < t_end:
+    while t < t_end:
         if steps >= config.max_steps:
             raise ChemfvError(f"step budget exceeded ({config.max_steps} steps)")
-        t_target = t_end
-        if config.output_every_time is not None:
-            t_target = min(t_end, out_index * config.output_every_time)
-        state, outcome = step(state, params, config, v0_sup=v0_sup, t_target=t_target)
-        if outcome.status == DT_UNDERFLOW:
-            return RunResult(DT_UNDERFLOW, state, steps, sup_u_max)
-        steps += 1
-        sup_u_max = max(sup_u_max, outcome.sup_u)
-        if outcome.status == CORRUPTED:
-            return RunResult(CORRUPTED, state, steps, sup_u_max)
-        if outcome.status == BLOWUP:
-            hook(state, outcome.dt_used)
-            return RunResult(BLOWUP, state, steps, sup_u_max)
-        if config.output_every_time is not None and state.t == out_index * config.output_every_time:
-            hook(state, outcome.dt_used)
-            out_index += 1
-        elif config.output_every_steps is not None and steps % config.output_every_steps == 0:
-            hook(state, outcome.dt_used)
-        if state.t == t_end:
-            hook(state, outcome.dt_used)
+        t_target = t_end if every_time is None else min(t_end, out_index * every_time)
+        status, dt, t, u, v, sup_u, sup_v = _advance(rates, u, v, sup_u, sup_v, t, t_target,
+                                                     config, v_cap)
+        if status == DT_UNDERFLOW:
             break
-    return RunResult(COMPLETED, state, steps, sup_u_max)
+        steps += 1
+        sup_u_max = max(sup_u_max, sup_u)
+        state = None
+        if status == CORRUPTED:
+            break
+        on_time = every_time is not None and t == out_index * every_time
+        if on_time:
+            out_index += 1
+        if (status == BLOWUP or on_time or t == t_end
+                or (every_steps is not None and steps % every_steps == 0)):
+            state = SimState(t, ScalarField(grid, u), ScalarField(grid, v))
+            hook(state, dt)
+        if status == BLOWUP:
+            break
+    if state is None:
+        state = SimState(t, ScalarField(grid, u), ScalarField(grid, v))
+    return RunResult(COMPLETED if status == ADVANCED else status, state, steps, sup_u_max)

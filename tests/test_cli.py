@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chemfv.certificates
+import chemfv.cli
 from chemfv.cli import CSV_HEADER, main, sweep_report
 from chemfv.config import parse_config
 
@@ -276,9 +279,18 @@ class TestTimeCadence:
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)
+        # the child imports the same chemfv as this process, installed or not
+        src = str(Path(chemfv.certificates.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
         proc = subprocess.run(
             [sys.executable, "-m", "chemfv", "certify", "--config", cfg,
              "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert '"satisfied"' in proc.stdout
+
+    def test_runs_where_libc_has_no_mallopt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(chemfv.cli.ctypes, "CDLL", lambda name: object())
+        assert main(["certify", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path)]) == 0

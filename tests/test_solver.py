@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chemfv import (CorruptionError, DomainError, Grid, ModelParams, ScalarField,
                     SimState, SolverConfig, chemotactic_flux, constant_field,
                     diffusive_flux_u, field_from_function, integrate, reaction_u,
                     rhs_v, run, stable_dt, step)
-from chemfv.solver import ADVANCED, BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW
+from chemfv.solver import (ADVANCED, BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW,
+                           U_NEG_TOL, V_SUP_REL_TOL)
 
 
 def params_1d(**overrides):
@@ -185,6 +189,16 @@ class TestStep:
         _, out = step(state, params, cfg, v0_sup=0.9)
         assert out.dt_used == stable_dt(state, params, cfg)
 
+    def test_dt_matches_stable_dt_2d_nonlinear(self):
+        rng = np.random.default_rng(5)
+        g = Grid.rect(10, 8, 1.0, 0.7)
+        params = ModelParams(n=2, m=1.6, alpha=0.7, k=0.5, mu=2.0, chi0=1.3, a=0.7, b=2.0)
+        state = SimState(0.0, ScalarField(g, rng.uniform(0.0, 2.0, g.shape)),
+                         ScalarField(g, rng.uniform(0.0, 1.0, g.shape)))
+        cfg = SolverConfig(t_end=10.0)
+        _, out = step(state, params, cfg, v0_sup=1.0)
+        assert out.dt_used == stable_dt(state, params, cfg)
+
     def test_clips_to_target(self):
         g = Grid.line(16, 1.0)
         state = SimState(0.0, constant_field(g, 0.0), constant_field(g, 1.0))
@@ -206,6 +220,37 @@ class TestStep:
         state = SimState(0.0, u, constant_field(g, 1.0))
         _, out = step(state, params_1d(), SolverConfig(t_end=1.0), v0_sup=1.0)
         assert out.status == CORRUPTED
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["u", "v"])
+    def test_nonfinite_input(self, field, bad):
+        g = Grid.line(16, 1.0)
+        state = SimState(0.0, constant_field(g, 0.5), constant_field(g, 1.0))
+        getattr(state, field).values[3] = bad
+        _, out = step(state, params_1d(), SolverConfig(t_end=1.0), v0_sup=1.0)
+        assert out.status == CORRUPTED
+        with pytest.raises(CorruptionError):
+            stable_dt(state, params_1d(), SolverConfig(t_end=1.0))
+
+    def test_corrupted_on_overflowing_update(self):
+        # mu u^2 overflows, so u_new = -inf: the post-update check must see it
+        g = Grid.line(16, 1.0)
+        state = SimState(0.0, constant_field(g, 1e200), constant_field(g, 0.0))
+        cfg = SolverConfig(t_end=1.0, dt_min=1e-300, u_max=1e300)
+        with np.errstate(over="ignore"):
+            new, out = step(state, params_1d(), cfg, v0_sup=0.0)
+        assert out.status == CORRUPTED
+        assert np.all(new.u.values == -math.inf)
+
+    def test_drift_out_of_an_empty_cell_is_corrupted(self):
+        # the chemotactic flux (u+1)^alpha chi(v) grad v does not vanish at
+        # u = 0, so drift out of an empty cell makes u negative; the step must
+        # report that, not clip it
+        g = Grid.line(16, 1.0)
+        state = SimState(0.0, constant_field(g, 0.0), field_from_function(g, lambda x: x**2))
+        new, out = step(state, params_1d(), SolverConfig(t_end=1.0), v0_sup=1.0)
+        assert out.status == CORRUPTED
+        assert new.u.values.min() < -U_NEG_TOL
 
     def test_corrupted_on_max_principle_violation(self):
         # declaring a v0_sup below the current sup v makes the check fire
@@ -316,3 +361,92 @@ class TestRun:
         assert result.status == COMPLETED
         expected = [0.0] + [k * 0.002 for k in range(1, 6)]
         assert times == expected
+
+
+class TestRunStepParity:
+    """``run`` marches on raw arrays; its states must be the public ``step``
+    iterates bit for bit."""
+
+    @pytest.mark.parametrize("dim,m,alpha,chi0", [
+        (1, 1.0, 0.0, 1.2), (1, 1.7, 0.6, 1.2), (1, 0.8, -0.5, 1.2), (1, 1.5, 0.5, 0.0),
+        (2, 1.0, 0.0, 1.2), (2, 1.7, 0.6, 1.2), (2, 0.8, -0.5, 1.2), (2, 1.0, 0.3, 0.0),
+    ])
+    @pytest.mark.parametrize("coarse", [False, True])  # True: the reaction limit binds
+    def test_hook_states_equal_step_iterates(self, dim, m, alpha, chi0, coarse):
+        rng = np.random.default_rng(11)
+        scale = 24.0 if coarse else 1.0
+        g = (Grid.line(24, scale) if dim == 1 else Grid.rect(12, 10, scale, 0.8 * scale))
+        u0 = ScalarField(g, rng.uniform(0.5, 2.0, g.shape))
+        v0 = ScalarField(g, rng.uniform(0.2, 1.0, g.shape))
+        params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=0.7, b=2.0)
+        dt0 = stable_dt(SimState(0.0, u0, v0), params, SolverConfig(t_end=1.0))
+        cfg = SolverConfig(t_end=40.5 * dt0, output_every_steps=1)
+        hooked = []
+        result = run(SimState(0.0, u0, v0), params, cfg,
+                     lambda s, dt: hooked.append((s, dt)))
+        assert result.status == COMPLETED
+        assert len(hooked) == result.steps + 1 > 5
+
+        state = hooked[0][0]
+        for expected, dt in hooked[1:]:
+            state, out = step(state, params, cfg, v0_sup=float(v0.values.max()),
+                              t_target=cfg.t_end)
+            assert out.status == ADVANCED
+            assert out.dt_used == dt and state.t == expected.t
+            assert np.array_equal(state.u.values, expected.u.values)
+            assert np.array_equal(state.v.values, expected.v.values)
+        assert state.t == cfg.t_end
+        assert np.array_equal(result.state.u.values, state.u.values)
+        assert np.array_equal(result.state.v.values, state.v.values)
+
+
+@st.composite
+def step_cases(draw, chi0=st.floats(0.0, 5.0), k=st.floats(-5.0, 5.0),
+               mu=st.floats(1e-6, 50.0)):
+    """A random admissible model and nonnegative (u, v) on a 1D or 2D grid."""
+    dim = draw(st.sampled_from([1, 2]))
+    cells = tuple(draw(st.integers(4, 16)) for _ in range(dim))
+    grid = Grid(cells, tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim)))
+    m = draw(st.floats(0.2, 3.0))
+    params = ModelParams(n=dim, m=m, alpha=draw(st.floats(-2.0, (m + 1.0) / 2.0,
+                                                           exclude_max=True)),
+                         k=draw(k), mu=draw(mu), chi0=draw(chi0),
+                         a=draw(st.floats(0.0, 3.0)), b=2.0)
+    u = draw(arrays(float, cells, elements=st.floats(0.0, 10.0)))
+    v = draw(arrays(float, cells, elements=st.floats(0.0, 3.0)))
+    return SimState(0.0, ScalarField(grid, u), ScalarField(grid, v)), params
+
+
+class TestStepProperties:
+    """One step at ``stable_dt`` from random admissible data."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=step_cases())
+    def test_signal_stays_between_zero_and_its_initial_sup(self, case):
+        state, params = case
+        cfg = SolverConfig(t_end=1.0)
+        v0_sup = float(state.v.values.max())
+        new, out = step(state, params, cfg, v0_sup=v0_sup)
+        assert out.dt_used == stable_dt(state, params, cfg)
+        assert new.v.values.min() >= -U_NEG_TOL
+        assert new.v.values.max() <= v0_sup * (1.0 + V_SUP_REL_TOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=step_cases(chi0=st.just(0.0)))
+    def test_density_stays_nonnegative_without_drift(self, case):
+        # with drift on, positivity needs more than u >= 0: see
+        # TestStep.test_drift_out_of_an_empty_cell_is_corrupted
+        state, params = case
+        new, out = step(state, params, SolverConfig(t_end=1.0),
+                        v0_sup=float(state.v.values.max()))
+        assert out.status == ADVANCED
+        assert new.u.values.min() >= -U_NEG_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=step_cases(k=st.just(0.0), mu=st.just(1e-20)))  # ModelParams rejects mu = 0
+    def test_mass_conserved_without_sources(self, case):
+        state, params = case
+        new, _ = step(state, params, SolverConfig(t_end=1.0),
+                      v0_sup=float(state.v.values.max()))
+        before, after = state.u.values.sum(), new.u.values.sum()
+        assert abs(after - before) <= 1e-13 * (before + state.u.values.size)
