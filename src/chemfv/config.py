@@ -256,6 +256,10 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
 
     if v["oracle"]["trials"] < 1:
         raise ConfigError("oracle trials must be >= 1")
+    if v["oracle"]["num_modes"] < 1:
+        raise ConfigError("oracle num_modes must be >= 1")
+    if not v["oracle"]["q"] >= 1.0:
+        raise ConfigError("oracle q must be >= 1")
 
     sweep = None
     if v["sweep"]["mu_lo"] is not None or v["sweep"]["mu_hi"] is not None:

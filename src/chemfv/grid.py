@@ -7,6 +7,11 @@ across any boundary face is identically zero, so divergence-form operators
 conserve their integrand to round-off and ``integrate(laplacian(f)) == 0``
 holds for arbitrary fields.
 
+The ghosts are implicit: the second differences write the boundary cells
+from slices of the interior face gradients, and the zero boundary faces are
+never stored.  ``extend_neumann`` builds the one padded copy, for the
+centered stencils of ``gradient_cells`` and the 2D cross derivative.
+
 Quadrature is the midpoint rule, which is the natural pairing for a
 cell-centered finite volume scheme and is exact for cellwise-linear data.
 """
@@ -131,28 +136,48 @@ def lp_norm(f: ScalarField, p: float) -> float:
 
 
 def extend_neumann(f: ScalarField) -> np.ndarray:
-    """Values with one mirror ghost layer: ghost equals the adjacent interior cell."""
-    return np.pad(f.values, 1, mode="edge")
+    """Values with one mirror ghost layer: ghost equals the adjacent interior cell.
 
-
-def _lr(arr: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the left and right cells adjacent to each interior face."""
-    left = [slice(None)] * arr.ndim
-    right = [slice(None)] * arr.ndim
-    left[axis] = slice(0, -1)
-    right[axis] = slice(1, None)
-    return arr[tuple(left)], arr[tuple(right)]
+    The one padded copy in this module; only ``gradient_cells`` and the 2D
+    cross stencil of ``hessian`` use it.
+    """
+    values = f.values
+    out = np.empty(tuple(n + 2 for n in values.shape))
+    out[(slice(1, -1),) * values.ndim] = values
+    for axis in range(values.ndim):
+        lead = (slice(None),) * axis
+        out[lead + (0,)] = out[lead + (1,)]
+        out[lead + (-1,)] = out[lead + (-2,)]
+    return out
 
 
 def _with_zero_boundary(interior_faces: np.ndarray, axis: int) -> np.ndarray:
     """Embed interior-face values in the full face array; boundary faces are 0."""
-    pad = [(0, 0)] * interior_faces.ndim
-    pad[axis] = (1, 1)
-    return np.pad(interior_faces, pad)
+    shape = list(interior_faces.shape)
+    shape[axis] += 2
+    out = np.zeros(shape)
+    out[(slice(None),) * axis + (slice(1, -1),)] = interior_faces
+    return out
 
 
-def _div_axis(full_faces: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return np.diff(full_faces, axis=axis) / h
+def _second_difference(values: np.ndarray, axis: int, h: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Per-axis (g_R - g_L)/h, g the face gradient with zero boundary faces.
+
+    The boundary faces are never stored: the first cell takes g_R - 0 = g_R
+    and the last 0 - g_L, computed as a subtraction so that +0.0 stays +0.0.
+    """
+    lead = (slice(None),) * axis
+    g = np.diff(values, axis=axis) / h
+    if out is None:
+        out = np.empty(values.shape)
+    np.subtract(g[lead + (slice(1, None),)], g[lead + (slice(None, -1),)],
+                out=out[lead + (slice(1, -1),)])
+    first, last = lead + (slice(0, 1),), lead + (slice(-1, None),)
+    out[first] = g[first]
+    np.subtract(0.0, g[last], out=out[last])
+    out /= h
+    return out
 
 
 def gradient_faces(f: ScalarField) -> tuple[np.ndarray, ...]:
@@ -192,10 +217,10 @@ def laplacian(f: ScalarField) -> ScalarField:
     domain telescopes to zero exactly and the stencil is exact for quadratics
     away from the boundary.
     """
-    grads = gradient_faces(f)
-    total = _div_axis(grads[0], 0, f.grid.spacing[0])
+    h = f.grid.spacing
+    total = _second_difference(f.values, 0, h[0])
     for axis in range(1, f.grid.dim):
-        total = total + _div_axis(grads[axis], axis, f.grid.spacing[axis])
+        total += _second_difference(f.values, axis, h[axis])
     return ScalarField(f.grid, total)
 
 
@@ -209,9 +234,8 @@ def hessian(f: ScalarField) -> np.ndarray:
     grid = f.grid
     h = grid.spacing
     out = np.empty((grid.dim, grid.dim) + grid.shape)
-    grads = gradient_faces(f)
     for axis in range(grid.dim):
-        out[axis, axis] = _div_axis(grads[axis], axis, h[axis])
+        _second_difference(f.values, axis, h[axis], out=out[axis, axis])
     if grid.dim == 2:
         p = extend_neumann(f)
         cross = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * h[0] * h[1])
@@ -225,18 +249,22 @@ def cosine_field(grid: Grid, modes: Sequence[Sequence[int]], coeffs: Sequence[fl
 
     Each mode has zero normal derivative on the boundary, so these fields are
     the natural Neumann-compatible test inputs for the discrete operators.
+    One ``np.cos`` call per axis covers every mode, one broadcast product
+    builds every mode's term, and the scaled terms are summed mode by mode.
     """
     modes = np.atleast_2d(np.asarray(modes, dtype=int))
     coeffs = np.asarray(coeffs, dtype=float)
     if modes.shape[0] != coeffs.shape[0] or modes.shape[1] != grid.dim:
         raise DomainError("modes must be (num_modes, dim) and match coeffs length")
-    centers = grid.centers()
+    cosines = [np.cos(modes[:, axis, None] * math.pi * grid.axis_centers(axis) / grid.extents[axis])
+               for axis in range(grid.dim)]
+    terms = cosines[0]
+    for axis in range(1, grid.dim):
+        terms = terms[..., None] * cosines[axis][:, None, :]
+    terms *= coeffs.reshape((-1,) + (1,) * grid.dim)
     values = np.zeros(grid.shape)
-    for k_vec, c in zip(modes, coeffs):
-        term = np.ones(grid.shape)
-        for axis in range(grid.dim):
-            term = term * np.cos(k_vec[axis] * math.pi * centers[axis] / grid.extents[axis])
-        values += c * term
+    for term in terms:
+        values += term
     return ScalarField(grid, values)
 
 

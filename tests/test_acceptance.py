@@ -183,6 +183,7 @@ def test_criterion_03_pointwise_and_integral_inequalities():
           f"inequality across 32/64/128 grids with slack {slacks}")
 
 
+@pytest.mark.slow
 def test_criterion_04_conservation_and_signal_decay(run_conservation, run_heat_signal):
     assert run_conservation.code == 0
     mass = run_conservation.columns["mass_u"]
@@ -196,6 +197,7 @@ def test_criterion_04_conservation_and_signal_decay(run_conservation, run_heat_s
     print(f"\nPASS criterion 4: mass drift {drift:.2e} <= 1e-12; sup v nonincreasing")
 
 
+@pytest.mark.slow
 def test_criterion_05_maximum_principle_everywhere(run_conservation, run_heat_signal,
                                                    run_bounds, run_sufficiency,
                                                    run_logistic):
@@ -210,6 +212,7 @@ def test_criterion_05_maximum_principle_everywhere(run_conservation, run_heat_si
           f"on all {checked} acceptance runs")
 
 
+@pytest.mark.slow
 def test_criterion_06_uniform_bounds(run_bounds):
     assert run_bounds.code == 0
     cert = run_bounds.summary["certificate"]
@@ -226,6 +229,7 @@ def test_criterion_06_uniform_bounds(run_bounds):
           f"gradient energy max {grad.max():.2e} <= {m_grad * 1.05:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_07_empirical_sufficiency(run_sufficiency):
     assert run_sufficiency.code == 0
     summary = run_sufficiency.summary
@@ -295,6 +299,7 @@ def test_criterion_10_sweep_consistency(tmp_path):
           f"<= {report['mu_empirical_hi']} <= certificate {report['mu_min_certificate']:.1f}")
 
 
+@pytest.mark.slow
 def test_criterion_11_determinism(run_sufficiency, run_sufficiency_repeat):
     csv_a = (run_sufficiency.out / "timeseries.csv").read_bytes()
     csv_b = (run_sufficiency_repeat.out / "timeseries.csv").read_bytes()

@@ -240,6 +240,25 @@ class TestVerify:
                      "--set", "oracle.trials=1", "--seed", "7"]) == 0
         assert (out_a / "verify.json").read_bytes() == (out_b / "verify.json").read_bytes()
 
+    def test_2d_margins_are_pinned(self, tmp_path):
+        # Recorded from the np.pad-based stencils: a change to the grid
+        # operators or the trial fields that moves any margin by one ulp fails.
+        text = BASE_CONFIG.replace("n = 1", "n = 2").replace("dim = 1", "dim = 2")
+        cfg = write_config(tmp_path, text)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--seed", "7",
+                     "--set", "grid.nx=16", "--set", "grid.ny=16",
+                     "--set", "oracle.trials=20"]) == 0
+        report = read_json(tmp_path, "verify.json")
+        margins = {v["inequality_name"]: v["worst_margin"] for v in report["verdicts"]}
+        assert margins == {
+            "laplacian_vs_hessian": 0.0004015052567783138,
+            "hessian_gradient_cauchy_schwarz": 1.0595163226474152e-05,
+            "gradient_power_hessian": 0.9318746068718154,
+            "young_combination": 0.0,
+            "pbar_relations": 0.07432179779609542,
+        }
+        assert report["gn_empirical_constant"] == 0.6096980284342736
+
 
 class TestExitCodeMapping:
     def test_all_statuses(self):

@@ -76,6 +76,16 @@ class TestSemanticErrors:
         with pytest.raises(ConfigError, match="mu_lo < mu_hi"):
             parse_config("[sweep]\nmu_lo = 2.0\nmu_hi = 1.0\n")
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_oracle_num_modes_positive(self, value):
+        with pytest.raises(ConfigError, match="num_modes must be >= 1"):
+            parse_config(f"[oracle]\nnum_modes = {value}\n")
+
+    @pytest.mark.parametrize("value", ["0.5", "0", "nan"])
+    def test_oracle_q_at_least_one(self, value):
+        with pytest.raises(ConfigError, match="q must be >= 1"):
+            parse_config(f"[oracle]\nq = {value}\n")
+
 
 def test_shipped_example_config_parses():
     from pathlib import Path

@@ -252,3 +252,136 @@ class TestFieldDump:
         back = read_field(path)
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
+
+
+# Reference stencils built on np.pad, as the operators were first written.  The
+# pad-free operators must reproduce them byte for byte, signed zeros included.
+def _ref_extend_neumann(f):
+    return np.pad(f.values, 1, mode="edge")
+
+
+def _ref_with_zero_boundary(interior_faces, axis):
+    pad = [(0, 0)] * interior_faces.ndim
+    pad[axis] = (1, 1)
+    return np.pad(interior_faces, pad)
+
+
+def _ref_div_axis(full_faces, axis, h):
+    return np.diff(full_faces, axis=axis) / h
+
+
+def _ref_gradient_faces(f):
+    return tuple(_ref_with_zero_boundary(np.diff(f.values, axis=axis) / h, axis)
+                 for axis, h in enumerate(f.grid.spacing))
+
+
+def _ref_gradient_cells(f):
+    padded = _ref_extend_neumann(f)
+    out = []
+    for axis, h in enumerate(f.grid.spacing):
+        lo = [slice(1, -1)] * padded.ndim
+        hi = [slice(1, -1)] * padded.ndim
+        lo[axis] = slice(0, -2)
+        hi[axis] = slice(2, None)
+        out.append((padded[tuple(hi)] - padded[tuple(lo)]) / (2.0 * h))
+    return tuple(out)
+
+
+def _ref_laplacian(f):
+    grads = _ref_gradient_faces(f)
+    total = _ref_div_axis(grads[0], 0, f.grid.spacing[0])
+    for axis in range(1, f.grid.dim):
+        total = total + _ref_div_axis(grads[axis], axis, f.grid.spacing[axis])
+    return total
+
+
+def _ref_hessian(f):
+    grid = f.grid
+    h = grid.spacing
+    out = np.empty((grid.dim, grid.dim) + grid.shape)
+    grads = _ref_gradient_faces(f)
+    for axis in range(grid.dim):
+        out[axis, axis] = _ref_div_axis(grads[axis], axis, h[axis])
+    if grid.dim == 2:
+        p = _ref_extend_neumann(f)
+        cross = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * h[0] * h[1])
+        out[0, 1] = cross
+        out[1, 0] = cross
+    return out
+
+
+def _ref_cosine_field(grid, modes, coeffs):
+    modes = np.atleast_2d(np.asarray(modes, dtype=int))
+    coeffs = np.asarray(coeffs, dtype=float)
+    centers = grid.centers()
+    values = np.zeros(grid.shape)
+    for k_vec, c in zip(modes, coeffs):
+        term = np.ones(grid.shape)
+        for axis in range(grid.dim):
+            term = term * np.cos(k_vec[axis] * math.pi * centers[axis] / grid.extents[axis])
+        values += c * term
+    return values
+
+
+def _ref_random_smooth_field(grid, seed, num_modes):
+    rng = np.random.default_rng(seed)
+    modes = rng.integers(0, 5, size=(num_modes, grid.dim))
+    raw = rng.standard_normal(num_modes)
+    return _ref_cosine_field(grid, modes, raw / (1.0 + (modes**2).sum(axis=1)))
+
+
+def _assert_same_bytes(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.dtype == ref.dtype and new.shape == ref.shape
+    assert new.tobytes() == ref.tobytes()
+
+
+def _assert_operators_match_reference(f):
+    _assert_same_bytes(extend_neumann(f), _ref_extend_neumann(f))
+    for new, ref in zip(gradient_faces(f), _ref_gradient_faces(f), strict=True):
+        _assert_same_bytes(new, ref)
+    for new, ref in zip(gradient_cells(f), _ref_gradient_cells(f), strict=True):
+        _assert_same_bytes(new, ref)
+    _assert_same_bytes(laplacian(f).values, _ref_laplacian(f))
+    _assert_same_bytes(hessian(f), _ref_hessian(f))
+
+
+PARITY_GRIDS = [Grid.line(4, 1.0), Grid.line(7, 2.5), Grid.line(64, 1.5),
+                Grid.rect(4, 4, 1.0, 1.0), Grid.rect(24, 16, 1.0, 2.0),
+                Grid.rect(5, 9, 0.3, 3.7), Grid.rect(64, 64, 1.0, 1.0)]
+
+
+class TestPadFreeByteParity:
+    @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=str)
+    @pytest.mark.parametrize("kind", ["zero", "negative-zero", "integer", "random"])
+    def test_operators(self, grid, kind):
+        rng = np.random.default_rng(11)
+        values = {
+            "zero": lambda: np.zeros(grid.shape),
+            "negative-zero": lambda: np.full(grid.shape, -0.0),
+            "integer": lambda: rng.integers(-5, 6, size=grid.shape).astype(float),
+            "random": lambda: rng.standard_normal(grid.shape),
+        }[kind]
+        for _ in range(3):
+            _assert_operators_match_reference(ScalarField(grid, values()))
+
+    @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=str)
+    def test_cosine_field(self, grid):
+        rng = np.random.default_rng(3)
+        for num_modes in (1, 2, 8):
+            modes = rng.integers(0, 7, size=(num_modes, grid.dim))
+            coeffs = rng.standard_normal(num_modes)
+            _assert_same_bytes(cosine_field(grid, modes, coeffs).values,
+                               _ref_cosine_field(grid, modes, coeffs))
+        # a zero coefficient and a constant mode
+        modes, coeffs = [(0,) * grid.dim, (1,) * grid.dim], [0.0, -0.0]
+        _assert_same_bytes(cosine_field(grid, modes, coeffs).values,
+                           _ref_cosine_field(grid, modes, coeffs))
+
+    @pytest.mark.parametrize("grid", [Grid.line(32, 1.5), Grid.rect(16, 12, 1.0, 0.5),
+                                      Grid.rect(64, 64, 1.0, 1.0)], ids=str)
+    def test_random_smooth_fields_over_50_seeds(self, grid):
+        for seed in range(50):
+            f = random_smooth_field(grid, (7, seed), 8)
+            _assert_same_bytes(f.values, _ref_random_smooth_field(grid, (7, seed), 8))
+            _assert_operators_match_reference(f)
