@@ -24,7 +24,7 @@ from .errors import ChemfvError
 from .grid import integrate, lp_norm, write_field
 from .initial import build_initial_data
 from .monitors import MonitorRecord, gradv_l2sq, phi_trend
-from .oracle import (OracleConfig, estimate_gn_constant, verify_gradient_power_hessian,
+from .oracle import (estimate_gn_constant, verify_gradient_power_hessian,
                      verify_hessian_gradient, verify_laplacian_vs_hessian,
                      verify_pbar_relations, verify_young_combination)
 from .solver import BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW, RunResult, SimState, run
@@ -203,19 +203,15 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, poison_d3: bool) -> int:
-    oracle_cfg = OracleConfig(
-        grid=cfg.grid, trials=cfg.oracle_trials, seed=cfg.oracle_seed,
-        q=cfg.oracle_q, num_modes=cfg.oracle_num_modes,
-    )
     verdicts = [
-        verify_laplacian_vs_hessian(oracle_cfg),
-        verify_hessian_gradient(oracle_cfg),
-        verify_gradient_power_hessian(oracle_cfg),
-        verify_young_combination(oracle_cfg, poison_d3=1.0 if poison_d3 else 0.0),
-        verify_pbar_relations(oracle_cfg, cfg.model.n, cfg.model.m, cfg.model.alpha,
+        verify_laplacian_vs_hessian(cfg.oracle),
+        verify_hessian_gradient(cfg.oracle),
+        verify_gradient_power_hessian(cfg.oracle),
+        verify_young_combination(cfg.oracle, poison_d3=1.0 if poison_d3 else 0.0),
+        verify_pbar_relations(cfg.oracle, cfg.model.n, cfg.model.m, cfg.model.alpha,
                               cfg.exponents.q1, cfg.exponents.q2),
     ]
-    gn_constant = estimate_gn_constant(oracle_cfg)
+    gn_constant = estimate_gn_constant(cfg.oracle)
     all_passed = all(v.passed for v in verdicts) and math.isfinite(gn_constant)
     payload = {
         "schema": 1,
@@ -295,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(text, tuple(args.set))
         if args.seed is not None:
-            cfg = replace(cfg, oracle_seed=args.seed)
+            cfg = replace(cfg, oracle=replace(cfg.oracle, seed=args.seed))
         out_dir = Path(args.out if args.out is not None else cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "certify":

@@ -3,21 +3,22 @@
 Every key has a documented default, so an empty file is a valid config;
 unknown sections or keys are rejected outright (experiment files must not
 contain silent typos).  ``--set section.key=value`` overrides are applied
-before validation.  Values marked ``auto`` resolve from the model: q1 = n+3,
-q2 = (n+3)/2, certificate p = ceil(p_bar), monitor p = certificate p.
+before validation.  This module only translates values into the library
+types, which own every rule.  Values marked ``auto`` resolve from the model:
+q1, q2 and the certificate p through ``certificates.default_exponents``
+(n+3, (n+3)/2, ceil(p_bar)), monitor p = certificate p.
 """
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass
 
-from .certificates import (AuxiliaryExponents, ModelParams, compute_p_bar,
-                           validate_exponents)
+from .certificates import AuxiliaryExponents, ModelParams, compute_p_bar, default_exponents
 from .errors import ChemfvError, ConfigError
 from .grid import Grid
 from .initial import parse_profile
 from .monitors import MonitorConfig
+from .oracle import OracleConfig
 from .solver import SolverConfig
 
 _INT, _FLOAT, _BOOL, _STR, _AUTO_FLOAT, _OPT_FLOAT = "int", "float", "bool", "str", "auto_float", "opt_float"
@@ -113,10 +114,7 @@ class RunConfig:
     dump_fields: bool
     exponents: AuxiliaryExponents
     k1_literal: bool
-    oracle_trials: int
-    oracle_seed: int
-    oracle_q: float
-    oracle_num_modes: int
+    oracle: OracleConfig
     sweep: SweepSpec | None
 
 
@@ -224,28 +222,20 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
     for which in ("u0", "v0"):
         parse_profile(v["init"][which])  # raises ConfigError on bad profiles
 
-    q1 = v["certificate"]["q1"]
-    q2 = v["certificate"]["q2"]
-    q1 = float(model.n + 3) if q1 == "auto" else q1
-    q2 = (model.n + 3) / 2.0 if q2 == "auto" else q2
+    q1, q2, p_cert = (None if v["certificate"][key] == "auto" else v["certificate"][key]
+                      for key in ("q1", "q2", "p"))
     try:
-        p_bar = compute_p_bar(model.n, model.m, model.alpha, q1, q2)
+        exponents = default_exponents(model, q1, q2, p_cert)
+        p_bar = compute_p_bar(model.n, model.m, model.alpha, exponents.q1, exponents.q2)
     except ChemfvError as exc:
         raise ConfigError(f"invalid [certificate]: {exc}")
-    p_cert = v["certificate"]["p"]
-    p_cert = float(math.ceil(p_bar)) if p_cert == "auto" else p_cert
-    if p_cert < p_bar:
+    if exponents.p < p_bar:
         raise ConfigError(
-            f"certificate p={p_cert} is below the minimal admissible exponent {p_bar}"
+            f"certificate p={exponents.p} is below the minimal admissible exponent {p_bar}"
         )
-    exponents = AuxiliaryExponents(q1, q2, p_cert)
-    try:
-        validate_exponents(model, exponents)
-    except ChemfvError as exc:
-        raise ConfigError(f"invalid [certificate]: {exc}")
 
     p_mon = v["monitor"]["p"]
-    p_mon = p_cert if p_mon == "auto" else p_mon
+    p_mon = exponents.p if p_mon == "auto" else p_mon
     try:
         monitor = MonitorConfig(
             p=p_mon, tol_mass=v["monitor"]["tol_mass"],
@@ -254,12 +244,13 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
     except ChemfvError as exc:
         raise ConfigError(f"invalid [monitor]: {exc}")
 
-    if v["oracle"]["trials"] < 1:
-        raise ConfigError("oracle trials must be >= 1")
-    if v["oracle"]["num_modes"] < 1:
-        raise ConfigError("oracle num_modes must be >= 1")
-    if not v["oracle"]["q"] >= 1.0:
-        raise ConfigError("oracle q must be >= 1")
+    try:
+        oracle = OracleConfig(
+            grid=grid, trials=v["oracle"]["trials"], seed=v["oracle"]["seed"],
+            q=v["oracle"]["q"], num_modes=v["oracle"]["num_modes"],
+        )
+    except ChemfvError as exc:
+        raise ConfigError(f"invalid [oracle]: {exc}")
 
     sweep = None
     if v["sweep"]["mu_lo"] is not None or v["sweep"]["mu_hi"] is not None:
@@ -274,7 +265,5 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
         monitor=monitor, out_dir=v["output"]["dir"],
         dump_fields=v["output"]["dump_fields"],
         exponents=exponents, k1_literal=v["certificate"]["k1-literal"],
-        oracle_trials=v["oracle"]["trials"], oracle_seed=v["oracle"]["seed"],
-        oracle_q=v["oracle"]["q"], oracle_num_modes=v["oracle"]["num_modes"],
-        sweep=sweep,
+        oracle=oracle, sweep=sweep,
     )

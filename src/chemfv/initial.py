@@ -50,6 +50,8 @@ def parse_profile(text: str) -> tuple[str, dict[str, float]]:
                 raise ConfigError(f"profile parameter {key}={raw.strip()!r} is not a number")
     if name == "constant" and args["value"] is None:
         raise ConfigError("constant profile needs a value")
+    if name == "cosine" and not float(args["mode"]).is_integer():
+        raise ConfigError(f"cosine mode must be a finite integer, got {args['mode']}")
     return name, args
 
 

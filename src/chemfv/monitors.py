@@ -68,13 +68,18 @@ class MonitorRecord:
     violations: list[Violation] = field(default_factory=list)
 
 
-def gradv_l2sq(v: ScalarField) -> float:
-    """int |grad v|^2 with the cell-centered gradient."""
+def _grad_sq(v: ScalarField) -> np.ndarray:
+    """|grad v|^2 per cell, with the cell-centered gradient."""
     grads = gradient_cells(v)
     total = grads[0] ** 2
     for g in grads[1:]:
         total = total + g**2
-    return integrate(ScalarField(v.grid, total))
+    return total
+
+
+def gradv_l2sq(v: ScalarField) -> float:
+    """int |grad v|^2 with the cell-centered gradient."""
+    return integrate(ScalarField(v.grid, _grad_sq(v)))
 
 
 def phi(state: SimState, p: float, chi0: float) -> float:
@@ -89,10 +94,7 @@ def phi(state: SimState, p: float, chi0: float) -> float:
         if chi0 == 0.0:
             grad_term = 0.0
         else:
-            grads = gradient_cells(state.v)
-            gsq = grads[0] ** 2
-            for g in grads[1:]:
-                gsq = gsq + g**2
+            gsq = _grad_sq(state.v)
             grad_term = chi0 ** (2.0 * p) * integrate(ScalarField(state.v.grid, gsq**p))
     value = u_term + grad_term
     if not math.isfinite(value):

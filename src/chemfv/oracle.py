@@ -10,16 +10,18 @@ promise:
   an algebra bug, not discretization error.
 * The integral gradient-power inequality is a statement about smooth fields
   with the zero-flux boundary property; test fields are Neumann-compatible
-  cosine series and the slack carries an O(h) term for discretization error.
+  cosine series and the relative slack is ``1e-9 + H_SLACK * max(h)``, an
+  O(h) term for discretization error.
 * The Young-combination inequality is pure scalar algebra on random tuples.
 
 Every verdict is deterministic given the master seed: per-trial generators
-are derived from (seed, trial_index).
+are derived from (seed, trial_index).  The Gagliardo-Nirenberg estimate looks
+at the first ``GN_MAX_FIELDS`` trial fields only.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +31,8 @@ from .grid import Grid, ScalarField, gradient_cells, hessian, integrate, random_
 
 POINTWISE_SLACK = 1e-12
 ADDITIVE_SLACK = 1e-9
+H_SLACK = 1.0  # coefficient of the O(h) relative slack of the integral check
+GN_MAX_FIELDS = 200
 
 
 @dataclass
@@ -38,14 +42,14 @@ class OracleConfig:
     seed: int = 0
     q: float = 1.0
     num_modes: int = 8
-    # Coefficient of the O(h) relative slack used by the integral check.
-    h_slack: float = 1.0
 
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if not self.q >= 1.0:
             raise DomainError("q must be >= 1")
+        if self.num_modes < 1:
+            raise DomainError("num_modes must be >= 1")
 
 
 @dataclass
@@ -109,40 +113,40 @@ def gradient_power_sides(f: ScalarField, q: float) -> tuple[float, float]:
     return lhs, rhs
 
 
-def verify_laplacian_vs_hessian(cfg: OracleConfig) -> OracleVerdict:
+def _field_verdict(cfg: OracleConfig, name: str, margin, slack: float) -> OracleVerdict:
+    """Worst ``margin(field)`` over the trial fields; passes above ``-slack``."""
     worst = math.inf
     for i in range(cfg.trials):
-        worst = min(worst, laplacian_hessian_margin(_trial_field(cfg, i)))
-    return OracleVerdict("laplacian_vs_hessian", cfg.trials, worst,
-                         worst >= -POINTWISE_SLACK, POINTWISE_SLACK)
+        worst = min(worst, margin(_trial_field(cfg, i)))
+    return OracleVerdict(name, cfg.trials, worst, worst >= -slack, slack)
+
+
+def verify_laplacian_vs_hessian(cfg: OracleConfig) -> OracleVerdict:
+    return _field_verdict(cfg, "laplacian_vs_hessian", laplacian_hessian_margin,
+                          POINTWISE_SLACK)
 
 
 def verify_hessian_gradient(cfg: OracleConfig) -> OracleVerdict:
-    worst = math.inf
-    for i in range(cfg.trials):
-        worst = min(worst, hessian_gradient_margin(_trial_field(cfg, i)))
-    return OracleVerdict("hessian_gradient_cauchy_schwarz", cfg.trials, worst,
-                         worst >= -POINTWISE_SLACK, POINTWISE_SLACK)
+    return _field_verdict(cfg, "hessian_gradient_cauchy_schwarz", hessian_gradient_margin,
+                          POINTWISE_SLACK)
 
 
 def verify_gradient_power_hessian(cfg: OracleConfig, q: float | None = None,
                                   f_sup_normalizer: float | None = None) -> OracleVerdict:
-    """Integral check with slack 1e-9 + h_slack * max(h) (relative)."""
-    q = cfg.q if q is None else q
-    if not q >= 1.0:
-        raise DomainError("q must be >= 1")
-    slack = ADDITIVE_SLACK + cfg.h_slack * max(cfg.grid.spacing)
-    worst = math.inf
-    for i in range(cfg.trials):
-        f = _trial_field(cfg, i)
+    """Integral check with slack 1e-9 + H_SLACK * max(h) (relative); ``q`` overrides cfg.q."""
+    if q is not None:
+        cfg = replace(cfg, q=q)
+
+    def margin(f: ScalarField) -> float:
         if f_sup_normalizer is not None:
             sup = float(np.abs(f.values).max())
             if sup > 0.0:
                 f = ScalarField(f.grid, f.values * (f_sup_normalizer / sup))
-        lhs, rhs = gradient_power_sides(f, q)
-        worst = min(worst, (rhs - lhs) / (1.0 + lhs + rhs))
-    return OracleVerdict("gradient_power_hessian", cfg.trials, worst,
-                         worst >= -slack, slack)
+        lhs, rhs = gradient_power_sides(f, cfg.q)
+        return (rhs - lhs) / (1.0 + lhs + rhs)
+
+    return _field_verdict(cfg, "gradient_power_hessian", margin,
+                          ADDITIVE_SLACK + H_SLACK * max(cfg.grid.spacing))
 
 
 # Deterministic edge cases prepended to the random Young-combination trials:
@@ -200,8 +204,8 @@ def verify_pbar_relations(cfg: OracleConfig, n: int, m: float, alpha: float,
     return OracleVerdict("pbar_relations", len(ps), worst, worst > 0.0, 0.0)
 
 
-def estimate_gn_constant(cfg: OracleConfig, max_fields: int = 200) -> float:
-    """Empirical interpolation constant over the field ensemble.
+def estimate_gn_constant(cfg: OracleConfig) -> float:
+    """Empirical interpolation constant over the first GN_MAX_FIELDS trial fields.
 
     For the instance ||f||_2 <= C (||grad f||_2^theta ||f||_1^(1-theta) + ||f||_1)
     with theta fixed by the usual scaling balance, return the largest observed
@@ -210,7 +214,7 @@ def estimate_gn_constant(cfg: OracleConfig, max_fields: int = 200) -> float:
     n = cfg.grid.dim
     theta = (1.0 - 0.5) / (1.0 - 0.5 + 1.0 / n)
     best = 0.0
-    for i in range(min(cfg.trials, max_fields)):
+    for i in range(min(cfg.trials, GN_MAX_FIELDS)):
         f = _trial_field(cfg, i)
         vol = f.grid.cell_volume
         l2 = math.sqrt(vol * float((f.values**2).sum()))

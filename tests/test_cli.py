@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, exit codes 0-4, determinism."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -89,6 +90,14 @@ class TestCertify:
                      "--set", "model.alpha=2.0"])
         assert code == 1
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["1.5", "nan", "inf"])
+    def test_non_integer_cosine_mode_exits_1(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path)
+        code = main(["certify", "--config", cfg, "--out", str(tmp_path),
+                     "--set", f"init.v0=cosine(amplitude=0.5, mode={mode}, floor=1.0)"])
+        assert code == 1
+        assert "error: cosine mode" in capsys.readouterr().err
 
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.ini")]) == 1
@@ -240,6 +249,28 @@ class TestVerify:
                      "--set", "oracle.trials=1", "--seed", "7"]) == 0
         assert (out_a / "verify.json").read_bytes() == (out_b / "verify.json").read_bytes()
 
+    ORACLE_SETTINGS = ["--set", "oracle.trials=3", "--set", "oracle.q=2.0",
+                       "--set", "oracle.num_modes=4"]
+
+    def test_seed_flag_matches_seed_override(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["verify", "--config", cfg, "--out", str(out_a),
+                     *self.ORACLE_SETTINGS, "--seed", "5"]) == 0
+        assert main(["verify", "--config", cfg, "--out", str(out_b),
+                     *self.ORACLE_SETTINGS, "--set", "oracle.seed=5"]) == 0
+        assert (out_a / "verify.json").read_bytes() == (out_b / "verify.json").read_bytes()
+
+    def test_seed_flag_keeps_other_oracle_settings(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(chemfv.cli, "cmd_verify",
+                            lambda cfg, out_dir, poison_d3: seen.append(cfg.oracle) or 0)
+        cfg = write_config(tmp_path)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path),
+                     *self.ORACLE_SETTINGS, "--seed", "5"]) == 0
+        (oracle,) = seen
+        assert (oracle.trials, oracle.seed, oracle.q, oracle.num_modes) == (3, 5, 2.0, 4)
+
     def test_2d_margins_are_pinned(self, tmp_path):
         # Recorded from the np.pad-based stencils: a change to the grid
         # operators or the trial fields that moves any margin by one ulp fails.
@@ -313,3 +344,16 @@ class TestConsoleEntry:
         monkeypatch.setattr(chemfv.cli.ctypes, "CDLL", lambda name: object())
         assert main(["certify", "--config", write_config(tmp_path),
                      "--out", str(tmp_path)]) == 0
+
+
+def test_bench_traced_attributes_resolve():
+    # The bench tracer wraps these module attributes from outside; a refactor
+    # that drops or renames one would make every traced bench child fail.
+    path = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    assert child.TRACED
+    missing = [f"{module}.{attr}" for module, attr, _ in child.TRACED
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []

@@ -4,9 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from chemfv import ConfigError, Grid
+from chemfv import ConfigError, Grid, default_exponents
 from chemfv.config import parse_config
 from chemfv.initial import build_profile
+from chemfv.oracle import OracleConfig
 
 
 class TestDefaults:
@@ -29,6 +30,19 @@ class TestDefaults:
         assert cfg.exponents.q2 == 2.5
         # p_bar = max{0, 2.5, 2, 2.5, -10, -5} + 1 = 3.5 -> ceil = 4
         assert cfg.exponents.p == 4.0
+
+    @pytest.mark.parametrize("section, given", [
+        ("", {}),
+        ("q1 = 6.0\n", {"q1": 6.0}),
+        ("q2 = 3.0\np = 9.0\n", {"q2": 3.0, "p": 9.0}),
+    ])
+    def test_auto_exponents_are_default_exponents(self, section, given):
+        cfg = parse_config(f"[certificate]\n{section}")
+        assert cfg.exponents == default_exponents(cfg.model, **given)
+
+    def test_oracle_section_builds_an_oracle_config(self):
+        cfg = parse_config("[oracle]\ntrials = 3\nseed = 9\nq = 2.0\nnum_modes = 4\n")
+        assert cfg.oracle == OracleConfig(grid=cfg.grid, trials=3, seed=9, q=2.0, num_modes=4)
 
 
 class TestSemanticErrors:
@@ -85,6 +99,20 @@ class TestSemanticErrors:
     def test_oracle_q_at_least_one(self, value):
         with pytest.raises(ConfigError, match="q must be >= 1"):
             parse_config(f"[oracle]\nq = {value}\n")
+
+    def test_oracle_trials_positive(self):
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            parse_config("[oracle]\ntrials = 0\n")
+
+    @pytest.mark.parametrize("value", ["1.0", "0.5", "-2.0"])
+    def test_explicit_p_at_most_one_rejected(self, value):
+        with pytest.raises(ConfigError, match="certificate"):
+            parse_config(f"[certificate]\np = {value}\n")
+
+    @pytest.mark.parametrize("mode", ["1.5", "nan", "inf", "-inf"])
+    def test_cosine_mode_must_be_a_finite_integer(self, mode):
+        with pytest.raises(ConfigError, match="cosine mode"):
+            parse_config(f"[init]\nv0 = cosine(amplitude=0.5, mode={mode}, floor=1.0)\n")
 
 
 def test_shipped_example_config_parses():

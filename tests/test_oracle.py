@@ -6,12 +6,28 @@ import math
 import numpy as np
 import pytest
 
-from chemfv import Grid, ScalarField, compute_p_bar, field_from_function
+from chemfv import DomainError, Grid, ScalarField, compute_p_bar, field_from_function
 from chemfv.oracle import (OracleConfig, estimate_gn_constant, gradient_power_sides,
                            hessian_gradient_margin, laplacian_hessian_margin,
                            verify_gradient_power_hessian, verify_hessian_gradient,
                            verify_laplacian_vs_hessian, verify_pbar_relations,
                            verify_young_combination)
+
+
+class TestOracleConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"q": 0.5}, "q must be >= 1"),
+        ({"num_modes": 0}, "num_modes must be >= 1"),
+    ])
+    def test_rejects_invalid_settings(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            OracleConfig(grid=Grid.line(8, 1.0), **kwargs)
+
+    def test_q_argument_is_validated(self):
+        cfg = OracleConfig(grid=Grid.line(8, 1.0), trials=1)
+        with pytest.raises(DomainError, match="q must be >= 1"):
+            verify_gradient_power_hessian(cfg, q=0.5)
 
 
 class TestPointwiseMargins:
