@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -62,11 +63,13 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.cells
 
-    @property
+    # cached_property writes the instance __dict__ directly, so it works on a
+    # frozen dataclass; equality and hash still see only cells and extents.
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(l / n for l, n in zip(self.extents, self.cells))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 

@@ -82,8 +82,11 @@ def gradv_l2sq(v: ScalarField) -> float:
     return integrate(ScalarField(v.grid, _grad_sq(v)))
 
 
-def phi(state: SimState, p: float, chi0: float) -> float:
-    """Composite energy int (u+1)^p + chi0^(2p) int |grad v|^(2p)."""
+def phi(state: SimState, p: float, chi0: float, *, grad_sq: np.ndarray | None = None) -> float:
+    """Composite energy int (u+1)^p + chi0^(2p) int |grad v|^(2p).
+
+    ``grad_sq`` is |grad v|^2 per cell if the caller already has it.
+    """
     if not p >= 1.0:
         raise DomainError("phi requires p >= 1")
     with np.errstate(over="ignore"):  # overflow is detected and reported below
@@ -94,7 +97,7 @@ def phi(state: SimState, p: float, chi0: float) -> float:
         if chi0 == 0.0:
             grad_term = 0.0
         else:
-            gsq = _grad_sq(state.v)
+            gsq = _grad_sq(state.v) if grad_sq is None else grad_sq
             grad_term = chi0 ** (2.0 * p) * integrate(ScalarField(state.v.grid, gsq**p))
     value = u_term + grad_term
     if not math.isfinite(value):
@@ -110,8 +113,9 @@ def record(state: SimState, dt: float, cert: CertificateReport,
     sup_u = float(u.values.max())
     min_u = float(u.values.min())
     sup_v = float(v.values.max())
-    grad_energy = gradv_l2sq(v)
-    phi_p = phi(state, cfg.p, cert.params.chi0)
+    gsq = _grad_sq(v)
+    grad_energy = integrate(ScalarField(v.grid, gsq))
+    phi_p = phi(state, cfg.p, cert.params.chi0, grad_sq=gsq)
 
     violations: list[Violation] = []
     if mass_u > cert.m_mass * (1.0 + cfg.tol_mass):

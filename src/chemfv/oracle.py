@@ -17,11 +17,19 @@ promise:
 Every verdict is deterministic given the master seed: per-trial generators
 are derived from (seed, trial_index).  The Gagliardo-Nirenberg estimate looks
 at the first ``GN_MAX_FIELDS`` trial fields only.
+
+``verify_fields`` is the one loop over the trial fields: each field, its
+Hessian and its gradient are built once, and the three field checks and the
+GN ratio are read from those shared arrays.  The per-oracle functions select
+their result from it.  A margin or ratio that evaluates to NaN (say, a cell
+volume that overflows) is never skipped: it makes the worst margin NaN, which
+fails the verdict, and makes the GN constant NaN.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,29 +77,72 @@ def _interior(arr: np.ndarray, dim: int) -> np.ndarray:
     return arr[(...,) + (slice(1, -1),) * dim]
 
 
-def laplacian_hessian_margin(f: ScalarField) -> float:
-    """Min over interior cells of the normalized margin of (lap f)^2 <= n |D2 f|^2."""
-    dim = f.grid.dim
-    hess = _interior(hessian(f), dim)
+class _FieldOps(NamedTuple):
+    """One field with its operators, built once and shared by every check."""
+
+    f: ScalarField
+    hess: np.ndarray      # D2 f, shape (n, n, *grid.shape)
+    grads: np.ndarray     # grad f, shape (n, *grid.shape)
+    grads_sq: np.ndarray  # grads**2, per component
+    hsq: np.ndarray       # |D2 f|^2 per cell
+    gsq: np.ndarray       # |grad f|^2 per cell
+
+
+def _field_ops(f: ScalarField) -> _FieldOps:
+    hess = hessian(f)
+    grads = np.stack(gradient_cells(f))
+    grads_sq = grads**2
+    return _FieldOps(f, hess, grads, grads_sq, (hess**2).sum(axis=(0, 1)), grads_sq.sum(axis=0))
+
+
+def _min_margin(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    return float(((rhs - lhs) / (1.0 + lhs + rhs)).min())
+
+
+def _laplacian_hessian(ops: _FieldOps) -> float:
+    dim = ops.f.grid.dim
+    hess = _interior(ops.hess, dim)
     lap = hess[0, 0]
     for axis in range(1, dim):
         lap = lap + hess[axis, axis]
-    lhs = lap**2
-    rhs = dim * (hess**2).sum(axis=(0, 1))
-    margin = (rhs - lhs) / (1.0 + lhs + rhs)
-    return float(margin.min())
+    return _min_margin(lap**2, dim * _interior(ops.hsq, dim))
+
+
+def _hessian_gradient(ops: _FieldOps) -> float:
+    dim = ops.f.grid.dim
+    hess = _interior(ops.hess, dim)
+    hg = np.einsum("ij...,j...->i...", hess, _interior(ops.grads, dim))
+    return _min_margin((hg**2).sum(axis=0), _interior(ops.hsq, dim) * _interior(ops.gsq, dim))
+
+
+def _gradient_power(ops: _FieldOps, q: float) -> tuple[float, float]:
+    grid = ops.f.grid
+    lhs = integrate(ScalarField(grid, ops.gsq ** (q + 1.0)))
+    sup_f = float(np.abs(ops.f.values).max())
+    rhs = 2.0 * (4.0 * q**2 + grid.dim) * sup_f**2 * integrate(
+        ScalarField(grid, ops.gsq ** (q - 1.0) * ops.hsq))
+    return lhs, rhs
+
+
+def _gn_ratio(ops: _FieldOps, theta: float) -> float:
+    """||f||_2 / (||grad f||_2^theta ||f||_1^(1-theta) + ||f||_1); 0 if the denominator is."""
+    values = ops.f.values
+    vol = ops.f.grid.cell_volume
+    l2 = math.sqrt(vol * float((values**2).sum()))
+    l1 = vol * float(np.abs(values).sum())
+    g2 = math.sqrt(vol * float(ops.grads_sq.sum()))
+    denom = g2**theta * l1 ** (1.0 - theta) + l1
+    return 0.0 if denom <= 1e-300 else l2 / denom
+
+
+def laplacian_hessian_margin(f: ScalarField) -> float:
+    """Min over interior cells of the normalized margin of (lap f)^2 <= n |D2 f|^2."""
+    return _laplacian_hessian(_field_ops(f))
 
 
 def hessian_gradient_margin(f: ScalarField) -> float:
     """Min normalized margin of |D2 f grad f|^2 <= |D2 f|^2 |grad f|^2 (interior)."""
-    dim = f.grid.dim
-    hess = _interior(hessian(f), dim)
-    grads = np.stack([_interior(g, dim) for g in gradient_cells(f)])
-    hg = np.einsum("ij...,j...->i...", hess, grads)
-    lhs = (hg**2).sum(axis=0)
-    rhs = (hess**2).sum(axis=(0, 1)) * (grads**2).sum(axis=0)
-    margin = (rhs - lhs) / (1.0 + lhs + rhs)
-    return float(margin.min())
+    return _hessian_gradient(_field_ops(f))
 
 
 def gradient_power_sides(f: ScalarField, q: float) -> tuple[float, float]:
@@ -101,34 +152,74 @@ def gradient_power_sides(f: ScalarField, q: float) -> tuple[float, float]:
 
     evaluated with cell-centered gradients and Hessians.
     """
-    grid = f.grid
-    n = grid.dim
-    grads = np.stack(gradient_cells(f))
-    gsq = (grads**2).sum(axis=0)
-    hess = hessian(f)
-    hsq = (hess**2).sum(axis=(0, 1))
-    lhs = integrate(ScalarField(grid, gsq ** (q + 1.0)))
-    sup_f = float(np.abs(f.values).max())
-    rhs = 2.0 * (4.0 * q**2 + n) * sup_f**2 * integrate(ScalarField(grid, gsq ** (q - 1.0) * hsq))
-    return lhs, rhs
+    return _gradient_power(_field_ops(f), q)
 
 
-def _field_verdict(cfg: OracleConfig, name: str, margin, slack: float) -> OracleVerdict:
-    """Worst ``margin(field)`` over the trial fields; passes above ``-slack``."""
-    worst = math.inf
+def _worse(worst: float, margin: float) -> float:
+    """The smaller margin; NaN is worst of all and sticks."""
+    return margin if margin < worst or math.isnan(margin) else worst
+
+
+def _verdict(name: str, trials: int, worst: float, slack: float) -> OracleVerdict:
+    """Passes when the worst margin is at least ``-slack``; a NaN margin fails."""
+    return OracleVerdict(name, trials, worst, worst >= -slack, slack)
+
+
+def _rescaled(f: ScalarField, sup_target: float) -> ScalarField:
+    sup = float(np.abs(f.values).max())
+    return ScalarField(f.grid, f.values * (sup_target / sup)) if sup > 0.0 else f
+
+
+def _trial_margins(cfg: OracleConfig, index: int, theta: float,
+                   f_sup_normalizer: float | None) -> tuple[float, float, float, float]:
+    """Laplacian-Hessian, Hessian-gradient and gradient-power margins and the
+    GN ratio (0 past ``GN_MAX_FIELDS``) of one trial field.
+
+    The field's arrays die on return, before the next trial field is built.
+    """
+    ops = _field_ops(_trial_field(cfg, index))
+    power_ops = ops if f_sup_normalizer is None else _field_ops(
+        _rescaled(ops.f, f_sup_normalizer))
+    lhs, rhs = _gradient_power(power_ops, cfg.q)
+    ratio = _gn_ratio(ops, theta) if index < GN_MAX_FIELDS else 0.0
+    return (_laplacian_hessian(ops), _hessian_gradient(ops),
+            (rhs - lhs) / (1.0 + lhs + rhs), ratio)
+
+
+def verify_fields(cfg: OracleConfig, *, f_sup_normalizer: float | None = None
+                  ) -> tuple[list[OracleVerdict], float]:
+    """The three field oracles and the GN constant in one pass over the trials.
+
+    Each trial field, its Hessian and its gradient are built once.  Returns
+    the Laplacian-Hessian, Hessian-gradient and gradient-power verdicts, in
+    that order, and the GN constant of the first ``GN_MAX_FIELDS`` fields.
+    ``f_sup_normalizer`` rescales each field to that sup norm for the
+    gradient-power check only.
+    """
+    theta = (1.0 - 0.5) / (1.0 - 0.5 + 1.0 / cfg.grid.dim)
+    lap_worst = hg_worst = power_worst = math.inf
+    gn = 0.0
     for i in range(cfg.trials):
-        worst = min(worst, margin(_trial_field(cfg, i)))
-    return OracleVerdict(name, cfg.trials, worst, worst >= -slack, slack)
+        lap, hg, power, ratio = _trial_margins(cfg, i, theta, f_sup_normalizer)
+        lap_worst = _worse(lap_worst, lap)
+        hg_worst = _worse(hg_worst, hg)
+        power_worst = _worse(power_worst, power)
+        if ratio > gn or math.isnan(ratio):
+            gn = ratio
+    power_slack = ADDITIVE_SLACK + H_SLACK * max(cfg.grid.spacing)
+    return [
+        _verdict("laplacian_vs_hessian", cfg.trials, lap_worst, POINTWISE_SLACK),
+        _verdict("hessian_gradient_cauchy_schwarz", cfg.trials, hg_worst, POINTWISE_SLACK),
+        _verdict("gradient_power_hessian", cfg.trials, power_worst, power_slack),
+    ], gn
 
 
 def verify_laplacian_vs_hessian(cfg: OracleConfig) -> OracleVerdict:
-    return _field_verdict(cfg, "laplacian_vs_hessian", laplacian_hessian_margin,
-                          POINTWISE_SLACK)
+    return verify_fields(cfg)[0][0]
 
 
 def verify_hessian_gradient(cfg: OracleConfig) -> OracleVerdict:
-    return _field_verdict(cfg, "hessian_gradient_cauchy_schwarz", hessian_gradient_margin,
-                          POINTWISE_SLACK)
+    return verify_fields(cfg)[0][1]
 
 
 def verify_gradient_power_hessian(cfg: OracleConfig, q: float | None = None,
@@ -136,17 +227,7 @@ def verify_gradient_power_hessian(cfg: OracleConfig, q: float | None = None,
     """Integral check with slack 1e-9 + H_SLACK * max(h) (relative); ``q`` overrides cfg.q."""
     if q is not None:
         cfg = replace(cfg, q=q)
-
-    def margin(f: ScalarField) -> float:
-        if f_sup_normalizer is not None:
-            sup = float(np.abs(f.values).max())
-            if sup > 0.0:
-                f = ScalarField(f.grid, f.values * (f_sup_normalizer / sup))
-        lhs, rhs = gradient_power_sides(f, cfg.q)
-        return (rhs - lhs) / (1.0 + lhs + rhs)
-
-    return _field_verdict(cfg, "gradient_power_hessian", margin,
-                          ADDITIVE_SLACK + H_SLACK * max(cfg.grid.spacing))
+    return verify_fields(cfg, f_sup_normalizer=f_sup_normalizer)[0][2]
 
 
 # Deterministic edge cases prepended to the random Young-combination trials:
@@ -209,19 +290,7 @@ def estimate_gn_constant(cfg: OracleConfig) -> float:
 
     For the instance ||f||_2 <= C (||grad f||_2^theta ||f||_1^(1-theta) + ||f||_1)
     with theta fixed by the usual scaling balance, return the largest observed
-    ratio.  Reported for information; only finiteness is ever asserted.
+    ratio (NaN if any ratio is NaN).  Reported for information; only
+    finiteness is ever asserted.
     """
-    n = cfg.grid.dim
-    theta = (1.0 - 0.5) / (1.0 - 0.5 + 1.0 / n)
-    best = 0.0
-    for i in range(min(cfg.trials, GN_MAX_FIELDS)):
-        f = _trial_field(cfg, i)
-        vol = f.grid.cell_volume
-        l2 = math.sqrt(vol * float((f.values**2).sum()))
-        l1 = vol * float(np.abs(f.values).sum())
-        grads = np.stack(gradient_cells(f))
-        g2 = math.sqrt(vol * float((grads**2).sum()))
-        denom = g2**theta * l1 ** (1.0 - theta) + l1
-        if denom > 1e-300:
-            best = max(best, l2 / denom)
-    return best
+    return verify_fields(replace(cfg, trials=min(cfg.trials, GN_MAX_FIELDS)))[1]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import chemfv.certificates
 import chemfv.cli
+import chemfv.oracle
 from chemfv.cli import CSV_HEADER, main, sweep_report
 from chemfv.config import parse_config
 
@@ -289,6 +291,55 @@ class TestVerify:
             "pbar_relations": 0.07432179779609542,
         }
         assert report["gn_empirical_constant"] == 0.6096980284342736
+
+    def test_margins_past_the_gn_field_cap_are_pinned(self, tmp_path):
+        # Recorded from the per-oracle loops that each built their own trial
+        # fields; 250 trials run past GN_MAX_FIELDS = 200.
+        text = BASE_CONFIG.replace("n = 1", "n = 2").replace("dim = 1", "dim = 2")
+        cfg = write_config(tmp_path, text)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--seed", "7",
+                     "--set", "grid.nx=8", "--set", "grid.ny=8",
+                     "--set", "oracle.trials=250"]) == 0
+        report = read_json(tmp_path, "verify.json")
+        margins = {v["inequality_name"]: v["worst_margin"] for v in report["verdicts"]}
+        assert margins == {
+            "laplacian_vs_hessian": 2.8746864476091743e-05,
+            "hessian_gradient_cauchy_schwarz": 1.3370228777436822e-06,
+            "gradient_power_hessian": 0.7002763404820667,
+            "young_combination": 0.0,
+            "pbar_relations": 0.07432179779609542,
+        }
+        assert report["gn_empirical_constant"] == 0.6399593920480326
+
+    def test_each_trial_field_and_operator_is_built_once(self, tmp_path, monkeypatch):
+        counts = {}
+        for name in ("random_smooth_field", "hessian", "gradient_cells"):
+            def counted(*args, _fn=getattr(chemfv.oracle, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(chemfv.oracle, name, counted)
+        trials = 30
+        assert main(["verify", "--config", write_config(tmp_path), "--out", str(tmp_path),
+                     "--set", "oracle.trials=" + str(trials)]) == 0
+        assert counts == {"random_smooth_field": trials, "hessian": trials,
+                          "gradient_cells": trials}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nan_margin_exits_4(self, tmp_path):
+        # The cell volume overflows to inf; the gradient-power margin and the
+        # GN constant are NaN, which must fail rather than be skipped.
+        text = BASE_CONFIG.replace("n = 1", "n = 2").replace("dim = 1", "dim = 2")
+        cfg = write_config(tmp_path, text)
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path),
+                     "--set", "grid.nx=16", "--set", "grid.ny=16", "--set", "grid.Lx=1e200",
+                     "--set", "grid.Ly=1e200", "--set", "oracle.trials=5"])
+        assert code == 4
+        report = read_json(tmp_path, "verify.json")
+        assert report["all_passed"] is False
+        power = next(v for v in report["verdicts"]
+                     if v["inequality_name"] == "gradient_power_hessian")
+        assert math.isnan(power["worst_margin"]) and power["passed"] is False
+        assert math.isnan(report["gn_empirical_constant"])
 
 
 class TestExitCodeMapping:

@@ -29,6 +29,14 @@ class TestGrid:
         assert g.volume == 2.0
         assert g.axis_centers(0)[0] == 0.125
 
+    def test_spacing_and_cell_volume_are_computed_once(self):
+        g = Grid.rect(8, 6, 2.0, 0.3)
+        assert g.spacing is g.spacing
+        assert g.cell_volume == float(np.prod((2.0 / 8, 0.3 / 6)))
+        twin = Grid.rect(8, 6, 2.0, 0.3)
+        assert g == twin and hash(g) == hash(twin)
+        assert g != Grid.rect(8, 6, 2.0, 0.4)
+
     def test_field_shape_mismatch(self):
         with pytest.raises(DomainError):
             ScalarField(Grid.line(8, 1.0), np.zeros(7))

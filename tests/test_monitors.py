@@ -10,6 +10,7 @@ from chemfv import (AuxiliaryExponents, CorruptionError, DomainError, Grid,
                     ModelParams, MonitorConfig, MonitorRecord, ScalarField,
                     SimState, SolverConfig, constant_field, evaluate_certificate,
                     field_from_function, phi, phi_trend, record, run)
+import chemfv.monitors
 from chemfv.monitors import gradv_l2sq
 
 
@@ -94,6 +95,24 @@ class TestRecord:
         state = SimState(0.0, constant_field(g, 1.04), constant_field(g, 1.0))
         rec = record(state, 0.0, cert, MonitorConfig(p=3.0, tol_mass=5e-2))
         assert rec.violations == []  # 1.04 <= 1.0 * 1.05
+
+
+    def test_one_gradient_per_record(self, monkeypatch):
+        g = Grid.rect(12, 10, 1.0, 1.0)
+        u = field_from_function(g, lambda x, y: 0.2 + 0.1 * np.cos(np.pi * x))
+        v = field_from_function(g, lambda x, y: 1.0 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        state = SimState(0.0, u, v)
+        cert = make_cert()
+        cfg = MonitorConfig(p=2.5)
+        calls = []
+        real = chemfv.monitors.gradient_cells
+        monkeypatch.setattr(chemfv.monitors, "gradient_cells",
+                            lambda f: calls.append(f) or real(f))
+        rec = record(state, 1e-3, cert, cfg)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert rec.gradv_l2sq == gradv_l2sq(v)
+        assert rec.phi_p == phi(state, 2.5, cert.params.chi0)
 
 
 class TestGradEnergy:

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from chemfv import DomainError, Grid, ScalarField, compute_p_bar, field_from_function
-from chemfv.oracle import (OracleConfig, estimate_gn_constant, gradient_power_sides,
-                           hessian_gradient_margin, laplacian_hessian_margin,
+from chemfv import (DomainError, Grid, ScalarField, compute_p_bar, field_from_function,
+                    gradient_cells, hessian, integrate, random_smooth_field)
+from chemfv.oracle import (GN_MAX_FIELDS, OracleConfig, estimate_gn_constant,
+                           gradient_power_sides, hessian_gradient_margin,
+                           laplacian_hessian_margin, verify_fields,
                            verify_gradient_power_hessian, verify_hessian_gradient,
                            verify_laplacian_vs_hessian, verify_pbar_relations,
                            verify_young_combination)
@@ -165,3 +167,134 @@ class TestGNEstimate:
         c = estimate_gn_constant(cfg)
         assert math.isfinite(c)
         assert c > 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestNaNMargins:
+    # A cell volume of (1e200/16)^2 overflows to inf, so both sides of the
+    # gradient-power inequality and every GN ratio evaluate to NaN.
+    CFG = OracleConfig(grid=Grid.rect(16, 16, 1e200, 1e200), trials=5)
+
+    def test_nan_margin_fails_its_verdict(self):
+        verdict = verify_gradient_power_hessian(self.CFG)
+        assert math.isnan(verdict.worst_margin)
+        assert verdict.passed is False
+
+    def test_nan_ratio_makes_the_gn_constant_nan(self):
+        assert math.isnan(estimate_gn_constant(self.CFG))
+
+    def test_finite_checks_are_unaffected(self):
+        lap, hg, _ = verify_fields(self.CFG)[0]
+        assert lap.passed and hg.passed
+
+
+# The per-oracle loops as they were before verify_fields: every oracle builds
+# its own trial fields and operators.  The one pass must reproduce them with ==.
+def _ref_trial_field(cfg, index):
+    return random_smooth_field(cfg.grid, (cfg.seed, index), cfg.num_modes)
+
+
+def _ref_interior(arr, dim):
+    return arr[(...,) + (slice(1, -1),) * dim]
+
+
+def _ref_laplacian_hessian_margin(f):
+    dim = f.grid.dim
+    hess = _ref_interior(hessian(f), dim)
+    lap = hess[0, 0]
+    for axis in range(1, dim):
+        lap = lap + hess[axis, axis]
+    lhs = lap**2
+    rhs = dim * (hess**2).sum(axis=(0, 1))
+    return float(((rhs - lhs) / (1.0 + lhs + rhs)).min())
+
+
+def _ref_hessian_gradient_margin(f):
+    dim = f.grid.dim
+    hess = _ref_interior(hessian(f), dim)
+    grads = np.stack([_ref_interior(g, dim) for g in gradient_cells(f)])
+    hg = np.einsum("ij...,j...->i...", hess, grads)
+    lhs = (hg**2).sum(axis=0)
+    rhs = (hess**2).sum(axis=(0, 1)) * (grads**2).sum(axis=0)
+    return float(((rhs - lhs) / (1.0 + lhs + rhs)).min())
+
+
+def _ref_gradient_power_sides(f, q):
+    grid = f.grid
+    grads = np.stack(gradient_cells(f))
+    gsq = (grads**2).sum(axis=0)
+    hsq = (hessian(f) ** 2).sum(axis=(0, 1))
+    lhs = integrate(ScalarField(grid, gsq ** (q + 1.0)))
+    sup_f = float(np.abs(f.values).max())
+    rhs = 2.0 * (4.0 * q**2 + grid.dim) * sup_f**2 * integrate(
+        ScalarField(grid, gsq ** (q - 1.0) * hsq))
+    return lhs, rhs
+
+
+def _ref_worst(cfg, margin):
+    worst = math.inf
+    for i in range(cfg.trials):
+        worst = min(worst, margin(_ref_trial_field(cfg, i)))
+    return worst
+
+
+def _ref_power_worst(cfg, f_sup_normalizer=None):
+    def margin(f):
+        if f_sup_normalizer is not None:
+            sup = float(np.abs(f.values).max())
+            if sup > 0.0:
+                f = ScalarField(f.grid, f.values * (f_sup_normalizer / sup))
+        lhs, rhs = _ref_gradient_power_sides(f, cfg.q)
+        return (rhs - lhs) / (1.0 + lhs + rhs)
+    return _ref_worst(cfg, margin)
+
+
+def _ref_gn_constant(cfg):
+    theta = (1.0 - 0.5) / (1.0 - 0.5 + 1.0 / cfg.grid.dim)
+    best = 0.0
+    for i in range(min(cfg.trials, GN_MAX_FIELDS)):
+        f = _ref_trial_field(cfg, i)
+        vol = f.grid.cell_volume
+        l2 = math.sqrt(vol * float((f.values**2).sum()))
+        l1 = vol * float(np.abs(f.values).sum())
+        g2 = math.sqrt(vol * float((np.stack(gradient_cells(f)) ** 2).sum()))
+        denom = g2**theta * l1 ** (1.0 - theta) + l1
+        if denom > 1e-300:
+            best = max(best, l2 / denom)
+    return best
+
+
+PASS_GRIDS = [Grid.line(24, 1.5), Grid.rect(12, 12, 1.0, 1.0), Grid.rect(16, 10, 2.0, 0.75)]
+
+
+class TestOnePassParity:
+    @pytest.mark.parametrize("grid", PASS_GRIDS, ids=str)
+    @pytest.mark.parametrize("q", [1.0, 2.5])
+    @pytest.mark.parametrize("trials", [7, 250])
+    def test_matches_the_per_oracle_loops(self, grid, q, trials):
+        cfg = OracleConfig(grid=grid, trials=trials, seed=trials, q=q, num_modes=5)
+        (lap, hg, power), gn = verify_fields(cfg)
+        assert lap.worst_margin == _ref_worst(cfg, _ref_laplacian_hessian_margin)
+        assert hg.worst_margin == _ref_worst(cfg, _ref_hessian_gradient_margin)
+        assert power.worst_margin == _ref_power_worst(cfg)
+        assert gn == _ref_gn_constant(cfg)
+        assert [v.trials_run for v in (lap, hg, power)] == [trials] * 3
+        assert verify_laplacian_vs_hessian(cfg) == lap
+        assert verify_hessian_gradient(cfg) == hg
+        assert verify_gradient_power_hessian(cfg) == power
+        assert estimate_gn_constant(cfg) == gn
+
+    @pytest.mark.parametrize("grid", PASS_GRIDS, ids=str)
+    def test_q_override_and_sup_normalizer(self, grid):
+        cfg = OracleConfig(grid=grid, trials=7, seed=3, num_modes=5)
+        verdict = verify_gradient_power_hessian(cfg, q=2.5, f_sup_normalizer=2.0)
+        assert verdict.worst_margin == _ref_power_worst(
+            OracleConfig(grid=grid, trials=7, seed=3, q=2.5, num_modes=5), 2.0)
+
+    @pytest.mark.parametrize("grid", PASS_GRIDS, ids=str)
+    def test_per_field_functions(self, grid):
+        for seed in range(5):
+            f = random_smooth_field(grid, seed, 5)
+            assert laplacian_hessian_margin(f) == _ref_laplacian_hessian_margin(f)
+            assert hessian_gradient_margin(f) == _ref_hessian_gradient_margin(f)
+            assert gradient_power_sides(f, 2.5) == _ref_gradient_power_sides(f, 2.5)
