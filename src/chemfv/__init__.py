@@ -20,12 +20,12 @@ from .certificates import (AuxiliaryExponents, CertificateReport, EnergyConstant
                            mass_bound, mu_threshold)
 from .errors import ChemfvError, ConfigError, CorruptionError, DomainError
 from .grid import (Grid, ScalarField, constant_field, cosine_field, extend_neumann,
-                   field_from_function, gradient_cells, gradient_faces, hessian,
+                   field_from_function, gradient_cells, hessian,
                    integrate, laplacian, lp_norm, random_smooth_field, read_field,
                    write_field)
 from .monitors import MonitorConfig, MonitorRecord, PhiTrend, phi, phi_trend, record
-from .solver import (RunResult, SimState, SolverConfig, StepOutcome, chemotactic_flux,
-                     diffusive_flux_u, reaction_u, rhs_v, run, stable_dt, step)
+from .solver import (RunResult, SimState, SolverConfig, StepOutcome, run, stable_dt,
+                     step)
 
 __version__ = "0.1.0"
 
@@ -33,13 +33,12 @@ __all__ = [
     "AuxiliaryExponents", "CertificateReport", "ChemfvError", "ConfigError",
     "CorruptionError", "DomainError", "EnergyConstants", "Grid", "ModelParams",
     "MonitorConfig", "MonitorRecord", "PhiTrend", "RunResult", "ScalarField",
-    "SimState", "SolverConfig", "StepOutcome", "chemotactic_flux",
-    "chi_growth_bound", "chi_prototype", "compute_p_bar", "constant_field",
-    "cosine_field", "d1_constant", "d3_constant", "default_exponents",
-    "diffusive_flux_u", "energy_constants", "evaluate_certificate",
-    "extend_neumann", "field_from_function", "gradient_cells", "gradient_faces",
-    "gradv_bound", "hessian", "integrate", "k1_coeff", "k2_coeff", "laplacian",
-    "lp_norm", "mass_bound", "mu_threshold", "phi", "phi_trend",
-    "random_smooth_field", "reaction_u", "read_field", "record", "rhs_v", "run",
+    "SimState", "SolverConfig", "StepOutcome", "chi_growth_bound",
+    "chi_prototype", "compute_p_bar", "constant_field", "cosine_field",
+    "d1_constant", "d3_constant", "default_exponents", "energy_constants",
+    "evaluate_certificate", "extend_neumann", "field_from_function",
+    "gradient_cells", "gradv_bound", "hessian", "integrate", "k1_coeff",
+    "k2_coeff", "laplacian", "lp_norm", "mass_bound", "mu_threshold", "phi",
+    "phi_trend", "random_smooth_field", "read_field", "record", "run",
     "stable_dt", "step", "write_field",
 ]

@@ -411,6 +411,10 @@ def evaluate_certificate(params: ModelParams, exps: AuxiliaryExponents, v0_sup: 
     an error.
     """
     validate_exponents(params, exps)
+    for name, value in (("domain_volume", domain_volume), ("u0_mass", u0_mass),
+                        ("v0_sup", v0_sup), ("gradv0_l2sq", gradv0_l2sq)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if v0_sup < 0.0:
         raise DomainError("v0_sup must be nonnegative")
     p_bar = compute_p_bar(params.n, params.m, params.alpha, exps.q1, exps.q2)

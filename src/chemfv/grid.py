@@ -154,15 +154,6 @@ def extend_neumann(f: ScalarField) -> np.ndarray:
     return out
 
 
-def _with_zero_boundary(interior_faces: np.ndarray, axis: int) -> np.ndarray:
-    """Embed interior-face values in the full face array; boundary faces are 0."""
-    shape = list(interior_faces.shape)
-    shape[axis] += 2
-    out = np.zeros(shape)
-    out[(slice(None),) * axis + (slice(1, -1),)] = interior_faces
-    return out
-
-
 def _second_difference(values: np.ndarray, axis: int, h: float,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Per-axis (g_R - g_L)/h, g the face gradient with zero boundary faces.
@@ -181,19 +172,6 @@ def _second_difference(values: np.ndarray, axis: int, h: float,
     np.subtract(0.0, g[last], out=out[last])
     out /= h
     return out
-
-
-def gradient_faces(f: ScalarField) -> tuple[np.ndarray, ...]:
-    """Per-axis face-centered differences (f_R - f_L)/h.
-
-    Face arrays include the boundary faces, whose value is exactly 0 by the
-    zero-flux closure.
-    """
-    out = []
-    for axis, h in enumerate(f.grid.spacing):
-        interior = np.diff(f.values, axis=axis) / h
-        out.append(_with_zero_boundary(interior, axis))
-    return tuple(out)
 
 
 def gradient_cells(f: ScalarField) -> tuple[np.ndarray, ...]:

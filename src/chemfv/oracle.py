@@ -165,42 +165,32 @@ def _verdict(name: str, trials: int, worst: float, slack: float) -> OracleVerdic
     return OracleVerdict(name, trials, worst, worst >= -slack, slack)
 
 
-def _rescaled(f: ScalarField, sup_target: float) -> ScalarField:
-    sup = float(np.abs(f.values).max())
-    return ScalarField(f.grid, f.values * (sup_target / sup)) if sup > 0.0 else f
-
-
-def _trial_margins(cfg: OracleConfig, index: int, theta: float,
-                   f_sup_normalizer: float | None) -> tuple[float, float, float, float]:
+def _trial_margins(cfg: OracleConfig, index: int,
+                   theta: float) -> tuple[float, float, float, float]:
     """Laplacian-Hessian, Hessian-gradient and gradient-power margins and the
     GN ratio (0 past ``GN_MAX_FIELDS``) of one trial field.
 
     The field's arrays die on return, before the next trial field is built.
     """
     ops = _field_ops(_trial_field(cfg, index))
-    power_ops = ops if f_sup_normalizer is None else _field_ops(
-        _rescaled(ops.f, f_sup_normalizer))
-    lhs, rhs = _gradient_power(power_ops, cfg.q)
+    lhs, rhs = _gradient_power(ops, cfg.q)
     ratio = _gn_ratio(ops, theta) if index < GN_MAX_FIELDS else 0.0
     return (_laplacian_hessian(ops), _hessian_gradient(ops),
             (rhs - lhs) / (1.0 + lhs + rhs), ratio)
 
 
-def verify_fields(cfg: OracleConfig, *, f_sup_normalizer: float | None = None
-                  ) -> tuple[list[OracleVerdict], float]:
+def verify_fields(cfg: OracleConfig) -> tuple[list[OracleVerdict], float]:
     """The three field oracles and the GN constant in one pass over the trials.
 
     Each trial field, its Hessian and its gradient are built once.  Returns
     the Laplacian-Hessian, Hessian-gradient and gradient-power verdicts, in
     that order, and the GN constant of the first ``GN_MAX_FIELDS`` fields.
-    ``f_sup_normalizer`` rescales each field to that sup norm for the
-    gradient-power check only.
     """
     theta = (1.0 - 0.5) / (1.0 - 0.5 + 1.0 / cfg.grid.dim)
     lap_worst = hg_worst = power_worst = math.inf
     gn = 0.0
     for i in range(cfg.trials):
-        lap, hg, power, ratio = _trial_margins(cfg, i, theta, f_sup_normalizer)
+        lap, hg, power, ratio = _trial_margins(cfg, i, theta)
         lap_worst = _worse(lap_worst, lap)
         hg_worst = _worse(hg_worst, hg)
         power_worst = _worse(power_worst, power)
@@ -222,12 +212,11 @@ def verify_hessian_gradient(cfg: OracleConfig) -> OracleVerdict:
     return verify_fields(cfg)[0][1]
 
 
-def verify_gradient_power_hessian(cfg: OracleConfig, q: float | None = None,
-                                  f_sup_normalizer: float | None = None) -> OracleVerdict:
+def verify_gradient_power_hessian(cfg: OracleConfig, q: float | None = None) -> OracleVerdict:
     """Integral check with slack 1e-9 + H_SLACK * max(h) (relative); ``q`` overrides cfg.q."""
     if q is not None:
         cfg = replace(cfg, q=q)
-    return verify_fields(cfg, f_sup_normalizer=f_sup_normalizer)[0][2]
+    return verify_fields(cfg)[0][2]
 
 
 # Deterministic edge cases prepended to the random Young-combination trials:

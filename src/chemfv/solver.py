@@ -10,8 +10,8 @@ assembled face-wise with zero boundary faces, so with k = mu = 0 the total
 mass of u is conserved to round-off regardless of the nonlinearity.
 
 One kernel, ``_kernel``, computes every operator (face fluxes, divergence,
-lap v, the step limits) on raw arrays for ``step``, ``stable_dt``, ``run`` and
-the flux helpers.  ``run`` marches on raw arrays and builds a ``SimState`` only
+lap v, the step limits) on raw arrays for ``step``, ``stable_dt`` and
+``run``.  ``run`` marches on raw arrays and builds a ``SimState`` only
 for the monitor hook and the result; ``step`` wraps the same one-step code.
 
 Loss of boundedness is detected numerically: a run ends with
@@ -31,7 +31,7 @@ import numpy as np
 
 from .certificates import ModelParams
 from .errors import ChemfvError, CorruptionError, DomainError
-from .grid import Grid, ScalarField, _with_zero_boundary, laplacian
+from .grid import Grid, ScalarField
 
 # Tolerances for the scheme-level invariants: u may dip to -1e-12 from
 # round-off; v may exceed its initial sup by 1e-10 relative.  Anything worse
@@ -93,29 +93,29 @@ class RunResult:
     sup_u_max: float
 
 
-def _kernel(grid: Grid, m: float, alpha: float = 0.0, chi0: float = 0.0,
-            a: float = 0.0, k: float = 0.0, mu: float = 0.0):
-    """Build the rates-and-limits kernel for ``grid`` and the given model.
+def _kernel(grid: Grid, params: ModelParams):
+    """Build the rates-and-limits kernel for ``grid`` and the model ``params``.
 
-    ``rates(u, v, sup_u, sup_v)`` returns ``(faces, du_dt, dv_dt, dt_diff,
-    dt_adv, dt_react)``.  ``faces[axis]`` pairs the interior-face diffusive
-    flux D_face (u_R - u_L)/h, D_face the face mean of (u+1)^(m-1), with the
-    chemotactic flux (u+1)^alpha w: the drift w = chi(v_face) (v_R - v_L)/h
-    takes the face mean of v, and the factor comes from the upwind cell.
-    ``du_dt`` is the divergence of their difference plus k u - mu u^2, and
-    ``dv_dt`` is lap v - u v, with zero boundary faces.  The step limits are
-    unscaled.  The diffusive one uses max(1, max (u+1)^(m-1)), as v diffuses
-    with unit diffusivity.  The advective one bounds the speed
+    ``rates(u, v, sup_u, sup_v)`` returns ``(du_dt, dv_dt, dt_diff, dt_adv,
+    dt_react)``.  ``du_dt`` is the divergence of the interior-face flux
+    D_face (u_R - u_L)/h - (u+1)^alpha w plus k u - mu u^2, with zero
+    boundary faces: D_face is the face mean of (u+1)^(m-1), the drift
+    w = chi(v_face) (v_R - v_L)/h takes the face mean of v, and the factor
+    (u+1)^alpha comes from the upwind cell.  ``dv_dt`` is lap v - u v.  The
+    step limits are unscaled.  The diffusive one uses max(1, max (u+1)^(m-1)),
+    as v diffuses with unit diffusivity.  The advective one bounds the speed
     |w| (u+1)^max(alpha, 0) over both cells of a face.  The reaction one adds
     sup u, the consumption rate of v, so the v update stays a convex
     combination.  Face slices, sum 1/h^2 and the other per-run constants are
     computed here once.
     """
+    m, alpha, chi0 = params.m, params.alpha, params.chi0
+    k, mu = params.k, params.mu
     h = grid.spacing
     inv_h2 = sum(1.0 / hx**2 for hx in h)
     dt_diff_linear = 1.0 / (2.0 * inv_h2)
     h_min, two_dim = min(h), 2.0 * grid.dim
-    a_half, abs_k, two_mu = a * 0.5, abs(k), 2.0 * mu
+    a_half, abs_k, two_mu = params.a * 0.5, abs(k), 2.0 * mu
     axes = []
     for axis, hx in enumerate(h):
         lo = tuple(slice(0, -1) if i == axis else slice(None) for i in range(grid.dim))
@@ -127,7 +127,6 @@ def _kernel(grid: Grid, m: float, alpha: float = 0.0, chi0: float = 0.0,
         trans = None if alpha == 0.0 or chi0 == 0.0 else (u + 1.0) ** alpha
         du_dt = np.zeros(u.shape)
         dv_dt = np.zeros(v.shape)
-        faces = []
         speed_max = 0.0
         for hx, lo, hi in axes:
             f_diff = (u[hi] - u[lo]) / hx
@@ -136,7 +135,7 @@ def _kernel(grid: Grid, m: float, alpha: float = 0.0, chi0: float = 0.0,
             v_l, v_r = v[lo], v[hi]
             dv = (v_r - v_l) / hx
             if chi0 == 0.0:
-                f_chem = np.zeros_like(f_diff)   # f - 0.0 == f bit for bit
+                flux = f_diff / hx
             else:
                 w = (chi0 / (1.0 + a_half * (v_l + v_r)) ** 2) * dv
                 if trans is None:
@@ -146,8 +145,7 @@ def _kernel(grid: Grid, m: float, alpha: float = 0.0, chi0: float = 0.0,
                     f_chem = np.where(w > 0.0, t_l, t_r) * w
                     speed = np.abs(w) * np.maximum(t_l, t_r) if alpha > 0.0 else np.abs(w)
                 speed_max = max(speed_max, float(speed.max()))
-            faces.append((f_diff, f_chem))
-            flux = (f_diff - f_chem) / hx
+                flux = (f_diff - f_chem) / hx
             dv = dv / hx
             du_dt[lo] += flux   # divergence: each cell gains its right face
             du_dt[hi] -= flux   # and loses its left one; boundary faces are 0
@@ -160,47 +158,9 @@ def _kernel(grid: Grid, m: float, alpha: float = 0.0, chi0: float = 0.0,
                    else 1.0 / (2.0 * max(1.0, float(coef.max())) * inv_h2))
         dt_adv = h_min / (two_dim * speed_max) if speed_max > 0.0 else math.inf
         dt_react = 1.0 / (abs_k + two_mu * sup_u + sup_u + sup_v + 1.0)
-        return faces, du_dt, dv_dt, dt_diff, dt_adv, dt_react
+        return du_dt, dv_dt, dt_diff, dt_adv, dt_react
 
     return rates
-
-
-def _kernel_for(grid: Grid, params: ModelParams):
-    return _kernel(grid, params.m, params.alpha, params.chi0, params.a, params.k, params.mu)
-
-
-def diffusive_flux_u(u: ScalarField, m: float) -> tuple[np.ndarray, ...]:
-    """Per-axis face fluxes of (u+1)^(m-1) grad u; boundary faces are 0."""
-    if np.any(u.values < 0.0):
-        raise DomainError("diffusive_flux_u requires u >= 0")
-    if not np.isfinite(u.values).all():
-        raise CorruptionError("non-finite u")
-    faces = _kernel(u.grid, m)(u.values, u.values, 0.0, 0.0)[0]
-    return tuple(_with_zero_boundary(f_diff, axis) for axis, (f_diff, _) in enumerate(faces))
-
-
-def chemotactic_flux(u: ScalarField, v: ScalarField, params: ModelParams) -> tuple[np.ndarray, ...]:
-    """Per-axis face fluxes of (u+1)^alpha chi(v) grad v; boundary faces are 0.
-
-    This flux enters the u update with a minus sign relative to the diffusive
-    one, matching the divergence form of the equation.
-    """
-    if np.any(u.values < 0.0) or np.any(v.values < 0.0):
-        raise DomainError("chemotactic_flux requires u >= 0 and v >= 0")
-    if not (np.isfinite(u.values).all() and np.isfinite(v.values).all()):
-        raise CorruptionError("non-finite input fields")
-    faces = _kernel_for(u.grid, params)(u.values, v.values, 0.0, 0.0)[0]
-    return tuple(_with_zero_boundary(f_chem, axis) for axis, (_, f_chem) in enumerate(faces))
-
-
-def reaction_u(u: ScalarField, k: float, mu: float) -> ScalarField:
-    """Pointwise logistic source k u - mu u^2."""
-    return ScalarField(u.grid, k * u.values - mu * u.values**2)
-
-
-def rhs_v(u: ScalarField, v: ScalarField) -> ScalarField:
-    """Signal right-hand side lap v - u v."""
-    return ScalarField(v.grid, laplacian(v).values - u.values * v.values)
 
 
 def stable_dt(state: SimState, params: ModelParams, config: SolverConfig) -> float:
@@ -209,7 +169,7 @@ def stable_dt(state: SimState, params: ModelParams, config: SolverConfig) -> flo
     _, sup_u, _, sup_v, finite = _extrema(u, v)
     if not finite:
         raise CorruptionError("non-finite state")
-    return config.safety * min(_kernel_for(state.u.grid, params)(u, v, sup_u, sup_v)[3:])
+    return config.safety * min(_kernel(state.u.grid, params)(u, v, sup_u, sup_v)[2:])
 
 
 def _extrema(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float, float, bool]:
@@ -231,7 +191,7 @@ def _advance(rates, u: np.ndarray, v: np.ndarray, sup_u: float, sup_v: float, t:
     DT_UNDERFLOW, dt is the stability bound and everything else comes back
     unchanged.
     """
-    _, du_dt, dv_dt, dt_diff, dt_adv, dt_react = rates(u, v, sup_u, sup_v)
+    du_dt, dv_dt, dt_diff, dt_adv, dt_react = rates(u, v, sup_u, sup_v)
     dt = config.safety * min(dt_diff, dt_adv, dt_react)
     if dt < config.dt_min:
         return DT_UNDERFLOW, dt, t, u, v, sup_u, sup_v
@@ -266,7 +226,7 @@ def step(state: SimState, params: ModelParams, config: SolverConfig, *,
     if not finite:
         return state, StepOutcome(CORRUPTED, 0.0, sup_u)
     status, dt, t, u_new, v_new, sup_u_new, _ = _advance(
-        _kernel_for(grid, params), u, v, sup_u, sup_v, state.t, t_target, config,
+        _kernel(grid, params), u, v, sup_u, sup_v, state.t, t_target, config,
         v0_sup * (1.0 + V_SUP_REL_TOL))
     if status == DT_UNDERFLOW:
         return state, StepOutcome(status, dt, sup_u)
@@ -310,7 +270,7 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     if sup_u_max > config.u_max:
         return RunResult(BLOWUP, initial, 0, sup_u_max)
 
-    rates = _kernel_for(grid, params)
+    rates = _kernel(grid, params)
     state = initial
     status = COMPLETED
     steps = 0

@@ -315,6 +315,16 @@ class TestCertificate:
         d = rep.as_dict()
         assert d["schema"] == 1 and d["inputs"]["model"]["mu"] == 0.5
 
+    @pytest.mark.parametrize("name", ["domain_volume", "u0_mass", "v0_sup", "gradv0_l2sq"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_inputs_rejected(self, name, value):
+        # an overflowing grid volume must not become Infinity constants
+        exps = AuxiliaryExponents(4.0, 2.0, 3.0)
+        inputs = dict(v0_sup=1.0, u0_mass=0.5, gradv0_l2sq=0.1, domain_volume=1.0)
+        inputs[name] = value
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            evaluate_certificate(self._params(1.0), exps, **inputs)
+
     def test_default_exponents(self):
         params = self._params(1.0)
         exps = default_exponents(params)

@@ -101,6 +101,17 @@ class TestCertify:
         assert code == 1
         assert "error: cosine mode" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_domain_volume_exits_1(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("n = 1", "n = 2").replace("dim = 1", "dim = 2")
+        cfg = write_config(tmp_path, text)
+        code = main(["certify", "--config", cfg, "--out", str(tmp_path),
+                     "--set", "grid.nx=16", "--set", "grid.ny=16", "--set", "grid.Lx=1e200",
+                     "--set", "grid.Ly=1e200"])
+        assert code == 1
+        assert "error: domain_volume must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "certificate.json").exists()
+
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.ini")]) == 1
 

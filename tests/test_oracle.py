@@ -108,11 +108,6 @@ class TestGradientPowerInequality:
         assert slacks[0] > slacks[1] > slacks[2]
         assert slacks[0] / slacks[1] == pytest.approx(2.0, rel=1e-6)
 
-    def test_sup_normalizer(self):
-        cfg = OracleConfig(grid=Grid.line(64, 1.0), trials=10, seed=4)
-        verdict = verify_gradient_power_hessian(cfg, f_sup_normalizer=1.0)
-        assert verdict.passed
-
 
 class TestYoungCombination:
     def test_hand_case(self):
@@ -238,12 +233,8 @@ def _ref_worst(cfg, margin):
     return worst
 
 
-def _ref_power_worst(cfg, f_sup_normalizer=None):
+def _ref_power_worst(cfg):
     def margin(f):
-        if f_sup_normalizer is not None:
-            sup = float(np.abs(f.values).max())
-            if sup > 0.0:
-                f = ScalarField(f.grid, f.values * (f_sup_normalizer / sup))
         lhs, rhs = _ref_gradient_power_sides(f, cfg.q)
         return (rhs - lhs) / (1.0 + lhs + rhs)
     return _ref_worst(cfg, margin)
@@ -285,11 +276,11 @@ class TestOnePassParity:
         assert estimate_gn_constant(cfg) == gn
 
     @pytest.mark.parametrize("grid", PASS_GRIDS, ids=str)
-    def test_q_override_and_sup_normalizer(self, grid):
+    def test_q_override(self, grid):
         cfg = OracleConfig(grid=grid, trials=7, seed=3, num_modes=5)
-        verdict = verify_gradient_power_hessian(cfg, q=2.5, f_sup_normalizer=2.0)
+        verdict = verify_gradient_power_hessian(cfg, q=2.5)
         assert verdict.worst_margin == _ref_power_worst(
-            OracleConfig(grid=grid, trials=7, seed=3, q=2.5, num_modes=5), 2.0)
+            OracleConfig(grid=grid, trials=7, seed=3, q=2.5, num_modes=5))
 
     @pytest.mark.parametrize("grid", PASS_GRIDS, ids=str)
     def test_per_field_functions(self, grid):

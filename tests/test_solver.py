@@ -1,6 +1,7 @@
 """Solver kernels, stability bound, step outcomes and run-level invariants."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,11 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from chemfv import (CorruptionError, DomainError, Grid, ModelParams, ScalarField,
-                    SimState, SolverConfig, chemotactic_flux, constant_field,
-                    diffusive_flux_u, field_from_function, integrate, reaction_u,
-                    rhs_v, run, stable_dt, step)
+                    SimState, SolverConfig, constant_field, field_from_function, integrate,
+                    laplacian, run, stable_dt, step)
 from chemfv.solver import (ADVANCED, BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW,
-                           U_NEG_TOL, V_SUP_REL_TOL)
+                           U_NEG_TOL, V_SUP_REL_TOL, _kernel)
 
 
 def params_1d(**overrides):
@@ -23,76 +23,101 @@ def params_1d(**overrides):
     return ModelParams(**base)
 
 
+def rates(u, v, params):
+    """The kernel's (du_dt, dv_dt, dt_diff, dt_adv, dt_react) at (u, v)."""
+    return _kernel(u.grid, params)(u.values, v.values, float(u.values.max()),
+                                   float(v.values.max()))
+
+
+def net_face_fluxes(u, v, params):
+    """Face fluxes D grad u - (u+1)^alpha chi(v) grad v of a 1D grid, read off du_dt.
+
+    du_dt less k u - mu u^2 is (F_right - F_left)/h per cell, and the left
+    boundary face is 0, so the running sum times h recovers every face; the
+    last entry is the right boundary face.
+    """
+    du_dt = rates(u, v, params)[0]
+    div = du_dt - (params.k * u.values - params.mu * u.values * u.values)
+    return np.concatenate(([0.0], u.grid.spacing[0] * np.cumsum(div)))
+
+
 class TestDiffusiveFlux:
     def test_constant_field(self):
         g = Grid.line(16, 1.0)
-        (fx,) = diffusive_flux_u(constant_field(g, 2.0), m=3.0)
+        u = constant_field(g, 2.0)
+        fx = net_face_fluxes(u, u, params_1d(m=3.0, chi0=0.0))
         assert np.all(fx == 0.0)
 
     def test_heat_reduction_at_m_1(self):
         g = Grid.line(32, 1.0)
         u = field_from_function(g, lambda x: 0.5 * x)
-        (fx,) = diffusive_flux_u(u, m=1.0)
+        fx = net_face_fluxes(u, u, params_1d(m=1.0, chi0=0.0))
         assert np.allclose(fx[1:-1], 0.5, rtol=0, atol=1e-13)
-        assert fx[0] == 0.0 and fx[-1] == 0.0
+        assert fx[0] == 0.0 and fx[-1] == pytest.approx(0.0, abs=1e-13)
 
     def test_face_coefficient_is_arithmetic_mean(self):
         g = Grid.line(4, 4.0)
         u = ScalarField(g, np.array([0.0, 1.0, 3.0, 3.0]))
-        (fx,) = diffusive_flux_u(u, m=2.0)
+        fx = net_face_fluxes(u, constant_field(g, 0.0), params_1d(m=2.0, chi0=0.0))
         # face between cells 0 and 1: mean of (u+1) is 1.5, slope is 1
         assert fx[1] == pytest.approx(1.5 * 1.0)
 
-    def test_rejects_negative_u(self):
-        g = Grid.line(8, 1.0)
-        with pytest.raises(DomainError):
-            diffusive_flux_u(constant_field(g, -0.5), m=1.0)
-
 
 class TestChemotacticFlux:
+    # u == 1 throughout, so the diffusive flux is 0 and the net face flux is
+    # minus the chemotactic one
     def test_constant_v(self):
         g = Grid.line(16, 1.0)
-        (fx,) = chemotactic_flux(constant_field(g, 1.0), constant_field(g, 2.0), params_1d())
-        assert np.all(fx == 0.0)
+        u, v = constant_field(g, 1.0), constant_field(g, 2.0)
+        assert np.all(net_face_fluxes(u, v, params_1d()) == 0.0)
+        assert rates(u, v, params_1d())[3] == math.inf
 
     def test_zero_chi0(self):
         g = Grid.line(16, 1.0)
-        v = field_from_function(g, lambda x: x)
-        (fx,) = chemotactic_flux(constant_field(g, 1.0), v, params_1d(chi0=0.0))
-        assert np.all(fx == 0.0)
+        u, v = constant_field(g, 1.0), field_from_function(g, lambda x: x)
+        assert np.all(net_face_fluxes(u, v, params_1d(chi0=0.0)) == 0.0)
+        assert rates(u, v, params_1d(chi0=0.0))[3] == math.inf
 
     def test_uniform_drift(self):
         # u == 1, v linear with slope s, alpha = 0, a = 0: every interior face
-        # carries chi0 * s
+        # carries chi0 * s, and so does the advective speed
         g = Grid.line(32, 1.0)
-        v = field_from_function(g, lambda x: 0.75 * x)
-        (fx,) = chemotactic_flux(constant_field(g, 1.0), v, params_1d(chi0=2.0))
-        assert np.allclose(fx[1:-1], 2.0 * 0.75, rtol=0, atol=1e-13)
+        u, v = constant_field(g, 1.0), field_from_function(g, lambda x: 0.75 * x)
+        fx = net_face_fluxes(u, v, params_1d(chi0=2.0))
+        assert np.allclose(-fx[1:-1], 2.0 * 0.75, rtol=0, atol=1e-13)
+        h = g.spacing[0]
+        assert rates(u, v, params_1d(chi0=2.0))[3] == pytest.approx(h / (2.0 * 2.0 * 0.75))
 
     def test_upwind_factor_from_donor_cell(self):
         g = Grid.line(4, 4.0)
         u = ScalarField(g, np.array([3.0, 0.0, 0.0, 0.0]))
         v = ScalarField(g, np.array([0.0, 1.0, 2.0, 3.0]))  # drift points right
         p = params_1d(alpha=1.0, m=2.0, chi0=1.0)
-        (fx,) = chemotactic_flux(u, v, p)
-        # face 1 sits between cells 0 and 1; with w > 0 the donor is cell 0
-        assert fx[1] == pytest.approx((3.0 + 1.0) * 1.0)
+        fx = net_face_fluxes(u, v, p)
+        # face 1 sits between cells 0 and 1; with w > 0 the donor is cell 0,
+        # and the diffusive part is the face mean 2.5 of (u+1) times slope -3
+        assert fx[1] == pytest.approx(2.5 * -3.0 - (3.0 + 1.0) * 1.0)
         # face 2 between cells 1 and 2: donor cell 1 carries factor 1
-        assert fx[2] == pytest.approx(1.0)
+        assert fx[2] == pytest.approx(-1.0)
+        # the speed bound takes the larger factor of the face's two cells
+        assert rates(u, v, p)[3] == pytest.approx(1.0 / (2.0 * (3.0 + 1.0) * 1.0))
 
 
 class TestReactionAndSignal:
+    # constant fields carry no flux, so du_dt is k u - mu u^2 and dv_dt is -u v
     def test_reaction_values(self):
         g = Grid.line(8, 1.0)
-        assert np.all(reaction_u(constant_field(g, 0.0), 1.0, 1.0).values == 0.0)
-        assert np.allclose(reaction_u(constant_field(g, 0.5), 1.0, 2.0).values, 0.0)
-        assert np.allclose(reaction_u(constant_field(g, 2.0), 1.0, 1.0).values, -2.0)
+        v = constant_field(g, 1.0)
+        assert np.all(rates(constant_field(g, 0.0), v, params_1d(k=1.0, mu=1.0))[0] == 0.0)
+        assert np.allclose(rates(constant_field(g, 0.5), v, params_1d(k=1.0, mu=2.0))[0], 0.0)
+        assert np.allclose(rates(constant_field(g, 2.0), v, params_1d(k=1.0, mu=1.0))[0], -2.0)
 
     def test_rhs_v_values(self):
         g = Grid.line(8, 1.0)
-        assert np.all(rhs_v(constant_field(g, 0.0), constant_field(g, 3.0)).values == 0.0)
-        assert np.all(rhs_v(constant_field(g, 5.0), constant_field(g, 0.0)).values == 0.0)
-        out = rhs_v(constant_field(g, 2.0), constant_field(g, 3.0)).values
+        p = params_1d()
+        assert np.all(rates(constant_field(g, 0.0), constant_field(g, 3.0), p)[1] == 0.0)
+        assert np.all(rates(constant_field(g, 5.0), constant_field(g, 0.0), p)[1] == 0.0)
+        out = rates(constant_field(g, 2.0), constant_field(g, 3.0), p)[1]
         assert np.allclose(out, -6.0, rtol=0, atol=1e-13)
 
 
@@ -135,6 +160,30 @@ class TestStableDt:
             stable_dt(state, params_1d(), SolverConfig(t_end=1.0))
 
 
+def composed_rates(u, v, params):
+    """du_dt and dv_dt composed from numpy face differences, apart from the kernel.
+
+    Each face carries the face mean of (u+1)^(m-1) times the u difference,
+    less the donor-cell (u+1)^alpha times chi0/(1 + a v_face)^2 times the v
+    difference; zero boundary faces close it and np.diff takes the divergence.
+    """
+    uu, vv = u.values, v.values
+    du = params.k * uu - params.mu * uu * uu
+    for axis, h in enumerate(u.grid.spacing):
+        lo = tuple(slice(0, -1) if i == axis else slice(None) for i in range(uu.ndim))
+        hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(uu.ndim))
+        coef = (uu + 1.0) ** (params.m - 1.0)
+        trans = (uu + 1.0) ** params.alpha
+        v_face = 0.5 * (vv[lo] + vv[hi])
+        w = params.chi0 / (1.0 + params.a * v_face) ** 2 * np.diff(vv, axis=axis) / h
+        flux = (0.5 * (coef[lo] + coef[hi]) * np.diff(uu, axis=axis) / h
+                - np.where(w > 0.0, trans[lo], trans[hi]) * w)
+        pad = [(0, 0)] * uu.ndim
+        pad[axis] = (1, 1)
+        du = du + np.diff(np.pad(flux, pad), axis=axis) / h
+    return du, laplacian(v).values - uu * vv
+
+
 class TestStep:
     def test_logistic_fixed_point(self):
         g = Grid.line(16, 1.0)
@@ -165,20 +214,23 @@ class TestStep:
         assert np.allclose(new.v.values, w * (1.0 - c * dt), rtol=0, atol=1e-15)
 
     def test_matches_kernel_composition(self):
+        # every branch of the kernel: coef is None at m = 1, trans is None at
+        # alpha = 0 or chi0 = 0, the chi0 = 0 flux, and the speed at alpha > 0
         rng = np.random.default_rng(3)
-        g = Grid.rect(8, 10, 1.0, 2.0)
-        params = ModelParams(n=2, m=1.6, alpha=0.7, k=0.5, mu=2.0, chi0=1.3, a=0.7, b=2.0)
-        u = ScalarField(g, rng.uniform(0.0, 2.0, g.shape))
-        v = ScalarField(g, rng.uniform(0.0, 1.0, g.shape))
-        state = SimState(0.0, u, v)
-        new, out = step(state, params, SolverConfig(t_end=10.0), v0_sup=float(v.values.max()))
-        diff = diffusive_flux_u(u, params.m)
-        chem = chemotactic_flux(u, v, params)
-        du = reaction_u(u, params.k, params.mu).values.copy()
-        for axis in range(2):
-            du += np.diff(diff[axis] - chem[axis], axis=axis) / g.spacing[axis]
-        assert np.abs(new.u.values - (u.values + out.dt_used * du)).max() < 1e-14
-        assert np.abs(new.v.values - (v.values + out.dt_used * rhs_v(u, v).values)).max() < 1e-14
+        for dim, m, alpha, chi0 in itertools.product((1, 2), (1.0, 1.6), (-0.5, 0.0, 0.7),
+                                                     (0.0, 1.3)):
+            g = Grid.line(12, 1.0) if dim == 1 else Grid.rect(8, 10, 1.0, 2.0)
+            params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=2.0, chi0=chi0,
+                                 a=0.7, b=2.0)
+            u = ScalarField(g, rng.uniform(0.0, 2.0, g.shape))
+            v = ScalarField(g, rng.uniform(0.0, 1.0, g.shape))
+            state = SimState(0.0, u, v)
+            new, out = step(state, params, SolverConfig(t_end=10.0),
+                            v0_sup=float(v.values.max()))
+            du, dv = composed_rates(u, v, params)
+            case = (dim, m, alpha, chi0)
+            assert np.abs(new.u.values - (u.values + out.dt_used * du)).max() < 1e-14, case
+            assert np.abs(new.v.values - (v.values + out.dt_used * dv)).max() < 1e-14, case
 
     def test_dt_matches_stable_dt(self):
         g = Grid.line(16, 1.0)
