@@ -4,8 +4,9 @@ Outputs are deterministic: identical config and seed give byte-identical CSV
 and JSON files (floats are serialized with ``repr``, JSON keys are sorted,
 and nothing time- or host-dependent is ever written).
 
-Exit codes: 0 ok, 1 error, 2 numerical blow-up (threshold or step underflow),
-3 completed but with bound violations, 4 oracle failure.
+Exit codes: 0 ok, 1 error (a corrupted run or an exhausted step budget
+included), 2 numerical blow-up (threshold or step underflow), 3 completed but
+with bound violations, 4 oracle failure.
 """
 from __future__ import annotations
 
@@ -29,7 +30,8 @@ from .oracle import verify_fields, verify_pbar_relations, verify_young_combinati
 # this module, so they stay bound.
 from .oracle import (estimate_gn_constant, verify_gradient_power_hessian,  # noqa: F401
                      verify_hessian_gradient, verify_laplacian_vs_hessian)
-from .solver import BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW, RunResult, SimState, run
+from .solver import (BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW, STEP_BUDGET, RunResult,
+                     SimState, run)
 
 CSV_HEADER = "t,mass_u,sup_u,min_u,sup_v,gradv_l2sq,phi_p,dt"
 
@@ -96,7 +98,7 @@ def _execute(cfg: RunConfig) -> ExecutedRun:
 def _exit_code_for(status: str, violations: list) -> int:
     if status in (BLOWUP, DT_UNDERFLOW):
         return EXIT_BLOWUP
-    if status == CORRUPTED:
+    if status in (CORRUPTED, STEP_BUDGET):
         return EXIT_ERROR
     if status == COMPLETED and violations:
         return EXIT_VIOLATION
@@ -165,6 +167,8 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
             runs.append({"mu": mu, "status": f"error: {exc}", "bounded": False})
             return False
         runs.append({"mu": mu, "status": status, "bounded": bounded, **extras})
+        if status == STEP_BUDGET:   # no verdict on mu: the probe counts as errored
+            errors += 1
         return bounded
 
     lo_bounded = probe(spec.mu_lo)
@@ -262,12 +266,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _keep_freed_heap() -> None:
     """Ask glibc malloc to keep freed grid arrays in the heap for reuse.
 
-    Steps and monitor records allocate and free grid-sized arrays.  Under
-    glibc's adaptive defaults, freed memory at the top of the heap goes back to
-    the system and is faulted in again by the next step: hundreds of page
-    faults per step on a 128^2 grid, depending on where arrays happen to land.
-    With fixed thresholds up to 64 MiB of freed heap stays in the process.
-    Other C libraries are left alone.
+    The solver's march allocates its buffers once per run, but each monitor
+    record and each oracle trial still allocates and frees grid-sized arrays.
+    Under glibc's adaptive defaults, freed memory at the top of the heap goes
+    back to the system and is faulted in again by the next call.  With fixed
+    thresholds up to 64 MiB of freed heap stays in the process.  Measured with
+    ``main`` in-process and this call disabled (2-core VM, numpy 2.4): the
+    run-2d bench workload (128^2, a monitor record every step) went from
+    0.74-0.90 s to 0.99-1.20 s and from about 1,000 to 69,600 minor page
+    faults (143,700 before the march stopped freeing arrays), and verify-2d
+    (64^2, 300 trials) from 0.25 s to 0.31 s and from 500 to 34,000 faults.
+    The call can go once ``monitors.record`` and the oracle pass stop freeing
+    grid arrays per call.  Other C libraries are left alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

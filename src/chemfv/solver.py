@@ -10,16 +10,14 @@ assembled face-wise with zero boundary faces, so with k = mu = 0 the total
 mass of u is conserved to round-off regardless of the nonlinearity.
 
 One kernel, ``_kernel``, computes every operator (face fluxes, divergence,
-lap v, the step limits) on raw arrays for ``step``, ``stable_dt`` and
-``run``.  ``run`` marches on raw arrays and builds a ``SimState`` only
-for the monitor hook and the result; ``step`` wraps the same one-step code.
+lap v, the step limits) for ``step``, ``stable_dt`` and ``run``.  The march
+holds u and v stacked in two ``(2, *shape)`` buffers and, like its work arrays,
+allocates them once per run; only the hook and the result get ``SimState`` copies.
 
-Loss of boundedness is detected numerically: a run ends with
-``blowup_detected`` when sup u exceeds a threshold or the stable step
-underflows, and with ``corrupted`` when the update violates positivity or the
-signal maximum principle beyond round-off tolerances.  Negative values of u
-are never clipped; a scheme defect must surface as ``corrupted`` rather than
-masquerade as physics.
+Loss of boundedness is detected numerically: a run ends ``blowup_detected``
+when sup u exceeds a threshold, ``dt_underflow`` when the stable step
+underflows, and ``corrupted`` when the update violates positivity or the
+signal maximum principle beyond round-off tolerances; u is never clipped.
 """
 from __future__ import annotations
 
@@ -30,12 +28,11 @@ from typing import Callable
 import numpy as np
 
 from .certificates import ModelParams
-from .errors import ChemfvError, CorruptionError, DomainError
+from .errors import CorruptionError, DomainError
 from .grid import Grid, ScalarField
 
-# Tolerances for the scheme-level invariants: u may dip to -1e-12 from
-# round-off; v may exceed its initial sup by 1e-10 relative.  Anything worse
-# is a corrupted state.
+# Tolerances for the scheme-level invariants: u may dip to -1e-12 from round-off;
+# v may exceed its initial sup by 1e-10 relative.  Anything worse is corrupted.
 U_NEG_TOL = 1e-12
 V_SUP_REL_TOL = 1e-10
 
@@ -44,6 +41,7 @@ BLOWUP = "blowup_detected"
 DT_UNDERFLOW = "dt_underflow"
 CORRUPTED = "corrupted"
 COMPLETED = "completed"
+STEP_BUDGET = "step_budget_exceeded"
 
 
 @dataclass
@@ -94,144 +92,156 @@ class RunResult:
 
 
 def _kernel(grid: Grid, params: ModelParams):
-    """Build the rates-and-limits kernel for ``grid`` and the model ``params``.
+    """Build the march buffers and the rates-and-limits kernel for ``grid`` and ``params``.
 
-    ``rates(u, v, sup_u, sup_v)`` returns ``(du_dt, dv_dt, dt_diff, dt_adv,
-    dt_react)``.  ``du_dt`` is the divergence of the interior-face flux
-    D_face (u_R - u_L)/h - (u+1)^alpha w plus k u - mu u^2, with zero
-    boundary faces: D_face is the face mean of (u+1)^(m-1), the drift
-    w = chi(v_face) (v_R - v_L)/h takes the face mean of v, and the factor
-    (u+1)^alpha comes from the upwind cell.  ``dv_dt`` is lap v - u v.  The
-    step limits are unscaled.  The diffusive one uses max(1, max (u+1)^(m-1)),
-    as v diffuses with unit diffusivity.  The advective one bounds the speed
-    |w| (u+1)^max(alpha, 0) over both cells of a face.  The reaction one adds
-    sup u, the consumption rate of v, so the v update stays a convex
-    combination.  Face slices, sum 1/h^2 and the other per-run constants are
-    computed here once.
+    Returns two ping-pong ``[u; v]`` buffers and ``rates(i, sup_u, sup_v) ->
+    (R, dt_diff, dt_adv, dt_react)`` at ``states[i]``, which writes ``R = [du_dt;
+    dv_dt]`` into the other buffer.  du_dt is the divergence of the face flux D_face
+    grad u - (u+1)^alpha w, zero on boundary faces, plus k u - mu u^2: D_face
+    is the face mean of (u+1)^(m-1), w = chi(v_face) grad v, and (u+1)^alpha
+    comes from the upwind cell.  dv_dt is lap v - u v.  The limits are
+    unscaled: diffusive with max(1, max (u+1)^(m-1)), as v diffuses with unit
+    diffusivity; advective on the speed |w| (u+1)^max(alpha, 0) over both
+    cells of a face; reaction with sup u, the consumption rate of v, added so
+    the v update stays convex.  Work arrays and face views are made here once,
+    and one call on a stacked face buffer serves u and v alike.
     """
-    m, alpha, chi0 = params.m, params.alpha, params.chi0
-    k, mu = params.k, params.mu
+    m, alpha, chi0, k, mu = params.m, params.alpha, params.chi0, params.k, params.mu
     h = grid.spacing
     inv_h2 = sum(1.0 / hx**2 for hx in h)
     dt_diff_linear = 1.0 / (2.0 * inv_h2)
-    h_min, two_dim = min(h), 2.0 * grid.dim
-    a_half, abs_k, two_mu = params.a * 0.5, abs(k), 2.0 * mu
-    axes = []
+    h_min, two_dim, a_half, abs_k, two_mu = min(h), 2.0 * grid.dim, params.a * 0.5, abs(k), 2.0 * mu
+    shape, n = grid.shape, math.prod(grid.shape)
+    states = (np.empty((2, *shape)), np.empty((2, *shape)))
+    # Scratch that the axes, one after another, and then the reaction terms share.
+    scratch = [np.empty(2 * n), np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)]
+    c1, c2 = scratch[1].reshape(shape), scratch[2].reshape(shape)
+    coef = None if m == 1.0 else np.empty(shape)
+    trans = None if alpha == 0.0 or chi0 == 0.0 else np.empty(shape)
+    powers = [(b, e) for b, e in ((coef, m - 1.0), (trans, alpha)) if b is not None]
+    # per buffer: u, v, the other buffer as R = [du_dt; dv_dt], du_dt, dv_dt, face views
+    plans = tuple((*s, r, *r, []) for s, r in zip(states, states[::-1]))
     for axis, hx in enumerate(h):
-        lo = tuple(slice(0, -1) if i == axis else slice(None) for i in range(grid.dim))
-        hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(grid.dim))
-        axes.append((hx, lo, hi))
+        lo, hi = ((slice(None),) + tuple(cut if i == axis else slice(None) for i in range(grid.dim))
+                  for cut in (slice(0, -1), slice(1, None)))
+        F = scratch[0][:states[0][lo].size].reshape(states[0][lo].shape)   # [u part; v part]
+        w, s1, s2, mask = (b[:F[0].size].reshape(F.shape[1:]) for b in scratch[1:])
+        c_lh = (None, None) if coef is None else (coef[lo[1:]], coef[hi[1:]])
+        t_lh = (None, None) if trans is None else (trans[lo[1:]], trans[hi[1:]])
+        for s, (_, v, R, _, _, faces) in zip(states, plans):
+            faces.append((hx, s[lo], s[hi], v[lo[1:]], v[hi[1:]], F, *F, R[lo], R[hi],
+                          *c_lh, *t_lh, w, s1, s2, mask))
 
-    def rates(u: np.ndarray, v: np.ndarray, sup_u: float, sup_v: float):
-        coef = None if m == 1.0 else (u + 1.0) ** (m - 1.0)
-        trans = None if alpha == 0.0 or chi0 == 0.0 else (u + 1.0) ** alpha
-        du_dt = np.zeros(u.shape)
-        dv_dt = np.zeros(v.shape)
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide   # bound once
+
+    def rates(i: int, sup_u: float, sup_v: float):
+        # Each ufunc call writes into its last argument and returns it.
+        u, v, R, du_dt, dv_dt, faces = plans[i]
+        for buf, exponent in powers:   # (u+1)^(m-1), (u+1)^alpha
+            add(u, 1.0, buf)
+            buf **= exponent   # in place, ** keeps numpy's fast paths (sqrt, square)
+        R.fill(0.0)
         speed_max = 0.0
-        for hx, lo, hi in axes:
-            f_diff = (u[hi] - u[lo]) / hx
-            if coef is not None:
-                f_diff = 0.5 * (coef[lo] + coef[hi]) * f_diff
-            v_l, v_r = v[lo], v[hi]
-            dv = (v_r - v_l) / hx
-            if chi0 == 0.0:
-                flux = f_diff / hx
-            else:
-                w = (chi0 / (1.0 + a_half * (v_l + v_r)) ** 2) * dv
-                if trans is None:
-                    f_chem, speed = w, np.abs(w)
-                else:
-                    t_l, t_r = trans[lo], trans[hi]
-                    f_chem = np.where(w > 0.0, t_l, t_r) * w
-                    speed = np.abs(w) * np.maximum(t_l, t_r) if alpha > 0.0 else np.abs(w)
+        for (hx, s_lo, s_hi, v_l, v_r, F, f_u, f_v, R_lo, R_hi, c_l, c_r, t_l, t_r,
+             w, s1, s2, mask) in faces:
+            divide(subtract(s_hi, s_lo, F), hx, F)   # F = [grad u; grad v]
+            if coef is not None:   # D_face grad u
+                multiply(multiply(add(c_l, c_r, s1), 0.5, s1), f_u, f_u)
+            if chi0 != 0.0:   # w = chi0 / (1 + a v_face)^2 grad v
+                add(multiply(add(v_l, v_r, w), a_half, w), 1.0, w)
+                multiply(divide(chi0, np.square(w, w), w), f_v, w)
+                f_chem = w
+                if trans is not None:   # the donor cell's factor, by the sign of w
+                    np.copyto(s2, t_r)
+                    np.copyto(s2, t_l, where=np.greater(w, 0.0, mask))
+                    f_chem = multiply(s2, w, s2)
+                speed = np.abs(w, s1)
+                if trans is not None and alpha > 0.0:
+                    multiply(speed, np.maximum(t_l, t_r, out=w), speed)
                 speed_max = max(speed_max, float(speed.max()))
-                flux = (f_diff - f_chem) / hx
-            dv = dv / hx
-            du_dt[lo] += flux   # divergence: each cell gains its right face
-            du_dt[hi] -= flux   # and loses its left one; boundary faces are 0
-            dv_dt[lo] += dv
-            dv_dt[hi] -= dv
-        du_dt += k * u - mu * u * u
-        dv_dt -= u * v
-
+                subtract(f_u, f_chem, f_u)
+            divide(F, hx, F)          # F = [flux; dv/h]
+            add(R_lo, F, R_lo)        # divergence: each cell gains its right face
+            subtract(R_hi, F, R_hi)   # and loses its left one; boundary faces are 0
+        subtract(multiply(u, k, c1), multiply(multiply(u, mu, c2), u, c2), c1)
+        add(du_dt, c1, du_dt)                        # += k u - mu u^2
+        subtract(dv_dt, multiply(u, v, c1), dv_dt)   # -= u v
         dt_diff = (dt_diff_linear if coef is None
                    else 1.0 / (2.0 * max(1.0, float(coef.max())) * inv_h2))
         dt_adv = h_min / (two_dim * speed_max) if speed_max > 0.0 else math.inf
         dt_react = 1.0 / (abs_k + two_mu * sup_u + sup_u + sup_v + 1.0)
-        return du_dt, dv_dt, dt_diff, dt_adv, dt_react
+        return R, dt_diff, dt_adv, dt_react
 
-    return rates
-
-
-def stable_dt(state: SimState, params: ModelParams, config: SolverConfig) -> float:
-    """Largest stable step at the current state, already scaled by ``safety``."""
-    u, v = state.u.values, state.v.values
-    _, sup_u, _, sup_v, finite = _extrema(u, v)
-    if not finite:
-        raise CorruptionError("non-finite state")
-    return config.safety * min(_kernel(state.u.grid, params)(u, v, sup_u, sup_v)[2:])
+    return states, rates
 
 
-def _extrema(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float, float, bool]:
-    """min u, max u, min v, max v, and whether all four are finite.
-
-    This stands in for a finiteness pass: NaN propagates into both extrema of
-    its array, and an infinity shows in one of them.
-    """
-    u_lo, u_hi, v_lo, v_hi = float(u.min()), float(u.max()), float(v.min()), float(v.max())
+def _extrema(s: np.ndarray) -> tuple[float, float, float, float, bool]:
+    """min u, max u, min v, max v of a stacked state, and whether all four are
+    finite: NaN propagates into both extrema of its field, inf into one."""
+    flat = s.reshape(2, -1)
+    (u_lo, v_lo), (u_hi, v_hi) = flat.min(axis=1).tolist(), flat.max(axis=1).tolist()
     finite = -math.inf < u_lo and u_hi < math.inf and -math.inf < v_lo and v_hi < math.inf
     return u_lo, u_hi, v_lo, v_hi, finite
 
 
-def _advance(rates, u: np.ndarray, v: np.ndarray, sup_u: float, sup_v: float, t: float,
-             t_target: float | None, config: SolverConfig, v_cap: float):
-    """One forward-Euler step of finite arrays whose maxima are ``sup_u``/``sup_v``.
+def _load(state: SimState, params: ModelParams):
+    """A kernel for ``state``, the state stacked into ``states[0]``, and its extrema."""
+    states, rates = _kernel(state.u.grid, params)
+    states[0][0], states[0][1] = state.u.values, state.v.values
+    return states, rates, _extrema(states[0])
 
-    Returns ``(status, dt, t_new, u_new, v_new, sup_u_new, sup_v_new)``.  On
-    DT_UNDERFLOW, dt is the stability bound and everything else comes back
-    unchanged.
-    """
-    du_dt, dv_dt, dt_diff, dt_adv, dt_react = rates(u, v, sup_u, sup_v)
+
+def _snapshot(t: float, grid: Grid, s: np.ndarray) -> SimState:
+    """A ``SimState`` holding a copy of the stacked state ``s``."""
+    u, v = s.copy()
+    return SimState(t, ScalarField(grid, u), ScalarField(grid, v))
+
+
+def stable_dt(state: SimState, params: ModelParams, config: SolverConfig) -> float:
+    """Largest stable step at the current state, already scaled by ``safety``."""
+    _, rates, (_, sup_u, _, sup_v, finite) = _load(state, params)
+    if not finite:
+        raise CorruptionError("non-finite state")
+    return config.safety * min(rates(0, sup_u, sup_v)[1:])
+
+
+def _advance(rates, states, i: int, sup_u: float, sup_v: float, t: float,
+             t_target: float | None, config: SolverConfig, v_cap: float):
+    """One forward-Euler step from the finite ``states[i]``, with maxima ``sup_u``
+    and ``sup_v``, into ``states[j]``: returns ``(status, dt, t_new, j, sup_u_new,
+    sup_v_new)``.  On DT_UNDERFLOW, dt is the stability bound and the rest,
+    j = i included, comes back unchanged."""
+    R, dt_diff, dt_adv, dt_react = rates(i, sup_u, sup_v)
     dt = config.safety * min(dt_diff, dt_adv, dt_react)
     if dt < config.dt_min:
-        return DT_UNDERFLOW, dt, t, u, v, sup_u, sup_v
+        return DT_UNDERFLOW, dt, t, i, sup_u, sup_v
     t_new = t + dt
     if t_target is not None and t_new >= t_target:
-        dt = t_target - t
-        t_new = t_target
-    u_new = u + dt * du_dt
-    v_new = v + dt * dv_dt
-    u_lo, u_hi, v_lo, v_hi, finite = _extrema(u_new, v_new)
-    if not finite or u_lo < -U_NEG_TOL or v_lo < -U_NEG_TOL or v_hi > v_cap:
-        status = CORRUPTED
-    elif u_hi > config.u_max:
-        status = BLOWUP
-    else:
-        status = ADVANCED
-    return status, dt, t_new, u_new, v_new, u_hi, v_hi
+        dt, t_new = t_target - t, t_target
+    np.multiply(R, dt, R)   # R is states[1 - i]: the new state takes its place
+    R += states[i]
+    u_lo, u_hi, v_lo, v_hi, finite = _extrema(R)
+    status = (CORRUPTED if not finite or u_lo < -U_NEG_TOL or v_lo < -U_NEG_TOL or v_hi > v_cap
+              else BLOWUP if u_hi > config.u_max else ADVANCED)
+    return status, dt, t_new, 1 - i, u_hi, v_hi
 
 
 def step(state: SimState, params: ModelParams, config: SolverConfig, *,
          v0_sup: float, t_target: float | None = None) -> tuple[SimState, StepOutcome]:
-    """Advance one forward-Euler step.
+    """Advance one forward-Euler step into a new state; the input is never mutated.
 
     The step size is the stability bound, clipped so the run lands exactly on
     ``t_target`` (end time or next output time) when one is given.  Underflow
-    is judged on the unclipped stability bound.  The returned state is a new
-    snapshot; the input is never mutated.
+    is judged on the unclipped stability bound.
     """
-    grid = state.u.grid
-    u, v = state.u.values, state.v.values
-    _, sup_u, _, sup_v, finite = _extrema(u, v)
+    states, rates, (_, sup_u, _, sup_v, finite) = _load(state, params)
     if not finite:
         return state, StepOutcome(CORRUPTED, 0.0, sup_u)
-    status, dt, t, u_new, v_new, sup_u_new, _ = _advance(
-        _kernel(grid, params), u, v, sup_u, sup_v, state.t, t_target, config,
-        v0_sup * (1.0 + V_SUP_REL_TOL))
+    status, dt, t, i, sup_u_new, _ = _advance(rates, states, 0, sup_u, sup_v, state.t, t_target,
+                                              config, v0_sup * (1.0 + V_SUP_REL_TOL))
     if status == DT_UNDERFLOW:
         return state, StepOutcome(status, dt, sup_u)
-    return (SimState(t, ScalarField(grid, u_new), ScalarField(grid, v_new)),
-            StepOutcome(status, dt, sup_u_new))
+    return _snapshot(t, state.u.grid, states[i]), StepOutcome(status, dt, sup_u_new)
 
 
 MonitorHook = Callable[[SimState, float], None]
@@ -239,48 +249,37 @@ MonitorHook = Callable[[SimState, float], None]
 
 def run(initial: SimState, params: ModelParams, config: SolverConfig,
         monitor_hook: MonitorHook | None = None) -> RunResult:
-    """March the system to t_end, blow-up, step underflow, or corruption.
+    """March the system to t_end, blow-up, step underflow, corruption or ``max_steps``.
 
     The hook fires on the initial state, at the configured cadence (every N
     steps or at exact multiples of the output interval), on the final state,
-    and on a blow-up state.  Initial data must be nonnegative and finite.
-    Each step's sup u and sup v carry over from its post-update check.
+    and on a blow-up state.  Initial data must be nonnegative and finite; the
+    march never writes into it and hands out copies of its own states.  Each
+    step's sup u and sup v carry over from its post-update check.
     """
     grid = initial.u.grid
-    t, u, v = initial.t, initial.u.values, initial.v.values
-    u_lo, sup_u, v_lo, sup_v, finite = _extrema(u, v)
+    states, rates, (u_lo, sup_u, v_lo, sup_v, finite) = _load(initial, params)
     if not finite:
         raise CorruptionError("non-finite initial data")
     if u_lo < 0.0 or v_lo < 0.0:
         raise DomainError("initial data must be nonnegative")
     v_cap = sup_v * (1.0 + V_SUP_REL_TOL)
-    t_end = config.t_end
+    t, t_end = initial.t, config.t_end
     every_steps, every_time = config.output_every_steps, config.output_every_time
-
-    sup_u_max = sup_u
-    last_hook_t = math.nan
-
-    def hook(state: SimState, dt: float) -> None:
-        nonlocal last_hook_t
-        if monitor_hook is not None and state.t != last_hook_t:
-            monitor_hook(state, dt)
-            last_hook_t = state.t
-
-    hook(initial, 0.0)
+    sup_u_max, hooked_t = sup_u, initial.t
+    if monitor_hook is not None:
+        monitor_hook(initial, 0.0)
     if sup_u_max > config.u_max:
         return RunResult(BLOWUP, initial, 0, sup_u_max)
 
-    rates = _kernel(grid, params)
-    state = initial
-    status = COMPLETED
-    steps = 0
-    out_index = 1
+    state, status, steps, i, out_index = initial, COMPLETED, 0, 0, 1
     while t < t_end:
         if steps >= config.max_steps:
-            raise ChemfvError(f"step budget exceeded ({config.max_steps} steps)")
+            status = STEP_BUDGET
+            break
         t_target = t_end if every_time is None else min(t_end, out_index * every_time)
-        status, dt, t, u, v, sup_u, sup_v = _advance(rates, u, v, sup_u, sup_v, t, t_target,
-                                                     config, v_cap)
+        status, dt, t, i, sup_u, sup_v = _advance(rates, states, i, sup_u, sup_v, t, t_target,
+                                                  config, v_cap)
         if status == DT_UNDERFLOW:
             break
         steps += 1
@@ -291,12 +290,13 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
         on_time = every_time is not None and t == out_index * every_time
         if on_time:
             out_index += 1
-        if (status == BLOWUP or on_time or t == t_end
+        if monitor_hook is not None and t != hooked_t and (
+                status == BLOWUP or on_time or t == t_end
                 or (every_steps is not None and steps % every_steps == 0)):
-            state = SimState(t, ScalarField(grid, u), ScalarField(grid, v))
-            hook(state, dt)
+            state, hooked_t = _snapshot(t, grid, states[i]), t
+            monitor_hook(state, dt)
         if status == BLOWUP:
             break
     if state is None:
-        state = SimState(t, ScalarField(grid, u), ScalarField(grid, v))
+        state = _snapshot(t, grid, states[i])
     return RunResult(COMPLETED if status == ADVANCED else status, state, steps, sup_u_max)

@@ -170,6 +170,18 @@ class TestRun:
         assert (tmp_path / "u_final.csv").read_text().splitlines()[0] == "1,64,1.0"
         assert (tmp_path / "v_final.csv").exists()
 
+    def test_step_budget_writes_summary_and_exits_1(self, tmp_path):
+        cfg = write_config(tmp_path)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path), "--dump-fields",
+                     "--set", "time.max_steps=10", "--set", "monitor.cadence_steps=4"])
+        assert code == 1
+        summary = read_json(tmp_path, "summary.json")
+        assert summary["status"] == "step_budget_exceeded"
+        assert summary["t_end_reached"] is False
+        rows = (tmp_path / "timeseries.csv").read_text().splitlines()
+        assert rows[0] == CSV_HEADER and len(rows) == 1 + 3   # t = 0, steps 4 and 8
+        assert (tmp_path / "u_final.csv").exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -225,6 +237,17 @@ class TestSweep:
         assert report["schema"] == 1
         assert report["sufficiency_contradicted"] is False
         assert all(r["bounded"] for r in report["runs"])
+
+    def test_step_budget_probes_keep_their_status_and_exit_code(self, tmp_path):
+        text = BASE_CONFIG + "\n[sweep]\nmu_lo = 0.5\nmu_hi = 4.0\nbisection_steps = 1\n"
+        cfg = write_config(tmp_path, text)
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                     "--set", "time.max_steps=5"])
+        assert code == 1   # every probe ran out of steps, as when the budget raised
+        report = read_json(tmp_path, "sweep.json")
+        assert [r["status"] for r in report["runs"]] == ["step_budget_exceeded"] * 2
+        assert not any(r["bounded"] for r in report["runs"])
+        assert report["all_runs_errored"] is True
 
     def test_missing_sweep_section_exits_1(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -361,6 +384,7 @@ class TestExitCodeMapping:
         assert _exit_code_for("blowup_detected", []) == 2
         assert _exit_code_for("dt_underflow", []) == 2  # blow-up surrogate
         assert _exit_code_for("corrupted", []) == 1
+        assert _exit_code_for("step_budget_exceeded", []) == 1
 
 
 class TestTimeCadence:

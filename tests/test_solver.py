@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 from chemfv import (CorruptionError, DomainError, Grid, ModelParams, ScalarField,
                     SimState, SolverConfig, constant_field, field_from_function, integrate,
                     laplacian, run, stable_dt, step)
-from chemfv.solver import (ADVANCED, BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW,
-                           U_NEG_TOL, V_SUP_REL_TOL, _kernel)
+from chemfv.solver import (ADVANCED, BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW, STEP_BUDGET,
+                           U_NEG_TOL, V_SUP_REL_TOL, _advance, _extrema, _kernel)
 
 
 def params_1d(**overrides):
@@ -25,8 +25,10 @@ def params_1d(**overrides):
 
 def rates(u, v, params):
     """The kernel's (du_dt, dv_dt, dt_diff, dt_adv, dt_react) at (u, v)."""
-    return _kernel(u.grid, params)(u.values, v.values, float(u.values.max()),
-                                   float(v.values.max()))
+    states, kernel = _kernel(u.grid, params)
+    states[0][0], states[0][1] = u.values, v.values
+    (du_dt, dv_dt), *limits = kernel(0, float(u.values.max()), float(v.values.max()))
+    return (du_dt, dv_dt, *limits)
 
 
 def net_face_fluxes(u, v, params):
@@ -393,6 +395,46 @@ class TestRun:
         with pytest.raises(DomainError):
             run(state, params_1d(), SolverConfig(t_end=1.0))
 
+    def test_step_budget_returns_last_state(self):
+        g = Grid.line(16, 1.0)
+        u0 = field_from_function(g, lambda x: 0.2 + 0.5 * x)
+        v0 = field_from_function(g, lambda x: 1.0 - 0.3 * x)
+        params, cfg = params_1d(k=0.5), SolverConfig(t_end=1.0, max_steps=7)
+        result = run(SimState(0.0, u0, v0), params, cfg)
+        assert result.status == STEP_BUDGET
+        assert result.steps == 7
+        state = SimState(0.0, u0, v0)
+        for _ in range(7):
+            state, out = step(state, params, cfg, v0_sup=1.0, t_target=cfg.t_end)
+            assert out.status == ADVANCED
+        assert 0.0 < result.state.t == state.t < cfg.t_end
+        assert np.array_equal(result.state.u.values, state.u.values)
+        assert np.array_equal(result.state.v.values, state.v.values)
+
+    def test_never_aliases_the_caller_or_its_own_buffers(self):
+        # the march overwrites two ping-pong buffers; the initial arrays, the
+        # hook's states and the result must keep their bytes as it goes on
+        g = Grid.rect(8, 6, 1.0, 0.8)
+        rng = np.random.default_rng(29)
+        u0 = ScalarField(g, rng.uniform(0.5, 2.0, g.shape))
+        v0 = ScalarField(g, rng.uniform(0.2, 1.0, g.shape))
+        initial = SimState(0.0, u0, v0)
+        before = (u0.values.tobytes(), v0.values.tobytes())
+        params = ModelParams(n=2, m=1.5, alpha=0.5, k=0.5, mu=1.5, chi0=1.2, a=0.7, b=2.0)
+        held = []
+        result = run(initial, params, SolverConfig(t_end=1e-2, output_every_steps=2),
+                     lambda s, dt: held.append((s, s.u.values.tobytes(), s.v.values.tobytes())))
+        assert result.status == COMPLETED and result.steps > 6
+        assert (u0.values.tobytes(), v0.values.tobytes()) == before
+        assert held[0][0] is initial
+        for state, u_bytes, v_bytes in held:
+            assert (state.u.values.tobytes(), state.v.values.tobytes()) == (u_bytes, v_bytes)
+        assert result.state is held[-1][0]
+        final = (result.state.u.values.tobytes(), result.state.v.values.tobytes())
+        run(initial, params, SolverConfig(t_end=2e-2))   # a second march changes nothing held
+        assert (result.state.u.values.tobytes(), result.state.v.values.tobytes()) == final
+        assert len({id(s.u.values.base) for s, _, _ in held[1:]}) == len(held) - 1
+
     def test_step_cadence_hook_count(self):
         g = Grid.line(16, 1.0)
         times = []
@@ -450,6 +492,163 @@ class TestRunStepParity:
         assert state.t == cfg.t_end
         assert np.array_equal(result.state.u.values, state.u.values)
         assert np.array_equal(result.state.v.values, state.v.values)
+
+
+# The kernel, extrema and update as they were before the march moved to a
+# stacked, preallocated state, copied verbatim: the reference for the
+# byte-parity tests below.
+def _ref_kernel(grid, params):
+    m, alpha, chi0 = params.m, params.alpha, params.chi0
+    k, mu = params.k, params.mu
+    h = grid.spacing
+    inv_h2 = sum(1.0 / hx**2 for hx in h)
+    dt_diff_linear = 1.0 / (2.0 * inv_h2)
+    h_min, two_dim = min(h), 2.0 * grid.dim
+    a_half, abs_k, two_mu = params.a * 0.5, abs(k), 2.0 * mu
+    axes = []
+    for axis, hx in enumerate(h):
+        lo = tuple(slice(0, -1) if i == axis else slice(None) for i in range(grid.dim))
+        hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(grid.dim))
+        axes.append((hx, lo, hi))
+
+    def rates(u, v, sup_u, sup_v):
+        coef = None if m == 1.0 else (u + 1.0) ** (m - 1.0)
+        trans = None if alpha == 0.0 or chi0 == 0.0 else (u + 1.0) ** alpha
+        du_dt = np.zeros(u.shape)
+        dv_dt = np.zeros(v.shape)
+        speed_max = 0.0
+        for hx, lo, hi in axes:
+            f_diff = (u[hi] - u[lo]) / hx
+            if coef is not None:
+                f_diff = 0.5 * (coef[lo] + coef[hi]) * f_diff
+            v_l, v_r = v[lo], v[hi]
+            dv = (v_r - v_l) / hx
+            if chi0 == 0.0:
+                flux = f_diff / hx
+            else:
+                w = (chi0 / (1.0 + a_half * (v_l + v_r)) ** 2) * dv
+                if trans is None:
+                    f_chem, speed = w, np.abs(w)
+                else:
+                    t_l, t_r = trans[lo], trans[hi]
+                    f_chem = np.where(w > 0.0, t_l, t_r) * w
+                    speed = np.abs(w) * np.maximum(t_l, t_r) if alpha > 0.0 else np.abs(w)
+                speed_max = max(speed_max, float(speed.max()))
+                flux = (f_diff - f_chem) / hx
+            dv = dv / hx
+            du_dt[lo] += flux
+            du_dt[hi] -= flux
+            dv_dt[lo] += dv
+            dv_dt[hi] -= dv
+        du_dt += k * u - mu * u * u
+        dv_dt -= u * v
+
+        dt_diff = (dt_diff_linear if coef is None
+                   else 1.0 / (2.0 * max(1.0, float(coef.max())) * inv_h2))
+        dt_adv = h_min / (two_dim * speed_max) if speed_max > 0.0 else math.inf
+        dt_react = 1.0 / (abs_k + two_mu * sup_u + sup_u + sup_v + 1.0)
+        return du_dt, dv_dt, dt_diff, dt_adv, dt_react
+
+    return rates
+
+
+def _ref_extrema(u, v):
+    u_lo, u_hi, v_lo, v_hi = float(u.min()), float(u.max()), float(v.min()), float(v.max())
+    finite = -math.inf < u_lo and u_hi < math.inf and -math.inf < v_lo and v_hi < math.inf
+    return u_lo, u_hi, v_lo, v_hi, finite
+
+
+def _ref_advance(rates, u, v, sup_u, sup_v, t, t_target, config, v_cap):
+    du_dt, dv_dt, dt_diff, dt_adv, dt_react = rates(u, v, sup_u, sup_v)
+    dt = config.safety * min(dt_diff, dt_adv, dt_react)
+    if dt < config.dt_min:
+        return DT_UNDERFLOW, dt, t, u, v, sup_u, sup_v
+    t_new = t + dt
+    if t_target is not None and t_new >= t_target:
+        dt = t_target - t
+        t_new = t_target
+    u_new = u + dt * du_dt
+    v_new = v + dt * dv_dt
+    u_lo, u_hi, v_lo, v_hi, finite = _ref_extrema(u_new, v_new)
+    if not finite or u_lo < -U_NEG_TOL or v_lo < -U_NEG_TOL or v_hi > v_cap:
+        status = CORRUPTED
+    elif u_hi > config.u_max:
+        status = BLOWUP
+    else:
+        status = ADVANCED
+    return status, dt, t_new, u_new, v_new, u_hi, v_hi
+
+
+class TestKernelByteParity:
+    """The stacked, preallocated kernel and march reproduce the reference
+    above bit for bit: rates, limits, extrema and every marched state."""
+
+    STEPS = 30
+
+    @staticmethod
+    def _fields(rng, g, profile):
+        u = rng.uniform(0.5, 2.0, g.shape)
+        v = rng.uniform(0.2, 1.0, g.shape)
+        if profile == "u_zero":
+            u = np.zeros(g.shape)
+        elif profile == "v_constant":
+            v = np.full(g.shape, 0.75)
+        elif profile == "negative_zeros":
+            u.flat[::3] = -0.0
+            v.flat[1::4] = -0.0
+            u.flat[1] = 0.0
+        return u, v
+
+    def _assert_march_identical(self, g, params, u, v):
+        cfg = SolverConfig(t_end=1e6)
+        v_cap = float(v.max()) * (1.0 + V_SUP_REL_TOL)
+        ref_rates = _ref_kernel(g, params)
+        states, kernel = _kernel(g, params)
+        states[0][0], states[0][1] = u, v
+        ref = _ref_extrema(u, v)
+        assert _extrema(states[0]) == ref
+        _, sup_u, _, sup_v, _ = ref
+
+        expected = ref_rates(u, v, sup_u, sup_v)
+        (du_dt, dv_dt), *limits = kernel(0, sup_u, sup_v)
+        assert du_dt.tobytes() == expected[0].tobytes()
+        assert dv_dt.tobytes() == expected[1].tobytes()
+        assert limits == list(expected[2:])
+
+        t = t_ref = 0.0
+        i, su, sv = 0, sup_u, sup_v
+        for n in range(self.STEPS):
+            status_ref, dt_ref, t_ref, u, v, sup_u, sup_v = _ref_advance(
+                ref_rates, u, v, sup_u, sup_v, t_ref, None, cfg, v_cap)
+            status, dt, t, i, su, sv = _advance(kernel, states, i, su, sv, t, None, cfg, v_cap)
+            assert (status, dt, t, su, sv) == (status_ref, dt_ref, t_ref, sup_u, sup_v), n
+            assert states[i][0].tobytes() == u.tobytes(), n
+            assert states[i][1].tobytes() == v.tobytes(), n
+            if status != ADVANCED:
+                break
+        return n
+
+    def test_parameter_grid(self):
+        rng = np.random.default_rng(17)
+        marched = 0
+        for dim, m, alpha, chi0, a in itertools.product(
+                (1, 2), (1.0, 1.7), (-0.5, 0.0, 0.6), (0.0, 1.2), (0.0, 0.7)):
+            g = Grid.line(20, 1.0) if dim == 1 else Grid.rect(9, 11, 1.0, 1.3)
+            params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=a,
+                                 b=2.0)
+            u, v = self._fields(rng, g, "random")
+            marched += self._assert_march_identical(g, params, u, v) + 1
+        assert marched == 48 * self.STEPS
+
+    @pytest.mark.parametrize("profile", ["u_zero", "v_constant", "negative_zeros"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_edge_profiles(self, profile, dim):
+        rng = np.random.default_rng(23)
+        g = Grid.line(20, 1.0) if dim == 1 else Grid.rect(9, 11, 1.0, 1.3)
+        for m, alpha, chi0 in ((1.0, 0.0, 1.2), (1.7, 0.6, 1.2), (1.5, -0.5, 0.0)):
+            params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=0.7,
+                                 b=2.0)
+            self._assert_march_identical(g, params, *self._fields(rng, g, profile))
 
 
 @st.composite
