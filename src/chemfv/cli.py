@@ -127,6 +127,8 @@ def cmd_run(cfg: RunConfig, out_dir: Path, dump_fields: bool) -> int:
         "violations": executed.violations,
         "certificate": executed.cert.as_dict(),
     }
+    if result.reason is not None:
+        summary["reason"] = result.reason
     _emit(summary, out_dir, "summary.json")
     if dump_fields or cfg.dump_fields:
         write_field(result.state.u, out_dir / "u_final.csv")
@@ -150,10 +152,13 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
             sub = replace(cfg, model=replace(cfg.model, mu=mu))
             executed = _execute(sub)
             bounded = executed.result.status == COMPLETED and not executed.violations
-            return executed.result.status, bounded, {
+            extras = {
                 "sup_u_max": executed.result.sup_u_max,
                 "violations": len(executed.violations),
             }
+            if executed.result.reason is not None:
+                extras["reason"] = executed.result.reason
+            return executed.result.status, bounded, extras
 
     runs = []
     errors = 0
@@ -167,7 +172,7 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
             runs.append({"mu": mu, "status": f"error: {exc}", "bounded": False})
             return False
         runs.append({"mu": mu, "status": status, "bounded": bounded, **extras})
-        if status == STEP_BUDGET:   # no verdict on mu: the probe counts as errored
+        if status == STEP_BUDGET or "reason" in extras:   # no verdict on mu: counts as errored
             errors += 1
         return bounded
 
@@ -267,17 +272,20 @@ def _keep_freed_heap() -> None:
     """Ask glibc malloc to keep freed grid arrays in the heap for reuse.
 
     The solver's march allocates its buffers once per run, but each monitor
-    record and each oracle trial still allocates and frees grid-sized arrays.
-    Under glibc's adaptive defaults, freed memory at the top of the heap goes
-    back to the system and is faulted in again by the next call.  With fixed
-    thresholds up to 64 MiB of freed heap stays in the process.  Measured with
-    ``main`` in-process and this call disabled (2-core VM, numpy 2.4): the
-    run-2d bench workload (128^2, a monitor record every step) went from
-    0.74-0.90 s to 0.99-1.20 s and from about 1,000 to 69,600 minor page
-    faults (143,700 before the march stopped freeing arrays), and verify-2d
-    (64^2, 300 trials) from 0.25 s to 0.31 s and from 500 to 34,000 faults.
-    The call can go once ``monitors.record`` and the oracle pass stop freeing
-    grid arrays per call.  Other C libraries are left alone.
+    record and each stack of oracle trials still allocates and frees
+    grid-sized arrays.  Under glibc's adaptive defaults, freed memory at the
+    top of the heap goes back to the system and is faulted in again by the
+    next call, and arrays above the mmap threshold are mapped and unmapped
+    each time.  With fixed thresholds up to 64 MiB of freed heap stays in the
+    process.  Measured with ``main`` in-process and this call disabled (2-core
+    VM, numpy 2.4, minor faults from ``getrusage(RUSAGE_SELF)``): the run-2d
+    bench workload (128^2, a monitor record every step) went from 0.74-0.90 s
+    to 0.99-1.20 s and from about 1,000 to 69,600 minor page faults, and
+    verify-2d (64^2, 300 trials in stacks of 4 fields) from 0.13-0.17 s to
+    0.24-0.27 s and from about 880 to 38,300 faults (before the trials were
+    stacked: 0.23 s against 0.22-0.45 s, 500 against 34,000 faults).  The
+    call can go once ``monitors.record`` and the oracle pass stop freeing grid
+    arrays per call.  Other C libraries are left alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

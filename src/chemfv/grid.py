@@ -12,6 +12,10 @@ from slices of the interior face gradients, and the zero boundary faces are
 never stored.  ``extend_neumann`` builds the one padded copy, for the
 centered stencils of ``gradient_cells`` and the 2D cross derivative.
 
+The stencils and the cosine series act on the trailing ``grid.dim`` axes, so
+the ``*_stack`` functions take a stack of fields with leading axes, and the
+one-field operators are the same code with none.
+
 Quadrature is the midpoint rule, which is the natural pairing for a
 cell-centered finite volume scheme and is exact for cellwise-linear data.
 """
@@ -117,20 +121,40 @@ def field_from_function(grid: Grid, fn: Callable[..., np.ndarray]) -> ScalarFiel
     return ScalarField(grid, values.copy())
 
 
-def require_finite(f: ScalarField) -> None:
-    if not np.isfinite(f.values).all():
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
         raise CorruptionError("field contains non-finite values")
 
 
 def integrate(f: ScalarField) -> float:
-    """Midpoint-rule integral over the domain: h^dim * sum of cell values."""
-    require_finite(f)
-    return f.grid.cell_volume * float(f.values.sum())
+    """Midpoint-rule integral over the domain: h^dim * sum of cell values.
+
+    The values are scanned for non-finite entries only when the sum is not
+    finite: a finite sum has only finite terms.  A sum that overflows on
+    finite values is returned as it is.
+    """
+    total = float(f.values.sum())
+    if not math.isfinite(total):
+        _require_finite(f.values)
+    return f.grid.cell_volume * total
+
+
+def integrate_stack(grid: Grid, values: np.ndarray) -> list[float]:
+    """``integrate`` of each field of a stack ``(count, *grid.shape)``.
+
+    Each field is summed as one contiguous row, in the order ``integrate``
+    sums it alone, and scaled as a Python float, as ``integrate`` scales it.
+    """
+    rows = values.reshape(len(values), -1)
+    sums = rows.sum(axis=1)
+    if not np.isfinite(sums).all():
+        _require_finite(rows)
+    return [grid.cell_volume * total for total in sums.tolist()]
 
 
 def lp_norm(f: ScalarField, p: float) -> float:
     """Discrete L^p norm; pass ``math.inf`` for the sup norm."""
-    require_finite(f)
+    _require_finite(f.values)
     if p == math.inf:
         return float(np.abs(f.values).max())
     if p < 1.0:
@@ -138,40 +162,61 @@ def lp_norm(f: ScalarField, p: float) -> float:
     return float((f.grid.cell_volume * (np.abs(f.values) ** p).sum()) ** (1.0 / p))
 
 
-def extend_neumann(f: ScalarField) -> np.ndarray:
-    """Values with one mirror ghost layer: ghost equals the adjacent interior cell.
+def _along(axis: int, index) -> tuple:
+    """Index ``index`` along the negative ``axis``, every other axis whole."""
+    return (Ellipsis, index) + (slice(None),) * (-1 - axis)
 
-    The one padded copy in this module; only ``gradient_cells`` and the 2D
-    cross stencil of ``hessian`` use it.
+
+def _pad_neumann(values: np.ndarray, dim: int) -> np.ndarray:
+    """``values`` with one mirror ghost layer on each of its last ``dim`` axes.
+
+    The one padded copy in this module, for the cell gradients and the 2D
+    cross stencil of the Hessian.
     """
-    values = f.values
-    out = np.empty(tuple(n + 2 for n in values.shape))
-    out[(slice(1, -1),) * values.ndim] = values
-    for axis in range(values.ndim):
-        lead = (slice(None),) * axis
-        out[lead + (0,)] = out[lead + (1,)]
-        out[lead + (-1,)] = out[lead + (-2,)]
+    out = np.empty(values.shape[:-dim] + tuple(n + 2 for n in values.shape[-dim:]))
+    out[(Ellipsis,) + (slice(1, -1),) * dim] = values
+    for axis in range(-dim, 0):
+        out[_along(axis, 0)] = out[_along(axis, 1)]
+        out[_along(axis, -1)] = out[_along(axis, -2)]
     return out
+
+
+def extend_neumann(f: ScalarField) -> np.ndarray:
+    """Values with one mirror ghost layer: ghost equals the adjacent interior cell."""
+    return _pad_neumann(f.values, f.grid.dim)
 
 
 def _second_difference(values: np.ndarray, axis: int, h: float,
                        out: np.ndarray | None = None) -> np.ndarray:
-    """Per-axis (g_R - g_L)/h, g the face gradient with zero boundary faces.
+    """Per-axis (g_R - g_L)/h along the negative ``axis``, g the face gradient
+    with zero boundary faces.
 
     The boundary faces are never stored: the first cell takes g_R - 0 = g_R
     and the last 0 - g_L, computed as a subtraction so that +0.0 stays +0.0.
     """
-    lead = (slice(None),) * axis
     g = np.diff(values, axis=axis) / h
     if out is None:
         out = np.empty(values.shape)
-    np.subtract(g[lead + (slice(1, None),)], g[lead + (slice(None, -1),)],
-                out=out[lead + (slice(1, -1),)])
-    first, last = lead + (slice(0, 1),), lead + (slice(-1, None),)
+    np.subtract(g[_along(axis, slice(1, None))], g[_along(axis, slice(None, -1))],
+                out=out[_along(axis, slice(1, -1))])
+    first, last = _along(axis, slice(0, 1)), _along(axis, slice(-1, None))
     out[first] = g[first]
     np.subtract(0.0, g[last], out=out[last])
     out /= h
     return out
+
+
+def gradient_stack(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``gradient_cells`` of every field of a stack ``(*lead, *grid.shape)``."""
+    padded = _pad_neumann(values, grid.dim)
+    out = []
+    for axis, h in enumerate(grid.spacing):
+        lo = [Ellipsis] + [slice(1, -1)] * grid.dim
+        hi = list(lo)
+        lo[1 + axis] = slice(0, -2)
+        hi[1 + axis] = slice(2, None)
+        out.append((padded[tuple(hi)] - padded[tuple(lo)]) / (2.0 * h))
+    return tuple(out)
 
 
 def gradient_cells(f: ScalarField) -> tuple[np.ndarray, ...]:
@@ -180,15 +225,7 @@ def gradient_cells(f: ScalarField) -> tuple[np.ndarray, ...]:
     Mirror ghosts make the boundary cells use a one-sided stencil of the same
     form, consistent with the zero-flux closure.
     """
-    padded = extend_neumann(f)
-    out = []
-    for axis, h in enumerate(f.grid.spacing):
-        lo = [slice(1, -1)] * padded.ndim
-        hi = [slice(1, -1)] * padded.ndim
-        lo[axis] = slice(0, -2)
-        hi[axis] = slice(2, None)
-        out.append((padded[tuple(hi)] - padded[tuple(lo)]) / (2.0 * h))
-    return tuple(out)
+    return gradient_stack(f.grid, f.values)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -198,11 +235,27 @@ def laplacian(f: ScalarField) -> ScalarField:
     domain telescopes to zero exactly and the stencil is exact for quadratics
     away from the boundary.
     """
-    h = f.grid.spacing
-    total = _second_difference(f.values, 0, h[0])
-    for axis in range(1, f.grid.dim):
-        total += _second_difference(f.values, axis, h[axis])
+    dim, h = f.grid.dim, f.grid.spacing
+    total = _second_difference(f.values, -dim, h[0])
+    for axis in range(1, dim):
+        total += _second_difference(f.values, axis - dim, h[axis])
     return ScalarField(f.grid, total)
+
+
+def hessian_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """``hessian`` of every field of a stack ``(*lead, *grid.shape)``, shape
+    ``(dim, dim, *lead, *grid.shape)``."""
+    dim, h = grid.dim, grid.spacing
+    out = np.empty((dim, dim) + values.shape)
+    for axis in range(dim):
+        _second_difference(values, axis - dim, h[axis], out=out[axis, axis])
+    if dim == 2:
+        p = _pad_neumann(values, 2)
+        cross = (p[..., 2:, 2:] - p[..., 2:, :-2] - p[..., :-2, 2:] + p[..., :-2, :-2]) / (
+            4.0 * h[0] * h[1])
+        out[0, 1] = cross
+        out[1, 0] = cross
+    return out
 
 
 def hessian(f: ScalarField) -> np.ndarray:
@@ -212,17 +265,30 @@ def hessian(f: ScalarField) -> np.ndarray:
     ``laplacian`` (so the trace matches it to round-off); off-diagonal entries
     use the centered cross stencil on mirror ghosts.
     """
-    grid = f.grid
-    h = grid.spacing
-    out = np.empty((grid.dim, grid.dim) + grid.shape)
-    for axis in range(grid.dim):
-        _second_difference(f.values, axis, h[axis], out=out[axis, axis])
-    if grid.dim == 2:
-        p = extend_neumann(f)
-        cross = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * h[0] * h[1])
-        out[0, 1] = cross
-        out[1, 0] = cross
-    return out
+    return hessian_stack(f.grid, f.values)
+
+
+def _cosine_series(grid: Grid, modes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Values of the cosine series of each ``modes`` ``(*lead, num_modes, dim)``
+    and ``coeffs`` ``(*lead, num_modes)``, shape ``(*lead, *grid.shape)``.
+
+    One ``np.cos`` call per axis covers every mode; each mode's scaled term is
+    built in one scratch array and added to the sum in mode order.
+    """
+    cosines = [np.cos(modes[..., axis, None] * math.pi * grid.axis_centers(axis)
+                      / grid.extents[axis])
+               for axis in range(grid.dim)]
+    scale = coeffs.reshape(coeffs.shape + (1,) * grid.dim)
+    values = np.zeros(coeffs.shape[:-1] + grid.shape)
+    term = np.empty(values.shape)
+    for j in range(coeffs.shape[-1]):
+        if grid.dim == 1:
+            np.multiply(cosines[0][..., j, :], scale[..., j, :], out=term)
+        else:
+            np.multiply(cosines[0][..., j, :, None], cosines[1][..., j, None, :], out=term)
+            term *= scale[..., j, :, :]
+        values += term
+    return values
 
 
 def cosine_field(grid: Grid, modes: Sequence[Sequence[int]], coeffs: Sequence[float]) -> ScalarField:
@@ -230,26 +296,31 @@ def cosine_field(grid: Grid, modes: Sequence[Sequence[int]], coeffs: Sequence[fl
 
     Each mode has zero normal derivative on the boundary, so these fields are
     the natural Neumann-compatible test inputs for the discrete operators.
-    One ``np.cos`` call per axis covers every mode, one broadcast product
-    builds every mode's term, and the scaled terms are summed mode by mode.
     """
     modes = np.atleast_2d(np.asarray(modes, dtype=int))
     coeffs = np.asarray(coeffs, dtype=float)
     if modes.shape[0] != coeffs.shape[0] or modes.shape[1] != grid.dim:
         raise DomainError("modes must be (num_modes, dim) and match coeffs length")
-    cosines = [np.cos(modes[:, axis, None] * math.pi * grid.axis_centers(axis) / grid.extents[axis])
-               for axis in range(grid.dim)]
-    terms = cosines[0]
-    for axis in range(1, grid.dim):
-        terms = terms[..., None] * cosines[axis][:, None, :]
-    terms *= coeffs.reshape((-1,) + (1,) * grid.dim)
-    values = np.zeros(grid.shape)
-    for term in terms:
-        values += term
-    return ScalarField(grid, values)
+    return ScalarField(grid, _cosine_series(grid, modes, coeffs))
 
 
 MAX_MODE_INDEX = 4
+
+
+def random_smooth_stack(grid: Grid, seeds: Sequence, num_modes: int) -> np.ndarray:
+    """``random_smooth_field`` values for each of ``seeds``, shape ``(len(seeds), *grid.shape)``.
+
+    Each field draws from its own generator; one cosine series call builds them all.
+    """
+    if num_modes < 1:
+        raise DomainError("num_modes must be >= 1")
+    modes = np.empty((len(seeds), num_modes, grid.dim), dtype=int)
+    raw = np.empty((len(seeds), num_modes))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        modes[k] = rng.integers(0, MAX_MODE_INDEX + 1, size=(num_modes, grid.dim))
+        raw[k] = rng.standard_normal(num_modes)
+    return _cosine_series(grid, modes, raw / (1.0 + (modes**2).sum(axis=-1)))
 
 
 def random_smooth_field(grid: Grid, seed, num_modes: int) -> ScalarField:
@@ -258,13 +329,7 @@ def random_smooth_field(grid: Grid, seed, num_modes: int) -> ScalarField:
     Deterministic for a given seed; mode indices stay small enough that a
     32-cell axis still resolves every half wave.
     """
-    if num_modes < 1:
-        raise DomainError("num_modes must be >= 1")
-    rng = np.random.default_rng(seed)
-    modes = rng.integers(0, MAX_MODE_INDEX + 1, size=(num_modes, grid.dim))
-    raw = rng.standard_normal(num_modes)
-    coeffs = raw / (1.0 + (modes**2).sum(axis=1))
-    return cosine_field(grid, modes, coeffs)
+    return ScalarField(grid, random_smooth_stack(grid, [seed], num_modes)[0])
 
 
 def write_field(f: ScalarField, path: str | Path) -> None:

@@ -21,6 +21,8 @@ from .errors import CorruptionError, DomainError
 from .grid import gradient_cells, integrate, ScalarField
 from .solver import SimState
 
+PHI_OVERFLOW = "phi overflowed (large p on a large state)"
+
 
 @dataclass
 class MonitorConfig:
@@ -91,9 +93,10 @@ def phi(state: SimState, p: float, chi0: float, *, grad_sq: np.ndarray | None = 
         raise DomainError("phi requires p >= 1")
     with np.errstate(over="ignore"):  # overflow is detected and reported below
         powered = (state.u.values + 1.0) ** p
-        if not np.isfinite(powered).all():
-            raise CorruptionError("phi overflowed (large p on a large state)")
-        u_term = integrate(ScalarField(state.u.grid, powered))
+        try:
+            u_term = integrate(ScalarField(state.u.grid, powered))
+        except CorruptionError:   # a power is not finite
+            raise CorruptionError(PHI_OVERFLOW) from None
         if chi0 == 0.0:
             grad_term = 0.0
         else:
@@ -101,7 +104,7 @@ def phi(state: SimState, p: float, chi0: float, *, grad_sq: np.ndarray | None = 
             grad_term = chi0 ** (2.0 * p) * integrate(ScalarField(state.v.grid, gsq**p))
     value = u_term + grad_term
     if not math.isfinite(value):
-        raise CorruptionError("phi overflowed (large p on a large state)")
+        raise CorruptionError(PHI_OVERFLOW)
     return value
 
 

@@ -18,10 +18,14 @@ Every verdict is deterministic given the master seed: per-trial generators
 are derived from (seed, trial_index).  The Gagliardo-Nirenberg estimate looks
 at the first ``GN_MAX_FIELDS`` trial fields only.
 
-``verify_fields`` is the one loop over the trial fields: each field, its
-Hessian and its gradient are built once, and the three field checks and the
-GN ratio are read from those shared arrays.  The per-oracle functions select
-their result from it.  A margin or ratio that evaluates to NaN (say, a cell
+``verify_fields`` is the one pass over the trial fields.  It builds them in
+stacks of ``max(1, TRIAL_BATCH_CELLS // cells)`` fields, each drawn from its
+own generator; each stack's Hessians and gradients come from one call per
+grid operator, and the three field checks and the GN ratios are read from
+those shared arrays.  Every per-field reduction is one contiguous row of the
+stack, summed in the order of the field alone, so each trial's margins are
+the ones the field gives by itself.  The per-oracle functions select their
+result from the pass.  A margin or ratio that evaluates to NaN (say, a cell
 volume that overflows) is never skipped: it makes the worst margin NaN, which
 fails the verdict, and makes the GN constant NaN.
 """
@@ -35,12 +39,19 @@ import numpy as np
 
 from .certificates import compute_p_bar, d3_constant, pbar_relation_margins
 from .errors import DomainError
-from .grid import Grid, ScalarField, gradient_cells, hessian, integrate, random_smooth_field
+from .grid import (Grid, ScalarField, gradient_stack, hessian_stack, integrate_stack,
+                   random_smooth_stack)
+# Not called here; the bench tracer in bench/child.py wraps these names in
+# this module, so they stay bound.
+from .grid import gradient_cells, hessian, integrate  # noqa: F401
 
 POINTWISE_SLACK = 1e-12
 ADDITIVE_SLACK = 1e-9
 H_SLACK = 1.0  # coefficient of the O(h) relative slack of the integral check
 GN_MAX_FIELDS = 200
+# Cells per stack of trial fields: the pass builds max(1, TRIAL_BATCH_CELLS // cells)
+# fields at a time (4 at 64^2, 128 on a 128-cell line, 1 at 128^2).
+TRIAL_BATCH_CELLS = 16_384
 
 
 @dataclass
@@ -69,80 +80,94 @@ class OracleVerdict:
     slack: float
 
 
-def _trial_field(cfg: OracleConfig, index: int) -> ScalarField:
-    return random_smooth_field(cfg.grid, (cfg.seed, index), cfg.num_modes)
-
-
 def _interior(arr: np.ndarray, dim: int) -> np.ndarray:
     return arr[(...,) + (slice(1, -1),) * dim]
 
 
-class _FieldOps(NamedTuple):
-    """One field with its operators, built once and shared by every check."""
+def _rows(arr: np.ndarray) -> np.ndarray:
+    """One row per field of a stack ``(count, ...)``."""
+    return arr.reshape(len(arr), -1)
 
-    f: ScalarField
-    hess: np.ndarray      # D2 f, shape (n, n, *grid.shape)
-    grads: np.ndarray     # grad f, shape (n, *grid.shape)
+
+class _StackOps(NamedTuple):
+    """A stack of fields with their operators, built once and shared by every check."""
+
+    grid: Grid
+    values: np.ndarray    # f, shape (count, *grid.shape)
+    hess: np.ndarray      # D2 f, shape (n, n, count, *grid.shape)
+    grads: np.ndarray     # grad f, shape (n, count, *grid.shape)
     grads_sq: np.ndarray  # grads**2, per component
     hsq: np.ndarray       # |D2 f|^2 per cell
     gsq: np.ndarray       # |grad f|^2 per cell
 
 
-def _field_ops(f: ScalarField) -> _FieldOps:
-    hess = hessian(f)
-    grads = np.stack(gradient_cells(f))
+def _stack_ops(grid: Grid, values: np.ndarray) -> _StackOps:
+    hess = hessian_stack(grid, values)
+    grads = np.stack(gradient_stack(grid, values))
     grads_sq = grads**2
-    return _FieldOps(f, hess, grads, grads_sq, (hess**2).sum(axis=(0, 1)), grads_sq.sum(axis=0))
+    return _StackOps(grid, values, hess, grads, grads_sq, (hess**2).sum(axis=(0, 1)),
+                     grads_sq.sum(axis=0))
 
 
-def _min_margin(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    return float(((rhs - lhs) / (1.0 + lhs + rhs)).min())
+def _min_margins(lhs: np.ndarray, rhs: np.ndarray) -> list[float]:
+    return _rows((rhs - lhs) / (1.0 + lhs + rhs)).min(axis=1).tolist()
 
 
-def _laplacian_hessian(ops: _FieldOps) -> float:
-    dim = ops.f.grid.dim
+def _laplacian_hessian(ops: _StackOps) -> list[float]:
+    dim = ops.grid.dim
     hess = _interior(ops.hess, dim)
     lap = hess[0, 0]
     for axis in range(1, dim):
         lap = lap + hess[axis, axis]
-    return _min_margin(lap**2, dim * _interior(ops.hsq, dim))
+    return _min_margins(lap**2, dim * _interior(ops.hsq, dim))
 
 
-def _hessian_gradient(ops: _FieldOps) -> float:
-    dim = ops.f.grid.dim
+def _hessian_gradient(ops: _StackOps) -> list[float]:
+    dim = ops.grid.dim
     hess = _interior(ops.hess, dim)
     hg = np.einsum("ij...,j...->i...", hess, _interior(ops.grads, dim))
-    return _min_margin((hg**2).sum(axis=0), _interior(ops.hsq, dim) * _interior(ops.gsq, dim))
+    return _min_margins((hg**2).sum(axis=0), _interior(ops.hsq, dim) * _interior(ops.gsq, dim))
 
 
-def _gradient_power(ops: _FieldOps, q: float) -> tuple[float, float]:
-    grid = ops.f.grid
-    lhs = integrate(ScalarField(grid, ops.gsq ** (q + 1.0)))
-    sup_f = float(np.abs(ops.f.values).max())
-    rhs = 2.0 * (4.0 * q**2 + grid.dim) * sup_f**2 * integrate(
-        ScalarField(grid, ops.gsq ** (q - 1.0) * ops.hsq))
-    return lhs, rhs
+def _gradient_power(ops: _StackOps, q: float) -> list[tuple[float, float]]:
+    grid = ops.grid
+    lhs = integrate_stack(grid, ops.gsq ** (q + 1.0))
+    rhs = integrate_stack(grid, ops.gsq ** (q - 1.0) * ops.hsq)
+    sups = _rows(np.abs(ops.values)).max(axis=1).tolist()
+    factor = 2.0 * (4.0 * q**2 + grid.dim)
+    return [(l, factor * sup_f**2 * r) for l, sup_f, r in zip(lhs, sups, rhs)]
 
 
-def _gn_ratio(ops: _FieldOps, theta: float) -> float:
-    """||f||_2 / (||grad f||_2^theta ||f||_1^(1-theta) + ||f||_1); 0 if the denominator is."""
-    values = ops.f.values
-    vol = ops.f.grid.cell_volume
-    l2 = math.sqrt(vol * float((values**2).sum()))
-    l1 = vol * float(np.abs(values).sum())
-    g2 = math.sqrt(vol * float(ops.grads_sq.sum()))
-    denom = g2**theta * l1 ** (1.0 - theta) + l1
-    return 0.0 if denom <= 1e-300 else l2 / denom
+def _gn_ratios(ops: _StackOps, theta: float, count: int) -> list[float]:
+    """||f||_2 / (||grad f||_2^theta ||f||_1^(1-theta) + ||f||_1) of the first
+    ``count`` fields; 0 where the denominator is."""
+    values = ops.values[:count]
+    vol = ops.grid.cell_volume
+    grads_sq = np.moveaxis(ops.grads_sq[:, :count], 0, 1)   # each field's components in a row
+    ratios = []
+    for sq, absolute, gsq in zip(_rows(values**2).sum(axis=1).tolist(),
+                                 _rows(np.abs(values)).sum(axis=1).tolist(),
+                                 _rows(grads_sq).sum(axis=1).tolist()):
+        l2 = math.sqrt(vol * sq)
+        l1 = vol * absolute
+        g2 = math.sqrt(vol * gsq)
+        denom = g2**theta * l1 ** (1.0 - theta) + l1
+        ratios.append(0.0 if denom <= 1e-300 else l2 / denom)
+    return ratios
+
+
+def _single(f: ScalarField) -> _StackOps:
+    return _stack_ops(f.grid, f.values[None])
 
 
 def laplacian_hessian_margin(f: ScalarField) -> float:
     """Min over interior cells of the normalized margin of (lap f)^2 <= n |D2 f|^2."""
-    return _laplacian_hessian(_field_ops(f))
+    return _laplacian_hessian(_single(f))[0]
 
 
 def hessian_gradient_margin(f: ScalarField) -> float:
     """Min normalized margin of |D2 f grad f|^2 <= |D2 f|^2 |grad f|^2 (interior)."""
-    return _hessian_gradient(_field_ops(f))
+    return _hessian_gradient(_single(f))[0]
 
 
 def gradient_power_sides(f: ScalarField, q: float) -> tuple[float, float]:
@@ -152,7 +177,7 @@ def gradient_power_sides(f: ScalarField, q: float) -> tuple[float, float]:
 
     evaluated with cell-centered gradients and Hessians.
     """
-    return _gradient_power(_field_ops(f), q)
+    return _gradient_power(_single(f), q)[0]
 
 
 def _worse(worst: float, margin: float) -> float:
@@ -165,37 +190,42 @@ def _verdict(name: str, trials: int, worst: float, slack: float) -> OracleVerdic
     return OracleVerdict(name, trials, worst, worst >= -slack, slack)
 
 
-def _trial_margins(cfg: OracleConfig, index: int,
-                   theta: float) -> tuple[float, float, float, float]:
+def _stack_margins(cfg: OracleConfig, start: int, count: int,
+                   theta: float) -> list[tuple[float, float, float, float]]:
     """Laplacian-Hessian, Hessian-gradient and gradient-power margins and the
-    GN ratio (0 past ``GN_MAX_FIELDS``) of one trial field.
+    GN ratio (0 past ``GN_MAX_FIELDS``) of trials ``start`` to ``start + count - 1``.
 
-    The field's arrays die on return, before the next trial field is built.
+    The stack's arrays die on return, before the next stack is built.
     """
-    ops = _field_ops(_trial_field(cfg, index))
-    lhs, rhs = _gradient_power(ops, cfg.q)
-    ratio = _gn_ratio(ops, theta) if index < GN_MAX_FIELDS else 0.0
-    return (_laplacian_hessian(ops), _hessian_gradient(ops),
-            (rhs - lhs) / (1.0 + lhs + rhs), ratio)
+    seeds = [(cfg.seed, index) for index in range(start, start + count)]
+    ops = _stack_ops(cfg.grid, random_smooth_stack(cfg.grid, seeds, cfg.num_modes))
+    powers = [(rhs - lhs) / (1.0 + lhs + rhs) for lhs, rhs in _gradient_power(ops, cfg.q)]
+    gn_count = min(count, max(0, GN_MAX_FIELDS - start))
+    ratios = (_gn_ratios(ops, theta, gn_count) if gn_count else []) + [0.0] * (count - gn_count)
+    return list(zip(_laplacian_hessian(ops), _hessian_gradient(ops), powers, ratios))
 
 
 def verify_fields(cfg: OracleConfig) -> tuple[list[OracleVerdict], float]:
     """The three field oracles and the GN constant in one pass over the trials.
 
-    Each trial field, its Hessian and its gradient are built once.  Returns
-    the Laplacian-Hessian, Hessian-gradient and gradient-power verdicts, in
-    that order, and the GN constant of the first ``GN_MAX_FIELDS`` fields.
+    The trials go in stacks of ``max(1, TRIAL_BATCH_CELLS // cells)`` fields,
+    and each stack's fields, Hessians and gradients are built by one call per
+    operator.  Returns the Laplacian-Hessian, Hessian-gradient and
+    gradient-power verdicts, in that order, and the GN constant of the first
+    ``GN_MAX_FIELDS`` fields.
     """
     theta = (1.0 - 0.5) / (1.0 - 0.5 + 1.0 / cfg.grid.dim)
+    batch = max(1, TRIAL_BATCH_CELLS // math.prod(cfg.grid.shape))
     lap_worst = hg_worst = power_worst = math.inf
     gn = 0.0
-    for i in range(cfg.trials):
-        lap, hg, power, ratio = _trial_margins(cfg, i, theta)
-        lap_worst = _worse(lap_worst, lap)
-        hg_worst = _worse(hg_worst, hg)
-        power_worst = _worse(power_worst, power)
-        if ratio > gn or math.isnan(ratio):
-            gn = ratio
+    for start in range(0, cfg.trials, batch):
+        for lap, hg, power, ratio in _stack_margins(cfg, start, min(batch, cfg.trials - start),
+                                                    theta):
+            lap_worst = _worse(lap_worst, lap)
+            hg_worst = _worse(hg_worst, hg)
+            power_worst = _worse(power_worst, power)
+            if ratio > gn or math.isnan(ratio):
+                gn = ratio
     power_slack = ADDITIVE_SLACK + H_SLACK * max(cfg.grid.spacing)
     return [
         _verdict("laplacian_vs_hessian", cfg.trials, lap_worst, POINTWISE_SLACK),

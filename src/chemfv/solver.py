@@ -89,6 +89,7 @@ class RunResult:
     state: SimState
     steps: int
     sup_u_max: float
+    reason: str | None = None   # why the monitor hook ended the run ``corrupted``
 
 
 def _kernel(grid: Grid, params: ModelParams):
@@ -247,15 +248,27 @@ def step(state: SimState, params: ModelParams, config: SolverConfig, *,
 MonitorHook = Callable[[SimState, float], None]
 
 
+def _call_hook(hook: MonitorHook, state: SimState, dt: float) -> str | None:
+    """Run the hook; the message of a ``CorruptionError`` it raises, else None."""
+    try:
+        hook(state, dt)
+    except CorruptionError as exc:
+        return str(exc)
+    return None
+
+
 def run(initial: SimState, params: ModelParams, config: SolverConfig,
         monitor_hook: MonitorHook | None = None) -> RunResult:
     """March the system to t_end, blow-up, step underflow, corruption or ``max_steps``.
 
     The hook fires on the initial state, at the configured cadence (every N
     steps or at exact multiples of the output interval), on the final state,
-    and on a blow-up state.  Initial data must be nonnegative and finite; the
-    march never writes into it and hands out copies of its own states.  Each
-    step's sup u and sup v carry over from its post-update check.
+    and on a blow-up state.  A ``CorruptionError`` from the hook (say, phi
+    overflowing) ends the run ``corrupted`` on the hooked state, with the
+    error's message as the result's ``reason``.  Initial data must be
+    nonnegative and finite; the march never writes into it and hands out
+    copies of its own states.  Each step's sup u and sup v carry over from its
+    post-update check.
     """
     grid = initial.u.grid
     states, rates, (u_lo, sup_u, v_lo, sup_v, finite) = _load(initial, params)
@@ -266,9 +279,11 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     v_cap = sup_v * (1.0 + V_SUP_REL_TOL)
     t, t_end = initial.t, config.t_end
     every_steps, every_time = config.output_every_steps, config.output_every_time
-    sup_u_max, hooked_t = sup_u, initial.t
+    sup_u_max, hooked_t, reason = sup_u, initial.t, None
     if monitor_hook is not None:
-        monitor_hook(initial, 0.0)
+        reason = _call_hook(monitor_hook, initial, 0.0)
+        if reason is not None:
+            return RunResult(CORRUPTED, initial, 0, sup_u_max, reason)
     if sup_u_max > config.u_max:
         return RunResult(BLOWUP, initial, 0, sup_u_max)
 
@@ -294,9 +309,13 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
                 status == BLOWUP or on_time or t == t_end
                 or (every_steps is not None and steps % every_steps == 0)):
             state, hooked_t = _snapshot(t, grid, states[i]), t
-            monitor_hook(state, dt)
+            reason = _call_hook(monitor_hook, state, dt)
+            if reason is not None:
+                status = CORRUPTED
+                break
         if status == BLOWUP:
             break
     if state is None:
         state = _snapshot(t, grid, states[i])
-    return RunResult(COMPLETED if status == ADVANCED else status, state, steps, sup_u_max)
+    return RunResult(COMPLETED if status == ADVANCED else status, state, steps, sup_u_max,
+                     reason)

@@ -14,7 +14,9 @@ import pytest
 
 import chemfv.certificates
 import chemfv.cli
+import chemfv.monitors
 import chemfv.oracle
+from chemfv import CorruptionError
 from chemfv.cli import CSV_HEADER, main, sweep_report
 from chemfv.config import parse_config
 
@@ -182,6 +184,36 @@ class TestRun:
         assert rows[0] == CSV_HEADER and len(rows) == 1 + 3   # t = 0, steps 4 and 8
         assert (tmp_path / "u_final.csv").exists()
 
+    def test_phi_overflow_writes_summary_and_exits_1(self, tmp_path):
+        # (u+1)^2000 overflows on the initial state, so no record is made
+        cfg = write_config(tmp_path)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path), "--dump-fields",
+                     "--set", "time.t_end=0.001", "--set", "monitor.p=2000"])
+        assert code == 1
+        summary = read_json(tmp_path, "summary.json")
+        assert summary["status"] == "corrupted"
+        assert summary["reason"] == "phi overflowed (large p on a large state)"
+        assert summary["t_end_reached"] is False
+        assert (tmp_path / "timeseries.csv").read_text() == CSV_HEADER + "\n"
+        assert (tmp_path / "u_final.csv").exists()
+
+    def test_corruption_in_the_monitors_keeps_the_earlier_records(self, tmp_path, monkeypatch):
+        real_phi, calls = chemfv.monitors.phi, []
+
+        def phi(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise CorruptionError("phi overflowed (large p on a large state)")
+            return real_phi(*args, **kwargs)
+        monkeypatch.setattr(chemfv.monitors, "phi", phi)
+        code = main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path)])
+        assert code == 1
+        summary = read_json(tmp_path, "summary.json")
+        assert (summary["status"], summary["t_end_reached"]) == ("corrupted", False)
+        assert summary["reason"].startswith("phi overflowed")
+        rows = (tmp_path / "timeseries.csv").read_text().splitlines()
+        assert rows[0] == CSV_HEADER and len(rows) == 1 + 2   # t = 0 and step 50
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -246,6 +278,18 @@ class TestSweep:
         assert code == 1   # every probe ran out of steps, as when the budget raised
         report = read_json(tmp_path, "sweep.json")
         assert [r["status"] for r in report["runs"]] == ["step_budget_exceeded"] * 2
+        assert not any(r["bounded"] for r in report["runs"])
+        assert report["all_runs_errored"] is True
+
+    def test_probes_the_monitors_stopped_count_as_errored(self, tmp_path):
+        text = BASE_CONFIG + "\n[sweep]\nmu_lo = 0.5\nmu_hi = 4.0\nbisection_steps = 1\n"
+        cfg = write_config(tmp_path, text)
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                     "--set", "monitor.p=2000"])
+        assert code == 1   # every probe's phi overflowed, as when the overflow raised
+        report = read_json(tmp_path, "sweep.json")
+        assert [(r["status"], r["reason"]) for r in report["runs"]] == [
+            ("corrupted", "phi overflowed (large p on a large state)")] * 2
         assert not any(r["bounded"] for r in report["runs"])
         assert report["all_runs_errored"] is True
 
@@ -346,17 +390,26 @@ class TestVerify:
         assert report["gn_empirical_constant"] == 0.6399593920480326
 
     def test_each_trial_field_and_operator_is_built_once(self, tmp_path, monkeypatch):
-        counts = {}
-        for name in ("random_smooth_field", "hessian", "gradient_cells"):
-            def counted(*args, _fn=getattr(chemfv.oracle, name), _name=name):
-                counts[_name] = counts.get(_name, 0) + 1
-                return _fn(*args)
+        # 200 cells: stacks of 16384 // 200 = 81 trial fields, the last one short
+        stacks, calls = [], []
+        real_stack = chemfv.oracle.random_smooth_stack
+
+        def fields(grid, seeds, num_modes):
+            stacks.append(real_stack(grid, seeds, num_modes))
+            return stacks[-1]
+        monkeypatch.setattr(chemfv.oracle, "random_smooth_stack", fields)
+        for name in ("hessian_stack", "gradient_stack"):
+            def counted(grid, values, _fn=getattr(chemfv.oracle, name), _name=name):
+                calls.append((_name, values))
+                return _fn(grid, values)
             monkeypatch.setattr(chemfv.oracle, name, counted)
-        trials = 30
+        trials = 250
         assert main(["verify", "--config", write_config(tmp_path), "--out", str(tmp_path),
-                     "--set", "oracle.trials=" + str(trials)]) == 0
-        assert counts == {"random_smooth_field": trials, "hessian": trials,
-                          "gradient_cells": trials}
+                     "--set", "grid.nx=200", "--set", "oracle.trials=" + str(trials)]) == 0
+        assert [len(s) for s in stacks] == [81, 81, 81, 7]
+        assert sum(len(s) for s in stacks) == trials
+        assert [(name, id(values)) for name, values in calls] == [
+            (name, id(s)) for s in stacks for name in ("hessian_stack", "gradient_stack")]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nan_margin_exits_4(self, tmp_path):

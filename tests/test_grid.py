@@ -10,6 +10,7 @@ from chemfv import (CorruptionError, DomainError, Grid, ScalarField, constant_fi
                     cosine_field, extend_neumann, field_from_function, gradient_cells,
                     hessian, integrate, laplacian, lp_norm, random_smooth_field,
                     read_field, write_field)
+from chemfv.grid import gradient_stack, hessian_stack, integrate_stack, random_smooth_stack
 
 
 def _mirror_face_gradients(f):
@@ -73,6 +74,24 @@ class TestIntegrate:
         f.values[3] = math.nan
         with pytest.raises(CorruptionError):
             integrate(f)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_each_nonfinite_value_rejected(self, bad):
+        g = Grid.line(8, 1.0)
+        f = constant_field(g, 1.0)
+        f.values[3] = bad
+        with pytest.raises(CorruptionError):
+            integrate(f)
+        stack = np.ones((3,) + g.shape)
+        stack[1, 3] = bad
+        with pytest.raises(CorruptionError):
+            integrate_stack(g, stack)
+
+    def test_finite_values_whose_sum_overflows(self):
+        g = Grid.line(4, 4.0)
+        with np.errstate(over="ignore"):
+            assert integrate(constant_field(g, 1e308)) == math.inf
+            assert integrate_stack(g, np.full((2, 4), 1e308)) == [math.inf, math.inf]
 
 
 class TestLpNorm:
@@ -402,3 +421,35 @@ class TestPadFreeByteParity:
             f = random_smooth_field(grid, (7, seed), 8)
             _assert_same_bytes(f.values, _ref_random_smooth_field(grid, (7, seed), 8))
             _assert_operators_match_reference(f)
+
+
+class TestStackedOperators:
+    # A stack of fields with leading axes must give each field the bytes that
+    # the per-field operator gives it alone.
+    @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=str)
+    @pytest.mark.parametrize("kind", ["negative-zero", "integer", "random"])
+    def test_operators_on_a_stack(self, grid, kind):
+        rng = np.random.default_rng(5)
+        lead = (2, 3)
+        values = {
+            "negative-zero": lambda: np.full(lead + grid.shape, -0.0),
+            "integer": lambda: rng.integers(-5, 6, size=lead + grid.shape).astype(float),
+            "random": lambda: rng.standard_normal(lead + grid.shape),
+        }[kind]()
+        hess = hessian_stack(grid, values)
+        grads = gradient_stack(grid, values)
+        sums = integrate_stack(grid, values.reshape((-1,) + grid.shape))
+        for k, index in enumerate(np.ndindex(lead)):
+            f = ScalarField(grid, values[index].copy())
+            _assert_same_bytes(hess[(slice(None), slice(None)) + index], hessian(f))
+            for new, ref in zip((g[index] for g in grads), gradient_cells(f), strict=True):
+                _assert_same_bytes(new, ref)
+            assert sums[k] == integrate(f)
+
+    @pytest.mark.parametrize("grid", [Grid.line(32, 1.5), Grid.rect(16, 12, 1.0, 0.5)], ids=str)
+    def test_random_smooth_stack(self, grid):
+        seeds = [(7, seed) for seed in range(6)]
+        stack = random_smooth_stack(grid, seeds, 8)
+        assert stack.shape == (6,) + grid.shape
+        for values, seed in zip(stack, seeds):
+            _assert_same_bytes(values, _ref_random_smooth_field(grid, seed, 8))

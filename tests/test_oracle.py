@@ -2,14 +2,15 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from chemfv import (DomainError, Grid, ScalarField, compute_p_bar, field_from_function,
                     gradient_cells, hessian, integrate, random_smooth_field)
-from chemfv.oracle import (GN_MAX_FIELDS, OracleConfig, estimate_gn_constant,
-                           gradient_power_sides, hessian_gradient_margin,
+from chemfv.oracle import (GN_MAX_FIELDS, TRIAL_BATCH_CELLS, OracleConfig, _stack_margins,
+                           estimate_gn_constant, gradient_power_sides, hessian_gradient_margin,
                            laplacian_hessian_margin, verify_fields,
                            verify_gradient_power_hessian, verify_hessian_gradient,
                            verify_laplacian_vs_hessian, verify_pbar_relations,
@@ -289,3 +290,115 @@ class TestOnePassParity:
             assert laplacian_hessian_margin(f) == _ref_laplacian_hessian_margin(f)
             assert hessian_gradient_margin(f) == _ref_hessian_gradient_margin(f)
             assert gradient_power_sides(f, 2.5) == _ref_gradient_power_sides(f, 2.5)
+
+
+# The one pass as it was before the trials went in stacks: one field, its
+# operators and its margins at a time.  The stacked pass must reproduce every
+# trial's margins and GN ratio with ==.
+class _RefFieldOps(NamedTuple):
+    f: ScalarField
+    hess: np.ndarray
+    grads: np.ndarray
+    grads_sq: np.ndarray
+    hsq: np.ndarray
+    gsq: np.ndarray
+
+
+def _ref_field_ops(f):
+    hess = hessian(f)
+    grads = np.stack(gradient_cells(f))
+    grads_sq = grads**2
+    return _RefFieldOps(f, hess, grads, grads_sq, (hess**2).sum(axis=(0, 1)),
+                        grads_sq.sum(axis=0))
+
+
+def _ref_min_margin(lhs, rhs):
+    return float(((rhs - lhs) / (1.0 + lhs + rhs)).min())
+
+
+def _ref_laplacian_hessian(ops):
+    dim = ops.f.grid.dim
+    hess = _ref_interior(ops.hess, dim)
+    lap = hess[0, 0]
+    for axis in range(1, dim):
+        lap = lap + hess[axis, axis]
+    return _ref_min_margin(lap**2, dim * _ref_interior(ops.hsq, dim))
+
+
+def _ref_hessian_gradient(ops):
+    dim = ops.f.grid.dim
+    hess = _ref_interior(ops.hess, dim)
+    hg = np.einsum("ij...,j...->i...", hess, _ref_interior(ops.grads, dim))
+    return _ref_min_margin((hg**2).sum(axis=0),
+                           _ref_interior(ops.hsq, dim) * _ref_interior(ops.gsq, dim))
+
+
+def _ref_gradient_power(ops, q):
+    grid = ops.f.grid
+    lhs = integrate(ScalarField(grid, ops.gsq ** (q + 1.0)))
+    sup_f = float(np.abs(ops.f.values).max())
+    rhs = 2.0 * (4.0 * q**2 + grid.dim) * sup_f**2 * integrate(
+        ScalarField(grid, ops.gsq ** (q - 1.0) * ops.hsq))
+    return lhs, rhs
+
+
+def _ref_gn_ratio(ops, theta):
+    values = ops.f.values
+    vol = ops.f.grid.cell_volume
+    l2 = math.sqrt(vol * float((values**2).sum()))
+    l1 = vol * float(np.abs(values).sum())
+    g2 = math.sqrt(vol * float(ops.grads_sq.sum()))
+    denom = g2**theta * l1 ** (1.0 - theta) + l1
+    return 0.0 if denom <= 1e-300 else l2 / denom
+
+
+def _ref_trial_margins(cfg, index, theta):
+    ops = _ref_field_ops(_ref_trial_field(cfg, index))
+    lhs, rhs = _ref_gradient_power(ops, cfg.q)
+    ratio = _ref_gn_ratio(ops, theta) if index < GN_MAX_FIELDS else 0.0
+    return (_ref_laplacian_hessian(ops), _ref_hessian_gradient(ops),
+            (rhs - lhs) / (1.0 + lhs + rhs), ratio)
+
+
+def _theta(grid):
+    return (1.0 - 0.5) / (1.0 - 0.5 + 1.0 / grid.dim)
+
+
+# (grid, fields per stack, trials).  Each trial count leaves a short last
+# stack; on the first three grids the GN cap at trial 200 falls inside a stack.
+STACK_CASES = [
+    (Grid.line(96, 1.5), 170, 250),
+    (Grid.rect(12, 20, 1.0, 0.6), 68, 250),
+    (Grid.rect(17, 64, 0.5, 2.0), 15, 215),
+    (Grid.rect(64, 64, 1.0, 1.0), 4, 7),
+    (Grid.rect(128, 96, 2.0, 1.0), 1, 3),
+]
+
+
+class TestStackedTrialParity:
+    @pytest.mark.parametrize("grid, batch, trials", STACK_CASES, ids=str)
+    @pytest.mark.parametrize("q", [1.0, 2.5])
+    @pytest.mark.parametrize("num_modes", [1, 8])
+    def test_every_trial_matches_the_per_field_pass(self, grid, batch, trials, q, num_modes):
+        assert max(1, TRIAL_BATCH_CELLS // math.prod(grid.shape)) == batch
+        cfg = OracleConfig(grid=grid, trials=trials, seed=num_modes, q=q, num_modes=num_modes)
+        theta = _theta(grid)
+        refs = [_ref_trial_margins(cfg, i, theta) for i in range(trials)]
+        for start in range(0, trials, batch):
+            count = min(batch, trials - start)
+            assert _stack_margins(cfg, start, count, theta) == refs[start:start + count]
+        worst = [min(r[k] for r in refs) for k in range(3)]
+        (lap, hg, power), gn = verify_fields(cfg)
+        assert [lap.worst_margin, hg.worst_margin, power.worst_margin] == worst
+        assert gn == max(r[3] for r in refs)
+
+    @pytest.mark.parametrize("grid", [case[0] for case in STACK_CASES], ids=str)
+    def test_per_field_functions_match_the_per_field_pass(self, grid):
+        for seed in range(3):
+            for num_modes in (1, 8):
+                f = random_smooth_field(grid, seed, num_modes)
+                ops = _ref_field_ops(f)
+                assert laplacian_hessian_margin(f) == _ref_laplacian_hessian(ops)
+                assert hessian_gradient_margin(f) == _ref_hessian_gradient(ops)
+                for q in (1.0, 2.5):
+                    assert gradient_power_sides(f, q) == _ref_gradient_power(ops, q)

@@ -411,6 +411,24 @@ class TestRun:
         assert np.array_equal(result.state.u.values, state.u.values)
         assert np.array_equal(result.state.v.values, state.v.values)
 
+    @pytest.mark.parametrize("fail_at", [0, 3])
+    def test_corruption_raised_by_the_hook_ends_the_run(self, fail_at):
+        g = Grid.line(16, 1.0)
+        u0 = field_from_function(g, lambda x: 0.2 + 0.5 * x)
+        v0 = field_from_function(g, lambda x: 1.0 - 0.3 * x)
+        cfg = SolverConfig(t_end=1.0, output_every_steps=1)
+        hooked = []
+
+        def hook(state, dt):
+            hooked.append(state)
+            if len(hooked) > fail_at:
+                raise CorruptionError("monitor says no")
+        result = run(SimState(0.0, u0, v0), params_1d(k=0.5), cfg, hook)
+        assert (result.status, result.reason) == (CORRUPTED, "monitor says no")
+        assert result.steps == fail_at
+        assert result.state is hooked[-1] and len(hooked) == fail_at + 1
+        assert result.sup_u_max >= float(result.state.u.values.max())
+
     def test_never_aliases_the_caller_or_its_own_buffers(self):
         # the march overwrites two ping-pong buffers; the initial arrays, the
         # hook's states and the result must keep their bytes as it goes on
