@@ -19,7 +19,7 @@ from .certificates import (AuxiliaryExponents, CertificateReport, EnergyConstant
                            evaluate_certificate, gradv_bound, k1_coeff, k2_coeff,
                            mass_bound, mu_threshold)
 from .errors import ChemfvError, ConfigError, CorruptionError, DomainError
-from .grid import (Grid, ScalarField, constant_field, cosine_field, extend_neumann,
+from .grid import (FieldStack, Grid, ScalarField, constant_field, cosine_field, extend_neumann,
                    field_from_function, gradient_cells, hessian,
                    integrate, laplacian, lp_norm, random_smooth_field, read_field,
                    write_field)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxiliaryExponents", "CertificateReport", "ChemfvError", "ConfigError",
-    "CorruptionError", "DomainError", "EnergyConstants", "Grid", "ModelParams",
+    "CorruptionError", "DomainError", "EnergyConstants", "FieldStack", "Grid", "ModelParams",
     "MonitorConfig", "MonitorRecord", "PhiTrend", "RunResult", "ScalarField",
     "SimState", "SolverConfig", "StepOutcome", "chi_growth_bound",
     "chi_prototype", "compute_p_bar", "constant_field", "cosine_field",

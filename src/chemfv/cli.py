@@ -139,9 +139,11 @@ def cmd_run(cfg: RunConfig, out_dir: Path, dump_fields: bool) -> int:
 def sweep_report(cfg: RunConfig, run_once=None) -> dict:
     """Bisect mu on the predicate "completed with no bound violations".
 
-    ``run_once(mu) -> (status, bounded, extras)`` is injectable for tests; the
-    default executes a full simulation with mu overridden.  Endpoints are
-    probed first; bisection proceeds only while they bracket the frontier.
+    ``run_once(mu) -> (status, bounded, errored, extras)`` is injectable for
+    tests; the default executes a full simulation with mu overridden.  An
+    errored probe (the step budget ran out, or the monitors stopped the run)
+    gives no verdict on mu.  Endpoints are probed first; bisection proceeds
+    only while they bracket the frontier.
     """
     spec = cfg.sweep
     if spec is None:
@@ -151,14 +153,16 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
         def run_once(mu: float):
             sub = replace(cfg, model=replace(cfg.model, mu=mu))
             executed = _execute(sub)
-            bounded = executed.result.status == COMPLETED and not executed.violations
+            result = executed.result
+            bounded = result.status == COMPLETED and not executed.violations
+            errored = result.status == STEP_BUDGET or result.reason is not None
             extras = {
-                "sup_u_max": executed.result.sup_u_max,
+                "sup_u_max": result.sup_u_max,
                 "violations": len(executed.violations),
             }
-            if executed.result.reason is not None:
-                extras["reason"] = executed.result.reason
-            return executed.result.status, bounded, extras
+            if result.reason is not None:
+                extras["reason"] = result.reason
+            return result.status, bounded, errored, extras
 
     runs = []
     errors = 0
@@ -166,13 +170,13 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
     def probe(mu: float) -> bool:
         nonlocal errors
         try:
-            status, bounded, extras = run_once(mu)
+            status, bounded, errored, extras = run_once(mu)
         except ChemfvError as exc:
             errors += 1
             runs.append({"mu": mu, "status": f"error: {exc}", "bounded": False})
             return False
         runs.append({"mu": mu, "status": status, "bounded": bounded, **extras})
-        if status == STEP_BUDGET or "reason" in extras:   # no verdict on mu: counts as errored
+        if errored:
             errors += 1
         return bounded
 
@@ -282,10 +286,9 @@ def _keep_freed_heap() -> None:
     bench workload (128^2, a monitor record every step) went from 0.74-0.90 s
     to 0.99-1.20 s and from about 1,000 to 69,600 minor page faults, and
     verify-2d (64^2, 300 trials in stacks of 4 fields) from 0.13-0.17 s to
-    0.24-0.27 s and from about 880 to 38,300 faults (before the trials were
-    stacked: 0.23 s against 0.22-0.45 s, 500 against 34,000 faults).  The
-    call can go once ``monitors.record`` and the oracle pass stop freeing grid
-    arrays per call.  Other C libraries are left alone.
+    0.24-0.27 s and from about 880 to 38,300 faults.  The call can go once
+    ``monitors.record`` and the oracle pass stop freeing grid arrays per
+    call.  Other C libraries are left alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

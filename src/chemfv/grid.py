@@ -12,9 +12,10 @@ from slices of the interior face gradients, and the zero boundary faces are
 never stored.  ``extend_neumann`` builds the one padded copy, for the
 centered stencils of ``gradient_cells`` and the 2D cross derivative.
 
-The stencils and the cosine series act on the trailing ``grid.dim`` axes, so
-the ``*_stack`` functions take a stack of fields with leading axes, and the
-one-field operators are the same code with none.
+The stencils, the integral and the cosine series act on the trailing
+``grid.dim`` axes, so ``gradient_cells``, ``hessian`` and ``integrate`` take a
+``FieldStack`` of fields where they take one ``ScalarField``, and treat each
+field of the stack as they treat it alone.
 
 Quadrature is the midpoint rule, which is the natural pairing for a
 cell-centered finite volume scheme and is exact for cellwise-linear data.
@@ -111,6 +112,21 @@ class ScalarField:
         return ScalarField(self.grid, self.values.copy())
 
 
+@dataclass
+class FieldStack:
+    """Fields of one grid on a leading axis: values of shape (count, *grid.shape)."""
+
+    grid: Grid
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape[1:] != self.grid.shape:
+            raise DomainError(
+                f"stack shape {self.values.shape} is not (count, *{self.grid.shape})"
+            )
+
+
 def constant_field(grid: Grid, value: float) -> ScalarField:
     return ScalarField(grid, np.full(grid.shape, float(value)))
 
@@ -126,30 +142,21 @@ def _require_finite(values: np.ndarray) -> None:
         raise CorruptionError("field contains non-finite values")
 
 
-def integrate(f: ScalarField) -> float:
+def integrate(f: ScalarField | FieldStack) -> float | list[float]:
     """Midpoint-rule integral over the domain: h^dim * sum of cell values.
 
-    The values are scanned for non-finite entries only when the sum is not
-    finite: a finite sum has only finite terms.  A sum that overflows on
+    A float for a ScalarField; a list of each field's integral for a
+    FieldStack, each field summed as one contiguous row, as it is summed
+    alone.  The values are scanned for non-finite entries only when a sum is
+    not finite: a finite sum has only finite terms.  A sum that overflows on
     finite values is returned as it is.
     """
-    total = float(f.values.sum())
-    if not math.isfinite(total):
-        _require_finite(f.values)
-    return f.grid.cell_volume * total
-
-
-def integrate_stack(grid: Grid, values: np.ndarray) -> list[float]:
-    """``integrate`` of each field of a stack ``(count, *grid.shape)``.
-
-    Each field is summed as one contiguous row, in the order ``integrate``
-    sums it alone, and scaled as a Python float, as ``integrate`` scales it.
-    """
-    rows = values.reshape(len(values), -1)
-    sums = rows.sum(axis=1)
-    if not np.isfinite(sums).all():
+    rows = f.values.reshape(-1, math.prod(f.grid.shape))
+    sums = rows.sum(axis=1).tolist()
+    if not all(map(math.isfinite, sums)):
         _require_finite(rows)
-    return [grid.cell_volume * total for total in sums.tolist()]
+    totals = [f.grid.cell_volume * total for total in sums]
+    return totals if isinstance(f, FieldStack) else totals[0]
 
 
 def lp_norm(f: ScalarField, p: float) -> float:
@@ -206,26 +213,23 @@ def _second_difference(values: np.ndarray, axis: int, h: float,
     return out
 
 
-def gradient_stack(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``gradient_cells`` of every field of a stack ``(*lead, *grid.shape)``."""
-    padded = _pad_neumann(values, grid.dim)
+def gradient_cells(f: ScalarField | FieldStack) -> tuple[np.ndarray, ...]:
+    """Per-axis cell-centered central differences (f_{i+1} - f_{i-1})/(2h).
+
+    Mirror ghosts make the boundary cells use a one-sided stencil of the same
+    form, consistent with the zero-flux closure.  Each array has the shape of
+    ``f.values``.
+    """
+    dim = f.grid.dim
+    padded = _pad_neumann(f.values, dim)
     out = []
-    for axis, h in enumerate(grid.spacing):
-        lo = [Ellipsis] + [slice(1, -1)] * grid.dim
+    for axis, h in enumerate(f.grid.spacing):
+        lo = [Ellipsis] + [slice(1, -1)] * dim
         hi = list(lo)
         lo[1 + axis] = slice(0, -2)
         hi[1 + axis] = slice(2, None)
         out.append((padded[tuple(hi)] - padded[tuple(lo)]) / (2.0 * h))
     return tuple(out)
-
-
-def gradient_cells(f: ScalarField) -> tuple[np.ndarray, ...]:
-    """Per-axis cell-centered central differences (f_{i+1} - f_{i-1})/(2h).
-
-    Mirror ghosts make the boundary cells use a one-sided stencil of the same
-    form, consistent with the zero-flux closure.
-    """
-    return gradient_stack(f.grid, f.values)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -242,10 +246,14 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, total)
 
 
-def hessian_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """``hessian`` of every field of a stack ``(*lead, *grid.shape)``, shape
-    ``(dim, dim, *lead, *grid.shape)``."""
-    dim, h = grid.dim, grid.spacing
+def hessian(f: ScalarField | FieldStack) -> np.ndarray:
+    """Discrete Hessian, shape (dim, dim, *f.values.shape), symmetric by construction.
+
+    Diagonal entries use the same per-axis second-difference stencil as
+    ``laplacian`` (so the trace matches it to round-off); off-diagonal entries
+    use the centered cross stencil on mirror ghosts.
+    """
+    values, dim, h = f.values, f.grid.dim, f.grid.spacing
     out = np.empty((dim, dim) + values.shape)
     for axis in range(dim):
         _second_difference(values, axis - dim, h[axis], out=out[axis, axis])
@@ -258,34 +266,30 @@ def hessian_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def hessian(f: ScalarField) -> np.ndarray:
-    """Discrete Hessian, shape (dim, dim, *grid.shape), symmetric by construction.
+def _cosine_rows(grid: Grid, axis: int, ks: np.ndarray) -> np.ndarray:
+    """cos(k pi x / L) at the cell centers of ``axis``, one row per mode index in ``ks``."""
+    return np.cos(ks[:, None] * math.pi * grid.axis_centers(axis) / grid.extents[axis])
 
-    Diagonal entries use the same per-axis second-difference stencil as
-    ``laplacian`` (so the trace matches it to round-off); off-diagonal entries
-    use the centered cross stencil on mirror ghosts.
+
+def _cosine_series(grid: Grid, tables: list[np.ndarray], rows: np.ndarray,
+                   coeffs: np.ndarray) -> np.ndarray:
+    """Values of the cosine series of each ``coeffs`` ``(*lead, num_modes)``,
+    shape ``(*lead, *grid.shape)``.
+
+    Mode j's cosines on an axis are row ``rows[..., j, axis]`` of that axis's
+    table, so ``np.cos`` runs once per distinct mode index, not per field and
+    mode.  Each mode's scaled term is built in one scratch array and added to
+    the sum in mode order; no array has both a mode axis and a cell axis.
     """
-    return hessian_stack(f.grid, f.values)
-
-
-def _cosine_series(grid: Grid, modes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Values of the cosine series of each ``modes`` ``(*lead, num_modes, dim)``
-    and ``coeffs`` ``(*lead, num_modes)``, shape ``(*lead, *grid.shape)``.
-
-    One ``np.cos`` call per axis covers every mode; each mode's scaled term is
-    built in one scratch array and added to the sum in mode order.
-    """
-    cosines = [np.cos(modes[..., axis, None] * math.pi * grid.axis_centers(axis)
-                      / grid.extents[axis])
-               for axis in range(grid.dim)]
     scale = coeffs.reshape(coeffs.shape + (1,) * grid.dim)
     values = np.zeros(coeffs.shape[:-1] + grid.shape)
     term = np.empty(values.shape)
     for j in range(coeffs.shape[-1]):
+        cos_x = tables[0][rows[..., j, 0]]
         if grid.dim == 1:
-            np.multiply(cosines[0][..., j, :], scale[..., j, :], out=term)
+            np.multiply(cos_x, scale[..., j, :], out=term)
         else:
-            np.multiply(cosines[0][..., j, :, None], cosines[1][..., j, None, :], out=term)
+            np.multiply(cos_x[..., :, None], tables[1][rows[..., j, 1]][..., None, :], out=term)
             term *= scale[..., j, :, :]
         values += term
     return values
@@ -301,16 +305,21 @@ def cosine_field(grid: Grid, modes: Sequence[Sequence[int]], coeffs: Sequence[fl
     coeffs = np.asarray(coeffs, dtype=float)
     if modes.shape[0] != coeffs.shape[0] or modes.shape[1] != grid.dim:
         raise DomainError("modes must be (num_modes, dim) and match coeffs length")
-    return ScalarField(grid, _cosine_series(grid, modes, coeffs))
+    tables, rows = [], np.empty_like(modes)
+    for axis in range(grid.dim):
+        ks, rows[:, axis] = np.unique(modes[:, axis], return_inverse=True)
+        tables.append(_cosine_rows(grid, axis, ks))
+    return ScalarField(grid, _cosine_series(grid, tables, rows, coeffs))
 
 
 MAX_MODE_INDEX = 4
 
 
-def random_smooth_stack(grid: Grid, seeds: Sequence, num_modes: int) -> np.ndarray:
-    """``random_smooth_field`` values for each of ``seeds``, shape ``(len(seeds), *grid.shape)``.
+def random_smooth_stack(grid: Grid, seeds: Sequence, num_modes: int) -> FieldStack:
+    """``random_smooth_field`` of each of ``seeds``, stacked in that order.
 
-    Each field draws from its own generator; one cosine series call builds them all.
+    Each field draws from its own generator; one cosine series call builds
+    them all, from one table per axis of the mode indices 0..MAX_MODE_INDEX.
     """
     if num_modes < 1:
         raise DomainError("num_modes must be >= 1")
@@ -320,7 +329,10 @@ def random_smooth_stack(grid: Grid, seeds: Sequence, num_modes: int) -> np.ndarr
         rng = np.random.default_rng(seed)
         modes[k] = rng.integers(0, MAX_MODE_INDEX + 1, size=(num_modes, grid.dim))
         raw[k] = rng.standard_normal(num_modes)
-    return _cosine_series(grid, modes, raw / (1.0 + (modes**2).sum(axis=-1)))
+    ks = np.arange(MAX_MODE_INDEX + 1)
+    tables = [_cosine_rows(grid, axis, ks) for axis in range(grid.dim)]
+    return FieldStack(grid, _cosine_series(grid, tables, modes,
+                                           raw / (1.0 + (modes**2).sum(axis=-1))))
 
 
 def random_smooth_field(grid: Grid, seed, num_modes: int) -> ScalarField:
@@ -329,7 +341,7 @@ def random_smooth_field(grid: Grid, seed, num_modes: int) -> ScalarField:
     Deterministic for a given seed; mode indices stay small enough that a
     32-cell axis still resolves every half wave.
     """
-    return ScalarField(grid, random_smooth_stack(grid, [seed], num_modes)[0])
+    return ScalarField(grid, random_smooth_stack(grid, [seed], num_modes).values[0])
 
 
 def write_field(f: ScalarField, path: str | Path) -> None:

@@ -19,12 +19,12 @@ are derived from (seed, trial_index).  The Gagliardo-Nirenberg estimate looks
 at the first ``GN_MAX_FIELDS`` trial fields only.
 
 ``verify_fields`` is the one pass over the trial fields.  It builds them in
-stacks of ``max(1, TRIAL_BATCH_CELLS // cells)`` fields, each drawn from its
-own generator; each stack's Hessians and gradients come from one call per
-grid operator, and the three field checks and the GN ratios are read from
-those shared arrays.  Every per-field reduction is one contiguous row of the
-stack, summed in the order of the field alone, so each trial's margins are
-the ones the field gives by itself.  The per-oracle functions select their
+stacks of ``max(1, TRIAL_BATCH_CELLS // max(cells, num_modes * dim))`` fields,
+each drawn from its own generator; each stack's Hessians and gradients come
+from one call per grid operator, and the three field checks and the GN
+ratios are read from those shared arrays.  Every per-field reduction is one
+contiguous row of the stack, summed in the order of the field alone, so each
+trial's margins are the ones the field gives by itself.  The per-oracle functions select their
 result from the pass.  A margin or ratio that evaluates to NaN (say, a cell
 volume that overflows) is never skipped: it makes the worst margin NaN, which
 fails the verdict, and makes the GN constant NaN.
@@ -39,18 +39,16 @@ import numpy as np
 
 from .certificates import compute_p_bar, d3_constant, pbar_relation_margins
 from .errors import DomainError
-from .grid import (Grid, ScalarField, gradient_stack, hessian_stack, integrate_stack,
+from .grid import (FieldStack, Grid, ScalarField, gradient_cells, hessian, integrate,
                    random_smooth_stack)
-# Not called here; the bench tracer in bench/child.py wraps these names in
-# this module, so they stay bound.
-from .grid import gradient_cells, hessian, integrate  # noqa: F401
 
 POINTWISE_SLACK = 1e-12
 ADDITIVE_SLACK = 1e-9
 H_SLACK = 1.0  # coefficient of the O(h) relative slack of the integral check
 GN_MAX_FIELDS = 200
-# Cells per stack of trial fields: the pass builds max(1, TRIAL_BATCH_CELLS // cells)
-# fields at a time (4 at 64^2, 128 on a 128-cell line, 1 at 128^2).
+# Entries per array of a stack of trial fields: the pass builds
+# max(1, TRIAL_BATCH_CELLS // max(cells, num_modes * dim)) fields at a time
+# (4 at 64^2, 128 on a 128-cell line, 1 at 128^2 with the default 8 modes).
 TRIAL_BATCH_CELLS = 16_384
 
 
@@ -101,12 +99,12 @@ class _StackOps(NamedTuple):
     gsq: np.ndarray       # |grad f|^2 per cell
 
 
-def _stack_ops(grid: Grid, values: np.ndarray) -> _StackOps:
-    hess = hessian_stack(grid, values)
-    grads = np.stack(gradient_stack(grid, values))
+def _stack_ops(stack: FieldStack) -> _StackOps:
+    hess = hessian(stack)
+    grads = np.stack(gradient_cells(stack))
     grads_sq = grads**2
-    return _StackOps(grid, values, hess, grads, grads_sq, (hess**2).sum(axis=(0, 1)),
-                     grads_sq.sum(axis=0))
+    return _StackOps(stack.grid, stack.values, hess, grads, grads_sq,
+                     (hess**2).sum(axis=(0, 1)), grads_sq.sum(axis=0))
 
 
 def _min_margins(lhs: np.ndarray, rhs: np.ndarray) -> list[float]:
@@ -131,8 +129,8 @@ def _hessian_gradient(ops: _StackOps) -> list[float]:
 
 def _gradient_power(ops: _StackOps, q: float) -> list[tuple[float, float]]:
     grid = ops.grid
-    lhs = integrate_stack(grid, ops.gsq ** (q + 1.0))
-    rhs = integrate_stack(grid, ops.gsq ** (q - 1.0) * ops.hsq)
+    lhs = integrate(FieldStack(grid, ops.gsq ** (q + 1.0)))
+    rhs = integrate(FieldStack(grid, ops.gsq ** (q - 1.0) * ops.hsq))
     sups = _rows(np.abs(ops.values)).max(axis=1).tolist()
     factor = 2.0 * (4.0 * q**2 + grid.dim)
     return [(l, factor * sup_f**2 * r) for l, sup_f, r in zip(lhs, sups, rhs)]
@@ -157,7 +155,7 @@ def _gn_ratios(ops: _StackOps, theta: float, count: int) -> list[float]:
 
 
 def _single(f: ScalarField) -> _StackOps:
-    return _stack_ops(f.grid, f.values[None])
+    return _stack_ops(FieldStack(f.grid, f.values[None]))
 
 
 def laplacian_hessian_margin(f: ScalarField) -> float:
@@ -198,24 +196,31 @@ def _stack_margins(cfg: OracleConfig, start: int, count: int,
     The stack's arrays die on return, before the next stack is built.
     """
     seeds = [(cfg.seed, index) for index in range(start, start + count)]
-    ops = _stack_ops(cfg.grid, random_smooth_stack(cfg.grid, seeds, cfg.num_modes))
+    ops = _stack_ops(random_smooth_stack(cfg.grid, seeds, cfg.num_modes))
     powers = [(rhs - lhs) / (1.0 + lhs + rhs) for lhs, rhs in _gradient_power(ops, cfg.q)]
     gn_count = min(count, max(0, GN_MAX_FIELDS - start))
     ratios = (_gn_ratios(ops, theta, gn_count) if gn_count else []) + [0.0] * (count - gn_count)
     return list(zip(_laplacian_hessian(ops), _hessian_gradient(ops), powers, ratios))
 
 
+def _stack_size(cfg: OracleConfig) -> int:
+    """Trial fields per stack: each stack array (fields, operators, mode
+    indices) holds about ``TRIAL_BATCH_CELLS`` entries, and at least one field."""
+    per_field = max(math.prod(cfg.grid.shape), cfg.num_modes * cfg.grid.dim)
+    return max(1, TRIAL_BATCH_CELLS // per_field)
+
+
 def verify_fields(cfg: OracleConfig) -> tuple[list[OracleVerdict], float]:
     """The three field oracles and the GN constant in one pass over the trials.
 
-    The trials go in stacks of ``max(1, TRIAL_BATCH_CELLS // cells)`` fields,
-    and each stack's fields, Hessians and gradients are built by one call per
-    operator.  Returns the Laplacian-Hessian, Hessian-gradient and
-    gradient-power verdicts, in that order, and the GN constant of the first
+    The trials go in stacks of ``_stack_size(cfg)`` fields, and each stack's
+    fields, Hessians and gradients are built by one call per operator.
+    Returns the Laplacian-Hessian, Hessian-gradient and gradient-power
+    verdicts, in that order, and the GN constant of the first
     ``GN_MAX_FIELDS`` fields.
     """
     theta = (1.0 - 0.5) / (1.0 - 0.5 + 1.0 / cfg.grid.dim)
-    batch = max(1, TRIAL_BATCH_CELLS // math.prod(cfg.grid.shape))
+    batch = _stack_size(cfg)
     lap_worst = hg_worst = power_worst = math.inf
     gn = 0.0
     for start in range(0, cfg.trials, batch):

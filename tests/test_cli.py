@@ -231,7 +231,7 @@ class TestSweep:
 
         def fake_run(mu):
             calls.append(mu)
-            return "completed", mu >= 1.55, {}
+            return "completed", mu >= 1.55, False, {}
 
         report = sweep_report(cfg, run_once=fake_run)
         assert calls[:2] == [1.0, 2.0]
@@ -247,7 +247,7 @@ class TestSweep:
 
         def fake_run(mu):
             calls.append(mu)
-            return "completed", mu > 1.5, {}
+            return "completed", mu > 1.5, False, {}
 
         sweep_report(cfg, run_once=fake_run)
         assert calls == [1.0, 3.0, 2.0]
@@ -255,7 +255,7 @@ class TestSweep:
     def test_no_bracket_skips_bisection(self, tmp_path):
         text = BASE_CONFIG + "\n[sweep]\nmu_lo = 1.0\nmu_hi = 2.0\nbisection_steps = 5\n"
         cfg = parse_config(text)
-        report = sweep_report(cfg, run_once=lambda mu: ("completed", True, {}))
+        report = sweep_report(cfg, run_once=lambda mu: ("completed", True, False, {}))
         assert len(report["runs"]) == 2
         assert report["mu_empirical_lo"] is None
         assert report["mu_empirical_hi"] == 1.0
@@ -398,18 +398,18 @@ class TestVerify:
             stacks.append(real_stack(grid, seeds, num_modes))
             return stacks[-1]
         monkeypatch.setattr(chemfv.oracle, "random_smooth_stack", fields)
-        for name in ("hessian_stack", "gradient_stack"):
-            def counted(grid, values, _fn=getattr(chemfv.oracle, name), _name=name):
-                calls.append((_name, values))
-                return _fn(grid, values)
+        for name in ("hessian", "gradient_cells"):
+            def counted(f, _fn=getattr(chemfv.oracle, name), _name=name):
+                calls.append((_name, f))
+                return _fn(f)
             monkeypatch.setattr(chemfv.oracle, name, counted)
         trials = 250
         assert main(["verify", "--config", write_config(tmp_path), "--out", str(tmp_path),
                      "--set", "grid.nx=200", "--set", "oracle.trials=" + str(trials)]) == 0
-        assert [len(s) for s in stacks] == [81, 81, 81, 7]
-        assert sum(len(s) for s in stacks) == trials
-        assert [(name, id(values)) for name, values in calls] == [
-            (name, id(s)) for s in stacks for name in ("hessian_stack", "gradient_stack")]
+        assert [len(s.values) for s in stacks] == [81, 81, 81, 7]
+        assert sum(len(s.values) for s in stacks) == trials
+        assert [(name, id(f)) for name, f in calls] == [
+            (name, id(s)) for s in stacks for name in ("hessian", "gradient_cells")]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nan_margin_exits_4(self, tmp_path):

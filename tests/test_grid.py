@@ -10,7 +10,7 @@ from chemfv import (CorruptionError, DomainError, Grid, ScalarField, constant_fi
                     cosine_field, extend_neumann, field_from_function, gradient_cells,
                     hessian, integrate, laplacian, lp_norm, random_smooth_field,
                     read_field, write_field)
-from chemfv.grid import gradient_stack, hessian_stack, integrate_stack, random_smooth_stack
+from chemfv.grid import FieldStack, random_smooth_stack
 
 
 def _mirror_face_gradients(f):
@@ -53,6 +53,13 @@ class TestGrid:
         with pytest.raises(DomainError):
             ScalarField(Grid.line(8, 1.0), np.zeros(7))
 
+    def test_stack_shape_mismatch(self):
+        g = Grid.rect(8, 6, 1.0, 1.0)
+        for shape in [(8, 6), (3, 6, 8), (2, 1, 8, 6)]:
+            with pytest.raises(DomainError):
+                FieldStack(g, np.zeros(shape))
+        assert FieldStack(g, np.zeros((3, 8, 6))).values.shape == (3, 8, 6)
+
 
 class TestIntegrate:
     def test_constant(self):
@@ -85,13 +92,13 @@ class TestIntegrate:
         stack = np.ones((3,) + g.shape)
         stack[1, 3] = bad
         with pytest.raises(CorruptionError):
-            integrate_stack(g, stack)
+            integrate(FieldStack(g, stack))
 
     def test_finite_values_whose_sum_overflows(self):
         g = Grid.line(4, 4.0)
         with np.errstate(over="ignore"):
             assert integrate(constant_field(g, 1e308)) == math.inf
-            assert integrate_stack(g, np.full((2, 4), 1e308)) == [math.inf, math.inf]
+            assert integrate(FieldStack(g, np.full((2, 4), 1e308))) == [math.inf, math.inf]
 
 
 class TestLpNorm:
@@ -413,6 +420,11 @@ class TestPadFreeByteParity:
         modes, coeffs = [(0,) * grid.dim, (1,) * grid.dim], [0.0, -0.0]
         _assert_same_bytes(cosine_field(grid, modes, coeffs).values,
                            _ref_cosine_field(grid, modes, coeffs))
+        # negative, repeated and large mode indices, in no order
+        modes = [(40,) * grid.dim, (-3,) * grid.dim, (1000, -3)[:grid.dim], (40,) * grid.dim]
+        coeffs = [0.5, -1.25, 2.0, 0.75]
+        _assert_same_bytes(cosine_field(grid, modes, coeffs).values,
+                           _ref_cosine_field(grid, modes, coeffs))
 
     @pytest.mark.parametrize("grid", [Grid.line(32, 1.5), Grid.rect(16, 12, 1.0, 0.5),
                                       Grid.rect(64, 64, 1.0, 1.0)], ids=str)
@@ -436,9 +448,10 @@ class TestStackedOperators:
             "integer": lambda: rng.integers(-5, 6, size=lead + grid.shape).astype(float),
             "random": lambda: rng.standard_normal(lead + grid.shape),
         }[kind]()
-        hess = hessian_stack(grid, values)
-        grads = gradient_stack(grid, values)
-        sums = integrate_stack(grid, values.reshape((-1,) + grid.shape))
+        stack = FieldStack(grid, values.reshape((-1,) + grid.shape))
+        hess = hessian(stack).reshape((grid.dim, grid.dim) + values.shape)
+        grads = [g.reshape(values.shape) for g in gradient_cells(stack)]
+        sums = integrate(stack)
         for k, index in enumerate(np.ndindex(lead)):
             f = ScalarField(grid, values[index].copy())
             _assert_same_bytes(hess[(slice(None), slice(None)) + index], hessian(f))
@@ -450,6 +463,6 @@ class TestStackedOperators:
     def test_random_smooth_stack(self, grid):
         seeds = [(7, seed) for seed in range(6)]
         stack = random_smooth_stack(grid, seeds, 8)
-        assert stack.shape == (6,) + grid.shape
-        for values, seed in zip(stack, seeds):
+        assert stack.values.shape == (6,) + grid.shape
+        for values, seed in zip(stack.values, seeds):
             _assert_same_bytes(values, _ref_random_smooth_field(grid, seed, 8))

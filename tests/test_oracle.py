@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 from chemfv import (DomainError, Grid, ScalarField, compute_p_bar, field_from_function,
                     gradient_cells, hessian, integrate, random_smooth_field)
 from chemfv.oracle import (GN_MAX_FIELDS, TRIAL_BATCH_CELLS, OracleConfig, _stack_margins,
-                           estimate_gn_constant, gradient_power_sides, hessian_gradient_margin,
-                           laplacian_hessian_margin, verify_fields,
+                           _stack_size, estimate_gn_constant, gradient_power_sides,
+                           hessian_gradient_margin, laplacian_hessian_margin, verify_fields,
                            verify_gradient_power_hessian, verify_hessian_gradient,
                            verify_laplacian_vs_hessian, verify_pbar_relations,
                            verify_young_combination)
@@ -380,8 +382,8 @@ class TestStackedTrialParity:
     @pytest.mark.parametrize("q", [1.0, 2.5])
     @pytest.mark.parametrize("num_modes", [1, 8])
     def test_every_trial_matches_the_per_field_pass(self, grid, batch, trials, q, num_modes):
-        assert max(1, TRIAL_BATCH_CELLS // math.prod(grid.shape)) == batch
         cfg = OracleConfig(grid=grid, trials=trials, seed=num_modes, q=q, num_modes=num_modes)
+        assert _stack_size(cfg) == batch
         theta = _theta(grid)
         refs = [_ref_trial_margins(cfg, i, theta) for i in range(trials)]
         for start in range(0, trials, batch):
@@ -402,3 +404,22 @@ class TestStackedTrialParity:
                 assert hessian_gradient_margin(f) == _ref_hessian_gradient(ops)
                 for q in (1.0, 2.5):
                     assert gradient_power_sides(f, q) == _ref_gradient_power(ops, q)
+
+
+class TestStackMemory:
+    # A stack's arrays hold about TRIAL_BATCH_CELLS entries whatever num_modes
+    # is: the mode indices cap the stack size, and the cosine series keeps no
+    # array with both a mode axis and a cell axis.  On this line, 128 stacked
+    # fields with such an array would take 2 x 128 x 2000 x 128 doubles, 0.5 GB;
+    # the default 8 modes peak at about 1.6 MB.
+    def test_many_modes_on_a_line(self):
+        cfg = OracleConfig(grid=Grid.line(128, 1.0), trials=20, num_modes=2000)
+        assert _stack_size(cfg) == 8
+        verify_fields(replace(cfg, trials=1, num_modes=1))   # lazy imports before tracing
+        tracemalloc.start()
+        try:
+            verify_fields(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * TRIAL_BATCH_CELLS * 8   # 4 MiB
