@@ -285,8 +285,8 @@ def _keep_freed_heap() -> None:
     VM, numpy 2.4, minor faults from ``getrusage(RUSAGE_SELF)``): the run-2d
     bench workload (128^2, a monitor record every step) went from 0.74-0.90 s
     to 0.99-1.20 s and from about 1,000 to 69,600 minor page faults, and
-    verify-2d (64^2, 300 trials in stacks of 4 fields) from 0.13-0.17 s to
-    0.24-0.27 s and from about 880 to 38,300 faults.  The call can go once
+    verify-2d (64^2, 300 trials in stacks of 4 fields) from 0.12-0.19 s to
+    0.19-0.27 s and from about 890 to 38,300 faults.  The call can go once
     ``monitors.record`` and the oracle pass stop freeing grid arrays per
     call.  Other C libraries are left alone.
     """
