@@ -42,7 +42,6 @@ class ModelParams:
     mu: float
     chi0: float
     a: float
-    b: float
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
@@ -53,8 +52,6 @@ class ModelParams:
             raise DomainError("chi0 must be nonnegative")
         if self.a < 0.0:
             raise DomainError("a must be nonnegative")
-        if not self.b > 0.0:
-            raise DomainError("b must be positive")
         if not self.alpha < (self.m + 1.0) / 2.0:
             raise DomainError(
                 f"alpha < (m+1)/2 violated (alpha={self.alpha}, m={self.m})"
@@ -63,7 +60,7 @@ class ModelParams:
     def as_dict(self) -> dict:
         return {
             "n": self.n, "m": self.m, "alpha": self.alpha, "k": self.k,
-            "mu": self.mu, "chi0": self.chi0, "a": self.a, "b": self.b,
+            "mu": self.mu, "chi0": self.chi0, "a": self.a,
         }
 
 
@@ -177,19 +174,6 @@ def chi_prototype(v, chi0: float, a: float):
     if np.any(v_arr < 0.0):
         raise DomainError("chi_prototype requires v >= 0")
     out = chi0 / (1.0 + a * v_arr) ** 2
-    return float(out) if np.isscalar(v) or v_arr.ndim == 0 else out
-
-
-def chi_growth_bound(v, chi0: float, a: float, b: float):
-    """Growth envelope chi0 / (1 + a v)^b; equals the prototype at b = 2."""
-    import numpy as np
-
-    if not b > 0.0:
-        raise DomainError("b must be positive")
-    v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr < 0.0):
-        raise DomainError("chi_growth_bound requires v >= 0")
-    out = chi0 / (1.0 + a * v_arr) ** b
     return float(out) if np.isscalar(v) or v_arr.ndim == 0 else out
 
 

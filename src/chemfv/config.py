@@ -32,7 +32,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "mu": (_FLOAT, 1.0),
         "chi0": (_FLOAT, 1.0),
         "a": (_FLOAT, 0.0),
-        "b": (_FLOAT, 2.0),
     },
     "grid": {
         "dim": (_INT, 1),
@@ -185,8 +184,7 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
     try:
         model = ModelParams(
             n=v["model"]["n"], m=v["model"]["m"], alpha=v["model"]["alpha"],
-            k=v["model"]["k"], mu=v["model"]["mu"], chi0=v["model"]["chi0"],
-            a=v["model"]["a"], b=v["model"]["b"],
+            k=v["model"]["k"], mu=v["model"]["mu"], chi0=v["model"]["chi0"], a=v["model"]["a"],
         )
     except ChemfvError as exc:
         raise ConfigError(f"invalid [model]: {exc}")

@@ -63,6 +63,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if not self.q >= 1.0:
             raise DomainError("q must be >= 1")
         if self.num_modes < 1:

@@ -11,8 +11,9 @@ mass of u is conserved to round-off regardless of the nonlinearity.
 
 One kernel, ``_kernel``, computes every operator (face fluxes, divergence,
 lap v, the step limits) for ``step``, ``stable_dt`` and ``run``.  The march
-holds u and v stacked in two ``(2, *shape)`` buffers and, like its work arrays,
-allocates them once per run; only the hook and the result get ``SimState`` copies.
+holds u and v stacked in one ``(2, *shape)`` state, updated in place by each
+step, and its rates in one more; like the work arrays, both are allocated once
+per run.  Only the hook and the result get ``SimState`` copies.
 
 Loss of boundedness is detected numerically: a run ends ``blowup_detected``
 when sup u exceeds a threshold, ``dt_underflow`` when the stable step
@@ -63,6 +64,8 @@ class SolverConfig:
             raise DomainError("dt_min must be positive")
         if not self.u_max > 0.0:
             raise DomainError("u_max must be positive")
+        if self.max_steps < 1:
+            raise DomainError("max_steps must be >= 1")
         if self.output_every_steps is not None and self.output_every_steps < 1:
             raise DomainError("output_every_steps must be >= 1")
         if self.output_every_time is not None and not self.output_every_time > 0.0:
@@ -93,11 +96,11 @@ class RunResult:
 
 
 def _kernel(grid: Grid, params: ModelParams):
-    """Build the march buffers and the rates-and-limits kernel for ``grid`` and ``params``.
+    """Build the march state and the rates-and-limits kernel for ``grid`` and ``params``.
 
-    Returns two ping-pong ``[u; v]`` buffers and ``rates(i, sup_u, sup_v) ->
-    (R, dt_diff, dt_adv, dt_react)`` at ``states[i]``, which writes ``R = [du_dt;
-    dv_dt]`` into the other buffer.  du_dt is the divergence of the face flux D_face
+    Returns the stacked ``[u; v]`` state ``s`` and ``rates(sup_u, sup_v) ->
+    (R, dt_diff, dt_adv, dt_react)`` at ``s``, which writes ``R = [du_dt; dv_dt]``
+    into the kernel's one rates buffer.  du_dt is the divergence of the face flux D_face
     grad u - (u+1)^alpha w, zero on boundary faces, plus k u - mu u^2: D_face
     is the face mean of (u+1)^(m-1), w = chi(v_face) grad v, and (u+1)^alpha
     comes from the upwind cell.  dv_dt is lap v - u v.  The limits are
@@ -113,31 +116,29 @@ def _kernel(grid: Grid, params: ModelParams):
     dt_diff_linear = 1.0 / (2.0 * inv_h2)
     h_min, two_dim, a_half, abs_k, two_mu = min(h), 2.0 * grid.dim, params.a * 0.5, abs(k), 2.0 * mu
     shape, n = grid.shape, math.prod(grid.shape)
-    states = (np.empty((2, *shape)), np.empty((2, *shape)))
+    s, R = np.empty((2, *shape)), np.empty((2, *shape))
+    (u, v), (du_dt, dv_dt) = s, R
     # Scratch that the axes, one after another, and then the reaction terms share.
     scratch = [np.empty(2 * n), np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)]
     c1, c2 = scratch[1].reshape(shape), scratch[2].reshape(shape)
     coef = None if m == 1.0 else np.empty(shape)
     trans = None if alpha == 0.0 or chi0 == 0.0 else np.empty(shape)
     powers = [(b, e) for b, e in ((coef, m - 1.0), (trans, alpha)) if b is not None]
-    # per buffer: u, v, the other buffer as R = [du_dt; dv_dt], du_dt, dv_dt, face views
-    plans = tuple((*s, r, *r, []) for s, r in zip(states, states[::-1]))
+    faces = []
     for axis, hx in enumerate(h):
         lo, hi = ((slice(None),) + tuple(cut if i == axis else slice(None) for i in range(grid.dim))
                   for cut in (slice(0, -1), slice(1, None)))
-        F = scratch[0][:states[0][lo].size].reshape(states[0][lo].shape)   # [u part; v part]
+        F = scratch[0][:s[lo].size].reshape(s[lo].shape)   # [u part; v part]
         w, s1, s2, mask = (b[:F[0].size].reshape(F.shape[1:]) for b in scratch[1:])
         c_lh = (None, None) if coef is None else (coef[lo[1:]], coef[hi[1:]])
         t_lh = (None, None) if trans is None else (trans[lo[1:]], trans[hi[1:]])
-        for s, (_, v, R, _, _, faces) in zip(states, plans):
-            faces.append((hx, s[lo], s[hi], v[lo[1:]], v[hi[1:]], F, *F, R[lo], R[hi],
-                          *c_lh, *t_lh, w, s1, s2, mask))
+        faces.append((hx, s[lo], s[hi], v[lo[1:]], v[hi[1:]], F, *F, R[lo], R[hi],
+                      *c_lh, *t_lh, w, s1, s2, mask))
 
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide   # bound once
 
-    def rates(i: int, sup_u: float, sup_v: float):
+    def rates(sup_u: float, sup_v: float):
         # Each ufunc call writes into its last argument and returns it.
-        u, v, R, du_dt, dv_dt, faces = plans[i]
         for buf, exponent in powers:   # (u+1)^(m-1), (u+1)^alpha
             add(u, 1.0, buf)
             buf **= exponent   # in place, ** keeps numpy's fast paths (sqrt, square)
@@ -173,7 +174,7 @@ def _kernel(grid: Grid, params: ModelParams):
         dt_react = 1.0 / (abs_k + two_mu * sup_u + sup_u + sup_v + 1.0)
         return R, dt_diff, dt_adv, dt_react
 
-    return states, rates
+    return s, rates
 
 
 def _extrema(s: np.ndarray) -> tuple[float, float, float, float, bool]:
@@ -186,10 +187,10 @@ def _extrema(s: np.ndarray) -> tuple[float, float, float, float, bool]:
 
 
 def _load(state: SimState, params: ModelParams):
-    """A kernel for ``state``, the state stacked into ``states[0]``, and its extrema."""
-    states, rates = _kernel(state.u.grid, params)
-    states[0][0], states[0][1] = state.u.values, state.v.values
-    return states, rates, _extrema(states[0])
+    """The stacked march state holding ``state``, its kernel, and its extrema."""
+    s, rates = _kernel(state.u.grid, params)
+    s[0], s[1] = state.u.values, state.v.values
+    return s, rates, _extrema(s)
 
 
 def _snapshot(t: float, grid: Grid, s: np.ndarray) -> SimState:
@@ -203,28 +204,28 @@ def stable_dt(state: SimState, params: ModelParams, config: SolverConfig) -> flo
     _, rates, (_, sup_u, _, sup_v, finite) = _load(state, params)
     if not finite:
         raise CorruptionError("non-finite state")
-    return config.safety * min(rates(0, sup_u, sup_v)[1:])
+    return config.safety * min(rates(sup_u, sup_v)[1:])
 
 
-def _advance(rates, states, i: int, sup_u: float, sup_v: float, t: float,
+def _advance(rates, s: np.ndarray, sup_u: float, sup_v: float, t: float,
              t_target: float | None, config: SolverConfig, v_cap: float):
-    """One forward-Euler step from the finite ``states[i]``, with maxima ``sup_u``
-    and ``sup_v``, into ``states[j]``: returns ``(status, dt, t_new, j, sup_u_new,
-    sup_v_new)``.  On DT_UNDERFLOW, dt is the stability bound and the rest,
-    j = i included, comes back unchanged."""
-    R, dt_diff, dt_adv, dt_react = rates(i, sup_u, sup_v)
+    """One forward-Euler step of the finite state ``s``, with maxima ``sup_u`` and
+    ``sup_v``, in place: returns ``(status, dt, t_new, sup_u_new, sup_v_new)``.
+    On DT_UNDERFLOW, dt is the stability bound, ``s`` is untouched and the rest
+    comes back unchanged; otherwise ``s`` holds the update, even a rejected one."""
+    R, dt_diff, dt_adv, dt_react = rates(sup_u, sup_v)
     dt = config.safety * min(dt_diff, dt_adv, dt_react)
     if dt < config.dt_min:
-        return DT_UNDERFLOW, dt, t, i, sup_u, sup_v
+        return DT_UNDERFLOW, dt, t, sup_u, sup_v
     t_new = t + dt
     if t_target is not None and t_new >= t_target:
         dt, t_new = t_target - t, t_target
-    np.multiply(R, dt, R)   # R is states[1 - i]: the new state takes its place
-    R += states[i]
-    u_lo, u_hi, v_lo, v_hi, finite = _extrema(R)
+    np.multiply(R, dt, R)
+    s += R
+    u_lo, u_hi, v_lo, v_hi, finite = _extrema(s)
     status = (CORRUPTED if not finite or u_lo < -U_NEG_TOL or v_lo < -U_NEG_TOL or v_hi > v_cap
               else BLOWUP if u_hi > config.u_max else ADVANCED)
-    return status, dt, t_new, 1 - i, u_hi, v_hi
+    return status, dt, t_new, u_hi, v_hi
 
 
 def step(state: SimState, params: ModelParams, config: SolverConfig, *,
@@ -235,14 +236,14 @@ def step(state: SimState, params: ModelParams, config: SolverConfig, *,
     ``t_target`` (end time or next output time) when one is given.  Underflow
     is judged on the unclipped stability bound.
     """
-    states, rates, (_, sup_u, _, sup_v, finite) = _load(state, params)
+    s, rates, (_, sup_u, _, sup_v, finite) = _load(state, params)
     if not finite:
         return state, StepOutcome(CORRUPTED, 0.0, sup_u)
-    status, dt, t, i, sup_u_new, _ = _advance(rates, states, 0, sup_u, sup_v, state.t, t_target,
-                                              config, v0_sup * (1.0 + V_SUP_REL_TOL))
+    status, dt, t, sup_u_new, _ = _advance(rates, s, sup_u, sup_v, state.t, t_target, config,
+                                           v0_sup * (1.0 + V_SUP_REL_TOL))
     if status == DT_UNDERFLOW:
         return state, StepOutcome(status, dt, sup_u)
-    return _snapshot(t, state.u.grid, states[i]), StepOutcome(status, dt, sup_u_new)
+    return _snapshot(t, state.u.grid, s), StepOutcome(status, dt, sup_u_new)
 
 
 MonitorHook = Callable[[SimState, float], None]
@@ -267,11 +268,11 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     overflowing) ends the run ``corrupted`` on the hooked state, with the
     error's message as the result's ``reason``.  Initial data must be
     nonnegative and finite; the march never writes into it and hands out
-    copies of its own states.  Each step's sup u and sup v carry over from its
+    copies of its own state.  Each step's sup u and sup v carry over from its
     post-update check.
     """
     grid = initial.u.grid
-    states, rates, (u_lo, sup_u, v_lo, sup_v, finite) = _load(initial, params)
+    s, rates, (u_lo, sup_u, v_lo, sup_v, finite) = _load(initial, params)
     if not finite:
         raise CorruptionError("non-finite initial data")
     if u_lo < 0.0 or v_lo < 0.0:
@@ -287,14 +288,14 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     if sup_u_max > config.u_max:
         return RunResult(BLOWUP, initial, 0, sup_u_max)
 
-    state, status, steps, i, out_index = initial, COMPLETED, 0, 0, 1
+    state, status, steps, out_index = initial, COMPLETED, 0, 1
     while t < t_end:
         if steps >= config.max_steps:
             status = STEP_BUDGET
             break
         t_target = t_end if every_time is None else min(t_end, out_index * every_time)
-        status, dt, t, i, sup_u, sup_v = _advance(rates, states, i, sup_u, sup_v, t, t_target,
-                                                  config, v_cap)
+        status, dt, t, sup_u, sup_v = _advance(rates, s, sup_u, sup_v, t, t_target, config,
+                                               v_cap)
         if status == DT_UNDERFLOW:
             break
         steps += 1
@@ -308,7 +309,7 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
         if monitor_hook is not None and t != hooked_t and (
                 status == BLOWUP or on_time or t == t_end
                 or (every_steps is not None and steps % every_steps == 0)):
-            state, hooked_t = _snapshot(t, grid, states[i]), t
+            state, hooked_t = _snapshot(t, grid, s), t
             reason = _call_hook(monitor_hook, state, dt)
             if reason is not None:
                 status = CORRUPTED
@@ -316,6 +317,6 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
         if status == BLOWUP:
             break
     if state is None:
-        state = _snapshot(t, grid, states[i])
+        state = _snapshot(t, grid, s)
     return RunResult(COMPLETED if status == ADVANCED else status, state, steps, sup_u_max,
                      reason)

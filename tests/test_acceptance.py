@@ -33,7 +33,7 @@ def _config_text(*, model, grid, time_sec, init, monitor):
     ])
 
 
-BASE_MODEL = dict(n=1, m=1.0, alpha=0.0, k=1.0, mu=2.0, chi0=1.0, a=1.0, b=2.0)
+BASE_MODEL = dict(n=1, m=1.0, alpha=0.0, k=1.0, mu=2.0, chi0=1.0, a=1.0)
 BUMP = "gaussian-bump(center=0.5, width=0.05, amplitude=0.4, floor=0.05)"
 
 

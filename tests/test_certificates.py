@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemfv import (AuxiliaryExponents, DomainError, ModelParams, chi_growth_bound,
-                    chi_prototype, compute_p_bar, d1_constant, d3_constant,
-                    default_exponents, energy_constants, evaluate_certificate,
-                    gradv_bound, k1_coeff, k2_coeff, mass_bound, mu_threshold)
+from chemfv import (AuxiliaryExponents, DomainError, ModelParams, chi_prototype,
+                    compute_p_bar, d1_constant, d3_constant, default_exponents,
+                    energy_constants, evaluate_certificate, gradv_bound, k1_coeff,
+                    k2_coeff, mass_bound, mu_threshold)
 from chemfv.certificates import pbar_relation_margins
 
 
@@ -89,24 +89,9 @@ class TestSensitivity:
         assert chi_prototype(7.0, 1.0, 0.0) == 1.0
         assert chi_prototype(1.0, 2.0, 1.0) == 0.5
 
-    def test_growth_bound_values(self):
-        assert chi_growth_bound(0.0, 1.0, 1.0, 3.0) == 1.0
-        assert chi_growth_bound(1.0, 8.0, 1.0, 3.0) == 1.0
-        assert chi_growth_bound(3.0, 1.0, 0.0, 5.0) == 1.0
-
     def test_negative_v_rejected(self):
         with pytest.raises(DomainError):
             chi_prototype(-0.1, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            chi_growth_bound(-0.1, 1.0, 1.0, 2.0)
-
-    @given(v=st.floats(0.0, 1e6), chi0=st.floats(1e-6, 1e3), a=st.floats(0.0, 1e3))
-    def test_prototype_matches_bound_at_b_2(self, v, chi0, a):
-        proto = chi_prototype(v, chi0, a)
-        bound = chi_growth_bound(v, chi0, a, 2.0)
-        assert proto <= bound * (1.0 + 1e-12)
-        assert proto == pytest.approx(bound, rel=1e-12)
-        assert 0.0 < proto <= chi0
 
 
 class TestThresholdCoefficients:
@@ -267,20 +252,20 @@ class TestEnergyConstants:
 class TestModelParams:
     def test_admissibility(self):
         with pytest.raises(DomainError, match="mu must be positive"):
-            ModelParams(n=1, m=1.0, alpha=0.0, k=0.0, mu=0.0, chi0=1.0, a=0.0, b=2.0)
+            ModelParams(n=1, m=1.0, alpha=0.0, k=0.0, mu=0.0, chi0=1.0, a=0.0)
         with pytest.raises(DomainError, match=r"alpha < \(m\+1\)/2"):
-            ModelParams(n=1, m=1.0, alpha=2.0, k=0.0, mu=1.0, chi0=1.0, a=0.0, b=2.0)
+            ModelParams(n=1, m=1.0, alpha=2.0, k=0.0, mu=1.0, chi0=1.0, a=0.0)
         with pytest.raises(DomainError):
-            ModelParams(n=0, m=1.0, alpha=0.0, k=0.0, mu=1.0, chi0=1.0, a=0.0, b=2.0)
+            ModelParams(n=0, m=1.0, alpha=0.0, k=0.0, mu=1.0, chi0=1.0, a=0.0)
 
     def test_zero_chi0_is_the_degenerate_model(self):
-        params = ModelParams(n=1, m=1.0, alpha=0.0, k=0.0, mu=1.0, chi0=0.0, a=0.0, b=2.0)
+        params = ModelParams(n=1, m=1.0, alpha=0.0, k=0.0, mu=1.0, chi0=0.0, a=0.0)
         assert params.chi0 == 0.0
 
 
 class TestCertificate:
     def _params(self, mu):
-        return ModelParams(n=1, m=1.0, alpha=0.0, k=0.0, mu=mu, chi0=1.0, a=1.0, b=2.0)
+        return ModelParams(n=1, m=1.0, alpha=0.0, k=0.0, mu=mu, chi0=1.0, a=1.0)
 
     def test_verdict_uses_threshold_at_clamped_p(self):
         exps = AuxiliaryExponents(4.0, 2.0, 2.0)
@@ -305,7 +290,7 @@ class TestCertificate:
 
     def test_report_invariants(self):
         exps = AuxiliaryExponents(4.0, 2.0, 3.0)
-        params = ModelParams(n=1, m=1.0, alpha=0.0, k=2.0, mu=0.5, chi0=1.0, a=0.0, b=2.0)
+        params = ModelParams(n=1, m=1.0, alpha=0.0, k=2.0, mu=0.5, chi0=1.0, a=0.0)
         rep = evaluate_certificate(params, exps, v0_sup=1.0, u0_mass=0.7,
                                    gradv0_l2sq=0.2, domain_volume=2.0)
         assert rep.satisfied == (params.mu > rep.mu_min)
@@ -333,7 +318,7 @@ class TestCertificate:
     def test_k1_literal_threads_through_the_verdict(self):
         exps = AuxiliaryExponents(4.0, 2.0, 3.0)
         params = ModelParams(n=1, m=1.0, alpha=0.0, k=0.0, mu=1.0, chi0=2.0,
-                             a=0.0, b=2.0)
+                             a=0.0)
         literal = evaluate_certificate(params, exps, v0_sup=1.0, k1_literal=True)
         plain = evaluate_certificate(params, exps, v0_sup=1.0, k1_literal=False)
         s = 2.0  # chi0 * v0_sup

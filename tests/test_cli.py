@@ -29,7 +29,6 @@ k = 1.0
 mu = 2.0
 chi0 = 1.0
 a = 1.0
-b = 2.0
 
 [grid]
 dim = 1
@@ -311,6 +310,16 @@ class TestVerify:
                          "gradient_power_hessian", "young_combination", "pbar_relations"}
         assert all(v["passed"] for v in report["verdicts"])
         assert report["gn_empirical_constant"] > 0.0
+
+    @pytest.mark.parametrize("seed_args", [["--set", "oracle.seed=-1"], ["--seed", "-1"]])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, seed_args):
+        cfg = write_config(tmp_path)
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path), *seed_args])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "seed must be >= 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "verify.json").exists()
 
     def test_poisoned_d3_exits_4(self, tmp_path):
         cfg = write_config(tmp_path)

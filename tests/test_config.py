@@ -58,6 +58,11 @@ class TestSemanticErrors:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("[model]\nmuu = 1\n")
 
+    def test_sensitivity_exponent_b_is_not_a_key(self):
+        # chi(v) = chi0 / (1 + a v)^2 fixes the sensitivity exponent at 2
+        with pytest.raises(ConfigError, match="unknown key 'b'"):
+            parse_config("[model]\nb = 2.0\n")
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown config section"):
             parse_config("[modle]\nmu = 1\n")
@@ -99,6 +104,11 @@ class TestSemanticErrors:
     def test_oracle_q_at_least_one(self, value):
         with pytest.raises(ConfigError, match="q must be >= 1"):
             parse_config(f"[oracle]\nq = {value}\n")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_steps_positive(self, value):
+        with pytest.raises(ConfigError, match=r"invalid \[time\]: max_steps must be >= 1"):
+            parse_config(f"[time]\nmax_steps = {value}\n")
 
     def test_oracle_trials_positive(self):
         with pytest.raises(ConfigError, match="trials must be >= 1"):

@@ -16,7 +16,7 @@ from chemfv.monitors import gradv_l2sq
 
 def make_cert(mu=2.0, k=1.0, chi0=1.0, v0_sup=1.0, u0_mass=0.1,
               gradv0_l2sq=0.0, domain_volume=1.0):
-    params = ModelParams(n=1, m=1.0, alpha=0.0, k=k, mu=mu, chi0=chi0, a=1.0, b=2.0)
+    params = ModelParams(n=1, m=1.0, alpha=0.0, k=k, mu=mu, chi0=chi0, a=1.0)
     exps = AuxiliaryExponents(4.0, 2.0, 3.0)
     return evaluate_certificate(params, exps, v0_sup, u0_mass=u0_mass,
                                 gradv0_l2sq=gradv0_l2sq, domain_volume=domain_volume)
@@ -152,7 +152,7 @@ class TestRunLevelInvariants:
     def test_sup_v_nonincreasing_and_mass_constant(self):
         g = Grid.line(64, 1.0)
         params = ModelParams(n=1, m=1.0, alpha=0.0, k=0.0, mu=1e-20, chi0=0.0,
-                             a=0.0, b=2.0)
+                             a=0.0)
         u0 = field_from_function(g, lambda x: 0.2 + 0.2 * np.cos(np.pi * x))
         v0 = field_from_function(g, lambda x: 0.5 + 0.5 * np.cos(np.pi * x))
         exps = AuxiliaryExponents(4.0, 2.0, 3.0)

@@ -18,16 +18,16 @@ from chemfv.solver import (ADVANCED, BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW,
 
 
 def params_1d(**overrides):
-    base = dict(n=1, m=1.0, alpha=0.0, k=0.0, mu=1.0, chi0=1.0, a=0.0, b=2.0)
+    base = dict(n=1, m=1.0, alpha=0.0, k=0.0, mu=1.0, chi0=1.0, a=0.0)
     base.update(overrides)
     return ModelParams(**base)
 
 
 def rates(u, v, params):
     """The kernel's (du_dt, dv_dt, dt_diff, dt_adv, dt_react) at (u, v)."""
-    states, kernel = _kernel(u.grid, params)
-    states[0][0], states[0][1] = u.values, v.values
-    (du_dt, dv_dt), *limits = kernel(0, float(u.values.max()), float(v.values.max()))
+    s, kernel = _kernel(u.grid, params)
+    s[0], s[1] = u.values, v.values
+    (du_dt, dv_dt), *limits = kernel(float(u.values.max()), float(v.values.max()))
     return (du_dt, dv_dt, *limits)
 
 
@@ -223,7 +223,7 @@ class TestStep:
                                                      (0.0, 1.3)):
             g = Grid.line(12, 1.0) if dim == 1 else Grid.rect(8, 10, 1.0, 2.0)
             params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=2.0, chi0=chi0,
-                                 a=0.7, b=2.0)
+                                 a=0.7)
             u = ScalarField(g, rng.uniform(0.0, 2.0, g.shape))
             v = ScalarField(g, rng.uniform(0.0, 1.0, g.shape))
             state = SimState(0.0, u, v)
@@ -246,7 +246,7 @@ class TestStep:
     def test_dt_matches_stable_dt_2d_nonlinear(self):
         rng = np.random.default_rng(5)
         g = Grid.rect(10, 8, 1.0, 0.7)
-        params = ModelParams(n=2, m=1.6, alpha=0.7, k=0.5, mu=2.0, chi0=1.3, a=0.7, b=2.0)
+        params = ModelParams(n=2, m=1.6, alpha=0.7, k=0.5, mu=2.0, chi0=1.3, a=0.7)
         state = SimState(0.0, ScalarField(g, rng.uniform(0.0, 2.0, g.shape)),
                          ScalarField(g, rng.uniform(0.0, 1.0, g.shape)))
         cfg = SolverConfig(t_end=10.0)
@@ -327,7 +327,7 @@ class TestRun:
         # k = 0, mu ~ 0: the flux-form update conserves mass for any chi0, m, alpha
         g = Grid.line(128, 1.0)
         params = ModelParams(n=1, m=1.7, alpha=0.4, k=0.0, mu=1e-20, chi0=1.0,
-                             a=0.5, b=2.0)
+                             a=0.5)
         u0 = field_from_function(g, lambda x: 0.1 + np.exp(-((x - 0.5) ** 2) / 0.01))
         v0 = field_from_function(g, lambda x: 0.5 + 0.5 * np.cos(np.pi * x))
         masses = []
@@ -368,7 +368,7 @@ class TestRun:
 
     def test_positivity_and_max_principle_on_bump_run(self):
         g = Grid.line(96, 1.0)
-        params = ModelParams(n=1, m=1.0, alpha=0.0, k=1.0, mu=2.0, chi0=1.0, a=1.0, b=2.0)
+        params = ModelParams(n=1, m=1.0, alpha=0.0, k=1.0, mu=2.0, chi0=1.0, a=1.0)
         u0 = field_from_function(
             g, lambda x: 0.05 + 0.4 * np.exp(-((x - 0.5) ** 2) / (2 * 0.05**2)))
         v0 = constant_field(g, 1.0)
@@ -438,7 +438,7 @@ class TestRun:
         v0 = ScalarField(g, rng.uniform(0.2, 1.0, g.shape))
         initial = SimState(0.0, u0, v0)
         before = (u0.values.tobytes(), v0.values.tobytes())
-        params = ModelParams(n=2, m=1.5, alpha=0.5, k=0.5, mu=1.5, chi0=1.2, a=0.7, b=2.0)
+        params = ModelParams(n=2, m=1.5, alpha=0.5, k=0.5, mu=1.5, chi0=1.2, a=0.7)
         held = []
         result = run(initial, params, SolverConfig(t_end=1e-2, output_every_steps=2),
                      lambda s, dt: held.append((s, s.u.values.tobytes(), s.v.values.tobytes())))
@@ -490,7 +490,7 @@ class TestRunStepParity:
         g = (Grid.line(24, scale) if dim == 1 else Grid.rect(12, 10, scale, 0.8 * scale))
         u0 = ScalarField(g, rng.uniform(0.5, 2.0, g.shape))
         v0 = ScalarField(g, rng.uniform(0.2, 1.0, g.shape))
-        params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=0.7, b=2.0)
+        params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=0.7)
         dt0 = stable_dt(SimState(0.0, u0, v0), params, SolverConfig(t_end=1.0))
         cfg = SolverConfig(t_end=40.5 * dt0, output_every_steps=1)
         hooked = []
@@ -510,6 +510,41 @@ class TestRunStepParity:
         assert state.t == cfg.t_end
         assert np.array_equal(result.state.u.values, state.u.values)
         assert np.array_equal(result.state.v.values, state.v.values)
+
+    TERMINAL_LIMITS = {DT_UNDERFLOW: dict(dt_min=2e-3), BLOWUP: dict(u_max=40.0), CORRUPTED: {}}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("end", [DT_UNDERFLOW, CORRUPTED, BLOWUP])
+    def test_terminal_state_equals_step(self, end, dim):
+        # the march updates its one state in place: a run that stops must hand
+        # out what ``step`` gives, the state before the step on underflow and
+        # the rejected update on corruption
+        rng = np.random.default_rng(5)
+        g = Grid.line(8, 4.0) if dim == 1 else Grid.rect(8, 6, 4.0, 3.0)
+        if end == CORRUPTED:   # drift out of an empty cell, slow enough to take steps
+            params = ModelParams(n=dim, m=1.0, alpha=0.0, k=0.0, mu=1e-6, chi0=2e-12, a=0.0)
+            u0 = np.zeros(g.shape)
+            v0 = field_from_function(g, lambda *x: sum(c**2 for c in x)).values
+        else:   # logistic growth drives sup u up and the reaction limit down
+            params = ModelParams(n=dim, m=1.0, alpha=0.0, k=50.0, mu=1e-6, chi0=1.0, a=0.0)
+            u0, v0 = rng.uniform(0.5, 1.5, g.shape), rng.uniform(0.2, 1.0, g.shape)
+        cfg = SolverConfig(t_end=10.0, **self.TERMINAL_LIMITS[end])
+        initial = SimState(0.0, ScalarField(g, u0), ScalarField(g, v0))
+        result = run(initial, params, cfg)
+        assert result.status == end and result.steps > 5
+
+        state, steps = initial, 0
+        while True:
+            new, out = step(state, params, cfg, v0_sup=float(v0.max()), t_target=cfg.t_end)
+            if out.status != ADVANCED:
+                break
+            state, steps = new, steps + 1
+        assert out.status == end
+        assert result.steps == (steps if end == DT_UNDERFLOW else steps + 1)
+        assert (new is state) == (end == DT_UNDERFLOW)
+        assert result.state.t == new.t
+        assert result.state.u.values.tobytes() == new.u.values.tobytes()
+        assert result.state.v.values.tobytes() == new.v.values.tobytes()
 
 
 # The kernel, extrema and update as they were before the march moved to a
@@ -621,27 +656,27 @@ class TestKernelByteParity:
         cfg = SolverConfig(t_end=1e6)
         v_cap = float(v.max()) * (1.0 + V_SUP_REL_TOL)
         ref_rates = _ref_kernel(g, params)
-        states, kernel = _kernel(g, params)
-        states[0][0], states[0][1] = u, v
+        s, kernel = _kernel(g, params)
+        s[0], s[1] = u, v
         ref = _ref_extrema(u, v)
-        assert _extrema(states[0]) == ref
+        assert _extrema(s) == ref
         _, sup_u, _, sup_v, _ = ref
 
         expected = ref_rates(u, v, sup_u, sup_v)
-        (du_dt, dv_dt), *limits = kernel(0, sup_u, sup_v)
+        (du_dt, dv_dt), *limits = kernel(sup_u, sup_v)
         assert du_dt.tobytes() == expected[0].tobytes()
         assert dv_dt.tobytes() == expected[1].tobytes()
         assert limits == list(expected[2:])
 
         t = t_ref = 0.0
-        i, su, sv = 0, sup_u, sup_v
+        su, sv = sup_u, sup_v
         for n in range(self.STEPS):
             status_ref, dt_ref, t_ref, u, v, sup_u, sup_v = _ref_advance(
                 ref_rates, u, v, sup_u, sup_v, t_ref, None, cfg, v_cap)
-            status, dt, t, i, su, sv = _advance(kernel, states, i, su, sv, t, None, cfg, v_cap)
+            status, dt, t, su, sv = _advance(kernel, s, su, sv, t, None, cfg, v_cap)
             assert (status, dt, t, su, sv) == (status_ref, dt_ref, t_ref, sup_u, sup_v), n
-            assert states[i][0].tobytes() == u.tobytes(), n
-            assert states[i][1].tobytes() == v.tobytes(), n
+            assert s[0].tobytes() == u.tobytes(), n
+            assert s[1].tobytes() == v.tobytes(), n
             if status != ADVANCED:
                 break
         return n
@@ -652,8 +687,7 @@ class TestKernelByteParity:
         for dim, m, alpha, chi0, a in itertools.product(
                 (1, 2), (1.0, 1.7), (-0.5, 0.0, 0.6), (0.0, 1.2), (0.0, 0.7)):
             g = Grid.line(20, 1.0) if dim == 1 else Grid.rect(9, 11, 1.0, 1.3)
-            params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=a,
-                                 b=2.0)
+            params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=a)
             u, v = self._fields(rng, g, "random")
             marched += self._assert_march_identical(g, params, u, v) + 1
         assert marched == 48 * self.STEPS
@@ -664,8 +698,7 @@ class TestKernelByteParity:
         rng = np.random.default_rng(23)
         g = Grid.line(20, 1.0) if dim == 1 else Grid.rect(9, 11, 1.0, 1.3)
         for m, alpha, chi0 in ((1.0, 0.0, 1.2), (1.7, 0.6, 1.2), (1.5, -0.5, 0.0)):
-            params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=0.7,
-                                 b=2.0)
+            params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=0.7)
             self._assert_march_identical(g, params, *self._fields(rng, g, profile))
 
 
@@ -680,7 +713,7 @@ def step_cases(draw, chi0=st.floats(0.0, 5.0), k=st.floats(-5.0, 5.0),
     params = ModelParams(n=dim, m=m, alpha=draw(st.floats(-2.0, (m + 1.0) / 2.0,
                                                            exclude_max=True)),
                          k=draw(k), mu=draw(mu), chi0=draw(chi0),
-                         a=draw(st.floats(0.0, 3.0)), b=2.0)
+                         a=draw(st.floats(0.0, 3.0)))
     u = draw(arrays(float, cells, elements=st.floats(0.0, 10.0)))
     v = draw(arrays(float, cells, elements=st.floats(0.0, 3.0)))
     return SimState(0.0, ScalarField(grid, u), ScalarField(grid, v)), params
