@@ -46,6 +46,9 @@ class ModelParams:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n}")
+        for name in ("m", "alpha", "k", "mu", "chi0", "a"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.mu > 0.0:
             raise DomainError("mu must be positive")
         if self.chi0 < 0.0:

@@ -130,7 +130,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path, dump_fields: bool) -> int:
     if result.reason is not None:
         summary["reason"] = result.reason
     _emit(summary, out_dir, "summary.json")
-    if dump_fields or cfg.dump_fields:
+    if dump_fields:
         write_field(result.state.u, out_dir / "u_final.csv")
         write_field(result.state.v, out_dir / "v_final.csv")
     return _exit_code_for(result.status, executed.violations)
@@ -141,9 +141,12 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
 
     ``run_once(mu) -> (status, bounded, errored, extras)`` is injectable for
     tests; the default executes a full simulation with mu overridden.  An
-    errored probe (the step budget ran out, or the monitors stopped the run)
-    gives no verdict on mu.  Endpoints are probed first; bisection proceeds
-    only while they bracket the frontier.
+    errored probe (the step budget ran out, the monitors stopped the run, or
+    it raised a ``ChemfvError``) gives no verdict on mu: it is listed in
+    ``runs`` but enters neither end of the bracket nor the contradiction
+    check.  Endpoints are probed first; bisection proceeds only while they
+    bracket the frontier (unbounded at mu_lo, bounded at mu_hi) and stops at
+    the first errored midpoint.
     """
     spec = cfg.sweep
     if spec is None:
@@ -165,37 +168,37 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
             return result.status, bounded, errored, extras
 
     runs = []
-    errors = 0
+    verdicts: list[tuple[float, bool]] = []   # (mu, bounded) of the probes with a verdict
 
-    def probe(mu: float) -> bool:
-        nonlocal errors
+    def probe(mu: float) -> bool | None:
         try:
             status, bounded, errored, extras = run_once(mu)
         except ChemfvError as exc:
-            errors += 1
-            runs.append({"mu": mu, "status": f"error: {exc}", "bounded": False})
-            return False
+            status, bounded, errored, extras = f"error: {exc}", False, True, {}
         runs.append({"mu": mu, "status": status, "bounded": bounded, **extras})
         if errored:
-            errors += 1
+            return None
+        verdicts.append((mu, bounded))
         return bounded
 
-    lo_bounded = probe(spec.mu_lo)
-    hi_bounded = probe(spec.mu_hi)
-    if not lo_bounded and hi_bounded:
+    lo_verdict, hi_verdict = probe(spec.mu_lo), probe(spec.mu_hi)
+    if lo_verdict is False and hi_verdict is True:
         lo, hi = spec.mu_lo, spec.mu_hi
         for _ in range(spec.bisection_steps):
             mid = 0.5 * (lo + hi)
-            if probe(mid):
+            verdict = probe(mid)
+            if verdict is None:
+                break
+            if verdict:
                 hi = mid
             else:
                 lo = mid
 
-    unbounded_mus = [r["mu"] for r in runs if not r["bounded"]]
-    bounded_mus = [r["mu"] for r in runs if r["bounded"]]
+    unbounded_mus = [mu for mu, bounded in verdicts if not bounded]
+    bounded_mus = [mu for mu, bounded in verdicts if bounded]
     cert, _ = _certificate_for(cfg)
     mu_min = cert.mu_min
-    contradicted = any(r["mu"] > mu_min and not r["bounded"] for r in runs)
+    contradicted = any(mu > mu_min for mu in unbounded_mus)
     report = {
         "schema": 1,
         "mu_empirical_lo": max(unbounded_mus) if unbounded_mus else None,
@@ -204,7 +207,7 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
         "sufficiency_contradicted": contradicted,
         "runs": runs,
     }
-    if errors == len(runs):
+    if not verdicts:
         report["all_runs_errored"] = True
     return report
 

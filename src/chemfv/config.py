@@ -53,15 +53,11 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "monitor": {
         "p": (_AUTO_FLOAT, "auto"),
-        "tol_mass": (_FLOAT, 5e-2),
-        "tol_grad": (_FLOAT, 5e-2),
-        "tol_maxprin": (_FLOAT, 1e-8),
         "cadence_steps": (_INT, 10),
         "cadence_time": (_OPT_FLOAT, None),
     },
     "output": {
         "dir": (_STR, "."),
-        "dump_fields": (_BOOL, False),
     },
     "certificate": {
         "q1": (_AUTO_FLOAT, "auto"),
@@ -110,7 +106,6 @@ class RunConfig:
     v0_spec: str
     monitor: MonitorConfig
     out_dir: str
-    dump_fields: bool
     exponents: AuxiliaryExponents
     k1_literal: bool
     oracle: OracleConfig
@@ -235,10 +230,7 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
     p_mon = v["monitor"]["p"]
     p_mon = exponents.p if p_mon == "auto" else p_mon
     try:
-        monitor = MonitorConfig(
-            p=p_mon, tol_mass=v["monitor"]["tol_mass"],
-            tol_grad=v["monitor"]["tol_grad"], tol_maxprin=v["monitor"]["tol_maxprin"],
-        )
+        monitor = MonitorConfig(p=p_mon)
     except ChemfvError as exc:
         raise ConfigError(f"invalid [monitor]: {exc}")
 
@@ -261,7 +253,6 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
         model=model, grid=grid, solver=solver,
         u0_spec=v["init"]["u0"], v0_spec=v["init"]["v0"],
         monitor=monitor, out_dir=v["output"]["dir"],
-        dump_fields=v["output"]["dump_fields"],
         exponents=exponents, k1_literal=v["certificate"]["k1-literal"],
         oracle=oracle, sweep=sweep,
     )

@@ -56,8 +56,8 @@ class SolverConfig:
     output_every_time: float | None = None
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise DomainError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise DomainError(f"t_end must be positive and finite, got {self.t_end}")
         if not 0.0 < self.safety <= 1.0:
             raise DomainError("safety must lie in (0, 1]")
         if not self.dt_min > 0.0:

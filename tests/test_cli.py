@@ -16,7 +16,7 @@ import chemfv.certificates
 import chemfv.cli
 import chemfv.monitors
 import chemfv.oracle
-from chemfv import CorruptionError
+from chemfv import ChemfvError, CorruptionError
 from chemfv.cli import CSV_HEADER, main, sweep_report
 from chemfv.config import parse_config
 
@@ -111,6 +111,16 @@ class TestCertify:
                      "--set", "grid.Ly=1e200"])
         assert code == 1
         assert "error: domain_volume must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "certificate.json").exists()
+
+    @pytest.mark.parametrize("override,section", [
+        ("model.chi0=nan", "model"), ("model.mu=inf", "model"), ("time.t_end=inf", "time")])
+    def test_non_finite_coefficient_exits_1(self, tmp_path, capsys, override, section):
+        cfg = write_config(tmp_path)
+        code = main(["certify", "--config", cfg, "--out", str(tmp_path), "--set", override])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: invalid [{section}]: ")
         assert not (tmp_path / "certificate.json").exists()
 
     def test_missing_config_exits_1(self, tmp_path):
@@ -290,6 +300,60 @@ class TestSweep:
         assert [(r["status"], r["reason"]) for r in report["runs"]] == [
             ("corrupted", "phi overflowed (large p on a large state)")] * 2
         assert not any(r["bounded"] for r in report["runs"])
+        assert report["all_runs_errored"] is True
+
+    def test_errored_endpoints_give_no_verdict(self, tmp_path):
+        text = BASE_CONFIG + "\n[sweep]\nmu_lo = 1.0\nmu_hi = 2.0\nbisection_steps = 4\n"
+        cfg = parse_config(text)
+
+        def fake_run(mu):   # mu_lo unbounded, mu_hi ran out of steps
+            if mu == 2.0:
+                return "step_budget_exceeded", False, True, {}
+            return "blowup_detected", False, False, {}
+
+        report = sweep_report(cfg, run_once=fake_run)
+        assert [r["mu"] for r in report["runs"]] == [1.0, 2.0]   # no bracket, no bisection
+        assert report["mu_empirical_lo"] == 1.0
+        assert report["mu_empirical_hi"] is None
+        assert "all_runs_errored" not in report
+
+        def raising_run(mu):
+            if mu == 1.0:
+                raise ChemfvError("probe failed")
+            return "completed", True, False, {}
+
+        report = sweep_report(cfg, run_once=raising_run)
+        assert [r["status"] for r in report["runs"]] == ["error: probe failed", "completed"]
+        assert report["mu_empirical_lo"] is None
+        assert report["mu_empirical_hi"] == 2.0
+
+    def test_errored_midpoint_stops_bisection(self, tmp_path):
+        text = BASE_CONFIG + "\n[sweep]\nmu_lo = 1.0\nmu_hi = 2.0\nbisection_steps = 5\n"
+        cfg = parse_config(text)
+
+        def fake_run(mu):
+            if mu == 1.75:
+                return "corrupted", False, True, {"reason": "phi overflowed"}
+            return "completed", mu >= 1.55, False, {}
+
+        report = sweep_report(cfg, run_once=fake_run)
+        assert [r["mu"] for r in report["runs"]] == [1.0, 2.0, 1.5, 1.75]
+        assert report["runs"][-1]["reason"] == "phi overflowed"
+        assert (report["mu_empirical_lo"], report["mu_empirical_hi"]) == (1.5, 2.0)
+        assert report["sufficiency_contradicted"] is False
+
+    def test_step_budget_probes_above_threshold_contradict_nothing(self, tmp_path):
+        # mu_min is 1010.9; both probes run out of steps, so neither is a verdict
+        text = BASE_CONFIG + "\n[sweep]\nmu_lo = 1100\nmu_hi = 1200\n"
+        cfg = write_config(tmp_path, text)
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                     "--set", "time.max_steps=5"])
+        assert code == 1
+        report = read_json(tmp_path, "sweep.json")
+        assert [r["status"] for r in report["runs"]] == ["step_budget_exceeded"] * 2
+        assert report["mu_min_certificate"] < 1100
+        assert report["sufficiency_contradicted"] is False
+        assert report["mu_empirical_lo"] is None and report["mu_empirical_hi"] is None
         assert report["all_runs_errored"] is True
 
     def test_missing_sweep_section_exits_1(self, tmp_path):

@@ -62,6 +62,14 @@ class TestSemanticErrors:
         # chi(v) = chi0 / (1 + a v)^2 fixes the sensitivity exponent at 2
         with pytest.raises(ConfigError, match="unknown key 'b'"):
             parse_config("[model]\nb = 2.0\n")
+        # nor are the monitor tolerances (the bound slack is a constant and the
+        # solver owns the maximum principles) or a second switch for --dump-fields
+        for section, key, value in (("monitor", "tol_mass", "0.05"),
+                                    ("monitor", "tol_grad", "0.05"),
+                                    ("monitor", "tol_maxprin", "1e-8"),
+                                    ("output", "dump_fields", "true")):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(f"[{section}]\n{key} = {value}\n")
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown config section"):
@@ -104,6 +112,17 @@ class TestSemanticErrors:
     def test_oracle_q_at_least_one(self, value):
         with pytest.raises(ConfigError, match="q must be >= 1"):
             parse_config(f"[oracle]\nq = {value}\n")
+
+    @pytest.mark.parametrize("key", ["m", "alpha", "k", "mu", "chi0", "a"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_model_coefficients_finite(self, key, value):
+        with pytest.raises(ConfigError, match=rf"invalid \[model\]: {key} must be finite"):
+            parse_config(f"[model]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_t_end_finite(self, value):
+        with pytest.raises(ConfigError, match=r"invalid \[time\]: t_end must be positive and finite"):
+            parse_config(f"[time]\nt_end = {value}\n")
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_max_steps_positive(self, value):

@@ -498,6 +498,11 @@ class TestRunStepParity:
                      lambda s, dt: hooked.append((s, dt)))
         assert result.status == COMPLETED
         assert len(hooked) == result.steps + 1 > 5
+        # the monitors leave the maximum principles to the solver: every state
+        # the hook sees already satisfies them
+        v_cap = float(v0.values.max()) * (1.0 + V_SUP_REL_TOL)
+        for s, _ in hooked:
+            assert s.u.values.min() >= -U_NEG_TOL and s.v.values.max() <= v_cap
 
         state = hooked[0][0]
         for expected, dt in hooked[1:]:
