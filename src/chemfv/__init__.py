@@ -22,7 +22,7 @@ from .grid import (FieldStack, Grid, ScalarField, constant_field, cosine_field, 
                    field_from_function, gradient_cells, hessian,
                    integrate, laplacian, lp_norm, random_smooth_field, read_field,
                    write_field)
-from .monitors import MonitorConfig, MonitorRecord, PhiTrend, phi, phi_trend, record
+from .monitors import MonitorRecord, PhiTrend, phi, phi_trend, record
 from .solver import (RunResult, SimState, SolverConfig, StepOutcome, run, stable_dt,
                      step)
 
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuxiliaryExponents", "CertificateReport", "ChemfvError", "ConfigError",
     "CorruptionError", "DomainError", "EnergyConstants", "FieldStack", "Grid", "ModelParams",
-    "MonitorConfig", "MonitorRecord", "PhiTrend", "RunResult", "ScalarField",
+    "MonitorRecord", "PhiTrend", "RunResult", "ScalarField",
     "SimState", "SolverConfig", "StepOutcome", "chi_prototype", "compute_p_bar",
     "constant_field", "cosine_field", "d1_constant", "d3_constant", "default_exponents", "energy_constants",
     "evaluate_certificate", "extend_neumann", "field_from_function",

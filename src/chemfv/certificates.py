@@ -395,7 +395,7 @@ def evaluate_certificate(params: ModelParams, exps: AuxiliaryExponents, v0_sup: 
 
     The threshold is taken at p = max(exps.p, p_bar); the verdict uses the
     strict inequality mu > mu_min.  An unsatisfied condition is a result, not
-    an error.
+    an error; constants that overflow 64-bit floats raise ``DomainError``.
     """
     validate_exponents(params, exps)
     for name, value in (("domain_volume", domain_volume), ("u0_mass", u0_mass),
@@ -407,12 +407,20 @@ def evaluate_certificate(params: ModelParams, exps: AuxiliaryExponents, v0_sup: 
     p_bar = compute_p_bar(params.n, params.m, params.alpha, exps.q1, exps.q2)
     p_used = max(exps.p, p_bar)
     s = params.chi0 * v0_sup
-    k1 = k1_coeff(p_used, params.n, s, literal=k1_literal)
-    k2 = k2_coeff(p_used, params.n)
-    mu_min = mu_threshold(p_used, params.n, s, k1_literal=k1_literal)
-    m_mass = mass_bound(params.k, params.mu, domain_volume, u0_mass)
-    m_grad = gradv_bound(params.k, params.mu, domain_volume, v0_sup,
-                         gradv0_l2sq, u0_mass)
+    inputs = f"p={p_used}, chi0 ||v0|| = {s}, mu = {params.mu}"
+    try:
+        k1 = k1_coeff(p_used, params.n, s, literal=k1_literal)
+        k2 = k2_coeff(p_used, params.n)
+        mu_min = mu_threshold(p_used, params.n, s, k1_literal=k1_literal)
+        m_mass = mass_bound(params.k, params.mu, domain_volume, u0_mass)
+        m_grad = gradv_bound(params.k, params.mu, domain_volume, v0_sup,
+                             gradv0_l2sq, u0_mass)
+    except OverflowError:
+        raise DomainError(f"certificate constants overflow ({inputs})") from None
+    for name, value in (("k1", k1), ("k2", k2), ("mu_min", mu_min),
+                        ("m_mass", m_mass), ("M_grad", m_grad)):
+        if not math.isfinite(value):
+            raise DomainError(f"certificate constant {name} is {value} ({inputs})")
     return CertificateReport(
         p_bar=p_bar, p_used=p_used, k1=k1, k2=k2, mu_min=mu_min,
         m_mass=m_mass, M_grad=m_grad, satisfied=bool(params.mu > mu_min),

@@ -86,7 +86,7 @@ def _execute(cfg: RunConfig) -> ExecutedRun:
     records: list[MonitorRecord] = []
 
     def hook(state: SimState, dt: float) -> None:
-        records.append(monitors.record(state, dt, cert, cfg.monitor))
+        records.append(monitors.record(state, dt, cert))
 
     result = run(initial, cfg.model, cfg.solver, hook)
     violations = [
@@ -151,6 +151,7 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
     spec = cfg.sweep
     if spec is None:
         raise ChemfvError("config has no [sweep] section")
+    mu_min = _certificate_for(cfg)[0].mu_min   # fails before any probe runs
 
     if run_once is None:
         def run_once(mu: float):
@@ -196,8 +197,6 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
 
     unbounded_mus = [mu for mu, bounded in verdicts if not bounded]
     bounded_mus = [mu for mu, bounded in verdicts if bounded]
-    cert, _ = _certificate_for(cfg)
-    mu_min = cert.mu_min
     contradicted = any(mu > mu_min for mu in unbounded_mus)
     report = {
         "schema": 1,

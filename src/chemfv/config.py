@@ -6,18 +6,19 @@ contain silent typos).  ``--set section.key=value`` overrides are applied
 before validation.  This module only translates values into the library
 types, which own every rule.  Values marked ``auto`` resolve from the model:
 q1, q2 and the certificate p through ``certificates.default_exponents``
-(n+3, (n+3)/2, ceil(p_bar)), monitor p = certificate p.
+(n+3, (n+3)/2, ceil(p_bar)).  The monitors have no exponent of their own:
+they evaluate phi_p at the certificate's p.
 """
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .certificates import AuxiliaryExponents, ModelParams, compute_p_bar, default_exponents
 from .errors import ChemfvError, ConfigError
 from .grid import Grid
 from .initial import parse_profile
-from .monitors import MonitorConfig
 from .oracle import OracleConfig
 from .solver import SolverConfig
 
@@ -52,7 +53,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "v0": (_STR, "constant(1.0)"),
     },
     "monitor": {
-        "p": (_AUTO_FLOAT, "auto"),
         "cadence_steps": (_INT, 10),
         "cadence_time": (_OPT_FLOAT, None),
     },
@@ -89,8 +89,9 @@ class SweepSpec:
     bisection_steps: int
 
     def __post_init__(self):
-        if not (self.mu_lo > 0.0 and self.mu_hi > 0.0):
-            raise ConfigError("sweep bounds must be positive")
+        if not (0.0 < self.mu_lo < math.inf and 0.0 < self.mu_hi < math.inf):
+            raise ConfigError(f"sweep bounds must be positive and finite, "
+                              f"got mu_lo={self.mu_lo}, mu_hi={self.mu_hi}")
         if not self.mu_lo < self.mu_hi:
             raise ConfigError("sweep requires mu_lo < mu_hi")
         if self.bisection_steps < 1:
@@ -104,7 +105,6 @@ class RunConfig:
     solver: SolverConfig
     u0_spec: str
     v0_spec: str
-    monitor: MonitorConfig
     out_dir: str
     exponents: AuxiliaryExponents
     k1_literal: bool
@@ -227,13 +227,6 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
             f"certificate p={exponents.p} is below the minimal admissible exponent {p_bar}"
         )
 
-    p_mon = v["monitor"]["p"]
-    p_mon = exponents.p if p_mon == "auto" else p_mon
-    try:
-        monitor = MonitorConfig(p=p_mon)
-    except ChemfvError as exc:
-        raise ConfigError(f"invalid [monitor]: {exc}")
-
     try:
         oracle = OracleConfig(
             grid=grid, trials=v["oracle"]["trials"], seed=v["oracle"]["seed"],
@@ -252,7 +245,7 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
     return RunConfig(
         model=model, grid=grid, solver=solver,
         u0_spec=v["init"]["u0"], v0_spec=v["init"]["v0"],
-        monitor=monitor, out_dir=v["output"]["dir"],
+        out_dir=v["output"]["dir"],
         exponents=exponents, k1_literal=v["certificate"]["k1-literal"],
         oracle=oracle, sweep=sweep,
     )

@@ -7,12 +7,10 @@ each axis extent; combinations whose minimum would be negative are rejected.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid, ScalarField, constant_field
+from .grid import Grid, ScalarField, constant_field, cosine_field
 
 _PROFILE_DEFAULTS = {
     "constant": {"value": None},
@@ -50,8 +48,11 @@ def parse_profile(text: str) -> tuple[str, dict[str, float]]:
                 raise ConfigError(f"profile parameter {key}={raw.strip()!r} is not a number")
     if name == "constant" and args["value"] is None:
         raise ConfigError("constant profile needs a value")
-    if name == "cosine" and not float(args["mode"]).is_integer():
-        raise ConfigError(f"cosine mode must be a finite integer, got {args['mode']}")
+    if name == "cosine" and not (float(args["mode"]).is_integer()
+                                 and abs(args["mode"]) < 2.0**63):
+        # cosine_field holds modes as 64-bit integers
+        raise ConfigError(f"cosine mode must be a finite integer below 2**63 in magnitude, "
+                          f"got {args['mode']}")
     return name, args
 
 
@@ -86,11 +87,7 @@ def build_profile(grid: Grid, text: str) -> ScalarField:
     mode = int(args["mode"])
     if floor - abs(amplitude) < 0.0:
         raise ConfigError("cosine would go negative (floor < |amplitude|)")
-    centers = grid.centers()
-    values = np.full(grid.shape, 1.0)
-    for axis in range(grid.dim):
-        values = values * np.cos(mode * math.pi * centers[axis] / grid.extents[axis])
-    return ScalarField(grid, floor + amplitude * values)
+    return ScalarField(grid, floor + cosine_field(grid, [[mode] * grid.dim], [amplitude]).values)
 
 
 def build_initial_data(grid: Grid, u0_spec: str, v0_spec: str) -> tuple[ScalarField, ScalarField]:

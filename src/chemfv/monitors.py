@@ -5,9 +5,12 @@ extrema, sup v, the signal gradient energy, and the composite energy
 
     phi_p = int (u+1)^p + chi0^(2p) int |grad v|^(2p).
 
-The mass and gradient-energy bounds come from a
-:class:`~chemfv.certificates.CertificateReport`; exceeding one by more than
-the relative slack ``BOUND_SLACK`` appends a violation entry.  Violations are
+Everything a record checks against comes from one
+:class:`~chemfv.certificates.CertificateReport`: phi_p is evaluated at
+``p_used``, the exponent at which the certificate took its damping threshold
+mu_min, with the certificate's chi0, and the mass and gradient-energy bounds
+are its ``m_mass`` and ``M_grad``.  Exceeding a bound by more than the
+relative slack ``BOUND_SLACK`` appends a violation entry.  Violations are
 data, never exceptions.  The extrema of u and sup v are recorded but not
 checked here: the maximum principles u >= 0 and v <= sup v0 belong to the
 solver, which ends a run ``corrupted`` before any state that breaks them
@@ -30,17 +33,6 @@ PHI_OVERFLOW = "phi overflowed (large p on a large state)"
 # hold for the continuous problem; the 5% absorbs the O(h^2) + O(dt) error of
 # the discrete mass and of int |grad v|^2 on the grids the runs use.
 BOUND_SLACK = 5e-2
-
-
-@dataclass
-class MonitorConfig:
-    """Exponent p (>= 1) of the composite energy phi_p."""
-
-    p: float
-
-    def __post_init__(self):
-        if not self.p >= 1.0:
-            raise DomainError("monitor exponent p must be >= 1")
 
 
 @dataclass
@@ -105,9 +97,11 @@ def phi(state: SimState, p: float, chi0: float, *, grad_sq: np.ndarray | None = 
     return value
 
 
-def record(state: SimState, dt: float, cert: CertificateReport,
-           cfg: MonitorConfig) -> MonitorRecord:
-    """Evaluate all monitored quantities and flag mass and gradient-energy violations."""
+def record(state: SimState, dt: float, cert: CertificateReport) -> MonitorRecord:
+    """Evaluate all monitored quantities and flag mass and gradient-energy violations.
+
+    phi_p is taken at the certificate's ``p_used``.
+    """
     u, v = state.u, state.v
     mass_u = integrate(u)
     sup_u = float(u.values.max())
@@ -115,7 +109,7 @@ def record(state: SimState, dt: float, cert: CertificateReport,
     sup_v = float(v.values.max())
     gsq = _grad_sq(v)
     grad_energy = integrate(ScalarField(v.grid, gsq))
-    phi_p = phi(state, cfg.p, cert.params.chi0, grad_sq=gsq)
+    phi_p = phi(state, cert.p_used, cert.params.chi0, grad_sq=gsq)
 
     violations: list[Violation] = []
     if mass_u > cert.m_mass * (1.0 + BOUND_SLACK):

@@ -60,8 +60,8 @@ class SolverConfig:
             raise DomainError(f"t_end must be positive and finite, got {self.t_end}")
         if not 0.0 < self.safety <= 1.0:
             raise DomainError("safety must lie in (0, 1]")
-        if not self.dt_min > 0.0:
-            raise DomainError("dt_min must be positive")
+        if not 0.0 < self.dt_min < math.inf:
+            raise DomainError(f"dt_min must be positive and finite, got {self.dt_min}")
         if not self.u_max > 0.0:
             raise DomainError("u_max must be positive")
         if self.max_steps < 1:

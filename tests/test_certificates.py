@@ -310,6 +310,18 @@ class TestCertificate:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             evaluate_certificate(self._params(1.0), exps, **inputs)
 
+    @pytest.mark.parametrize("p, v0_sup, mu, message", [
+        (150.0, 1.0, 1.0, "certificate constants overflow"),       # a power in k2 raises
+        (100.0, 1.0, 1.0, "certificate constant k2 is inf"),
+        (3.0, 1e200, 1.0, "certificate constants overflow"),       # v0_sup^2 raises
+        (3.0, 1.0, 1e-310, "certificate constant m_mass is inf"),  # k |Omega| / mu
+    ])
+    def test_overflowing_constants_rejected(self, p, v0_sup, mu, message):
+        params = ModelParams(n=1, m=1.0, alpha=0.0, k=1.0, mu=mu, chi0=1.0, a=1.0)
+        with pytest.raises(DomainError, match=message):
+            evaluate_certificate(params, AuxiliaryExponents(4.0, 2.0, p), v0_sup=v0_sup,
+                                 u0_mass=0.1, domain_volume=1.0)
+
     def test_default_exponents(self):
         params = self._params(1.0)
         exps = default_exponents(params)

@@ -113,8 +113,21 @@ class TestCertify:
         assert "error: domain_volume must be finite" in capsys.readouterr().err
         assert not (tmp_path / "certificate.json").exists()
 
+    @pytest.mark.parametrize("command", ["certify", "run", "sweep"])
+    @pytest.mark.parametrize("override", ["certificate.p=150", "certificate.p=100",
+                                          "init.v0=constant(1e200)", "model.mu=1e-310"])
+    def test_overflowing_certificate_exits_1(self, tmp_path, capsys, command, override):
+        text = BASE_CONFIG + "\n[sweep]\nmu_lo = 0.5\nmu_hi = 4.0\nbisection_steps = 1\n"
+        cfg = write_config(tmp_path, text)
+        code = main([command, "--config", cfg, "--out", str(tmp_path), "--set", override])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: certificate constant")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
     @pytest.mark.parametrize("override,section", [
-        ("model.chi0=nan", "model"), ("model.mu=inf", "model"), ("time.t_end=inf", "time")])
+        ("model.chi0=nan", "model"), ("model.mu=inf", "model"), ("time.t_end=inf", "time"),
+        ("time.dt_min=inf", "time")])
     def test_non_finite_coefficient_exits_1(self, tmp_path, capsys, override, section):
         cfg = write_config(tmp_path)
         code = main(["certify", "--config", cfg, "--out", str(tmp_path), "--set", override])
@@ -194,10 +207,10 @@ class TestRun:
         assert (tmp_path / "u_final.csv").exists()
 
     def test_phi_overflow_writes_summary_and_exits_1(self, tmp_path):
-        # (u+1)^2000 overflows on the initial state, so no record is made
+        # (u+1)^p overflows on the initial state u0 = 1e120, so no record is made
         cfg = write_config(tmp_path)
         code = main(["run", "--config", cfg, "--out", str(tmp_path), "--dump-fields",
-                     "--set", "time.t_end=0.001", "--set", "monitor.p=2000"])
+                     "--set", "time.t_end=0.001", "--set", "init.u0=constant(1e120)"])
         assert code == 1
         summary = read_json(tmp_path, "summary.json")
         assert summary["status"] == "corrupted"
@@ -294,7 +307,7 @@ class TestSweep:
         text = BASE_CONFIG + "\n[sweep]\nmu_lo = 0.5\nmu_hi = 4.0\nbisection_steps = 1\n"
         cfg = write_config(tmp_path, text)
         code = main(["sweep", "--config", cfg, "--out", str(tmp_path),
-                     "--set", "monitor.p=2000"])
+                     "--set", "init.u0=constant(1e120)"])
         assert code == 1   # every probe's phi overflowed, as when the overflow raised
         report = read_json(tmp_path, "sweep.json")
         assert [(r["status"], r["reason"]) for r in report["runs"]] == [

@@ -20,7 +20,6 @@ class TestDefaults:
         assert cfg.exponents.q1 == 4.0      # n + 3
         assert cfg.exponents.q2 == 2.0      # (n + 3) / 2
         assert cfg.exponents.p == 3.0       # ceil(p_bar)
-        assert cfg.monitor.p == 3.0
         assert cfg.k1_literal is True
         assert cfg.grid == Grid.line(128, 1.0)
 
@@ -63,8 +62,10 @@ class TestSemanticErrors:
         with pytest.raises(ConfigError, match="unknown key 'b'"):
             parse_config("[model]\nb = 2.0\n")
         # nor are the monitor tolerances (the bound slack is a constant and the
-        # solver owns the maximum principles) or a second switch for --dump-fields
-        for section, key, value in (("monitor", "tol_mass", "0.05"),
+        # solver owns the maximum principles), a monitor exponent (phi_p is taken
+        # at the certificate's p) or a second switch for --dump-fields
+        for section, key, value in (("monitor", "p", "3"),
+                                    ("monitor", "tol_mass", "0.05"),
                                     ("monitor", "tol_grad", "0.05"),
                                     ("monitor", "tol_maxprin", "1e-8"),
                                     ("output", "dump_fields", "true")):
@@ -99,6 +100,11 @@ class TestSemanticErrors:
         with pytest.raises(ConfigError, match="both mu_lo and mu_hi"):
             parse_config("[sweep]\nmu_lo = 0.1\n")
 
+    @pytest.mark.parametrize("bounds", ["mu_lo = 1.0\nmu_hi = inf", "mu_lo = nan\nmu_hi = 2.0"])
+    def test_sweep_bounds_finite(self, bounds):
+        with pytest.raises(ConfigError, match="sweep bounds must be positive and finite"):
+            parse_config(f"[sweep]\n{bounds}\n")
+
     def test_sweep_ordering(self):
         with pytest.raises(ConfigError, match="mu_lo < mu_hi"):
             parse_config("[sweep]\nmu_lo = 2.0\nmu_hi = 1.0\n")
@@ -124,6 +130,10 @@ class TestSemanticErrors:
         with pytest.raises(ConfigError, match=r"invalid \[time\]: t_end must be positive and finite"):
             parse_config(f"[time]\nt_end = {value}\n")
 
+    def test_dt_min_finite(self):
+        with pytest.raises(ConfigError, match=r"invalid \[time\]: dt_min must be positive and finite"):
+            parse_config("[time]\ndt_min = inf\n")
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_max_steps_positive(self, value):
         with pytest.raises(ConfigError, match=r"invalid \[time\]: max_steps must be >= 1"):
@@ -138,7 +148,7 @@ class TestSemanticErrors:
         with pytest.raises(ConfigError, match="certificate"):
             parse_config(f"[certificate]\np = {value}\n")
 
-    @pytest.mark.parametrize("mode", ["1.5", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("mode", ["1.5", "nan", "inf", "-inf", "1e19", "-9.3e18"])
     def test_cosine_mode_must_be_a_finite_integer(self, mode):
         with pytest.raises(ConfigError, match="cosine mode"):
             parse_config(f"[init]\nv0 = cosine(amplitude=0.5, mode={mode}, floor=1.0)\n")
@@ -196,6 +206,17 @@ class TestProfiles:
         assert f.values.min() >= 0.0
         assert f.values.min() == pytest.approx(0.0, abs=1e-3)   # near x = 1
         assert f.values.max() == pytest.approx(2.0, abs=1e-3)   # near x = 0
+
+    @pytest.mark.parametrize("grid", [Grid.line(37, 2.5), Grid.rect(12, 7, 1.0, 0.6)])
+    @pytest.mark.parametrize("mode", [-2, 0, 1, 3, 7, 2**53 + 1])
+    @pytest.mark.parametrize("amplitude, floor", [(0.0, 0.0), (0.5, 1.0), (-0.3, 0.3)])
+    def test_cosine_profile_is_the_product_of_axis_cosines(self, grid, mode, amplitude, floor):
+        # the profile as it was built before it went through grid.cosine_field
+        values = np.full(grid.shape, 1.0)
+        for axis, centers in enumerate(grid.centers()):
+            values = values * np.cos(mode * np.pi * centers / grid.extents[axis])
+        f = build_profile(grid, f"cosine(amplitude={amplitude}, mode={mode}, floor={floor})")
+        assert f.values.tobytes() == (floor + amplitude * values).tobytes()
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigError, match="unknown profile"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chemfv import (AuxiliaryExponents, CorruptionError, DomainError, Grid,
-                    ModelParams, MonitorConfig, MonitorRecord,
+                    ModelParams, MonitorRecord,
                     SimState, SolverConfig, constant_field, evaluate_certificate,
                     field_from_function, phi, phi_trend, record, run)
 import chemfv.monitors
@@ -15,9 +15,9 @@ from chemfv.monitors import gradv_l2sq
 
 
 def make_cert(mu=2.0, k=1.0, chi0=1.0, v0_sup=1.0, u0_mass=0.1,
-              gradv0_l2sq=0.0, domain_volume=1.0):
+              gradv0_l2sq=0.0, domain_volume=1.0, p=3.0):
     params = ModelParams(n=1, m=1.0, alpha=0.0, k=k, mu=mu, chi0=chi0, a=1.0)
-    exps = AuxiliaryExponents(4.0, 2.0, 3.0)
+    exps = AuxiliaryExponents(4.0, 2.0, p)   # p_bar = 3
     return evaluate_certificate(params, exps, v0_sup, u0_mass=u0_mass,
                                 gradv0_l2sq=gradv0_l2sq, domain_volume=domain_volume)
 
@@ -57,7 +57,7 @@ class TestRecord:
         g = Grid.line(16, 1.0)
         cert = make_cert()
         state = SimState(0.0, constant_field(g, 0.0), constant_field(g, 1.0))
-        rec = record(state, 0.0, cert, MonitorConfig(p=3.0))
+        rec = record(state, 0.0, cert)
         assert rec.violations == []
         assert rec.mass_u == 0.0
         assert rec.sup_v == 1.0
@@ -67,7 +67,7 @@ class TestRecord:
         g = Grid.line(16, 1.0)
         cert = make_cert(mu=2.0, k=0.0, u0_mass=0.1)  # m_mass = 0.1
         state = SimState(0.0, constant_field(g, 0.5), constant_field(g, 1.0))
-        rec = record(state, 1e-3, cert, MonitorConfig(p=3.0))
+        rec = record(state, 1e-3, cert)
         names = [v.bound_name for v in rec.violations]
         assert names == ["mass"]
         assert rec.violations[0].observed == pytest.approx(0.5)
@@ -77,7 +77,7 @@ class TestRecord:
         g = Grid.line(16, 1.0)
         cert = make_cert(mu=2.0, k=0.0, u0_mass=1.0)  # m_mass = 1.0
         state = SimState(0.0, constant_field(g, 1.04), constant_field(g, 1.0))
-        rec = record(state, 0.0, cert, MonitorConfig(p=3.0))
+        rec = record(state, 0.0, cert)
         assert rec.violations == []  # 1.04 <= 1.0 * 1.05
 
 
@@ -86,17 +86,29 @@ class TestRecord:
         u = field_from_function(g, lambda x, y: 0.2 + 0.1 * np.cos(np.pi * x))
         v = field_from_function(g, lambda x, y: 1.0 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
         state = SimState(0.0, u, v)
-        cert = make_cert()
-        cfg = MonitorConfig(p=2.5)
+        cert = make_cert(p=4.5)
         calls = []
         real = chemfv.monitors.gradient_cells
         monkeypatch.setattr(chemfv.monitors, "gradient_cells",
                             lambda f: calls.append(f) or real(f))
-        rec = record(state, 1e-3, cert, cfg)
+        rec = record(state, 1e-3, cert)
         assert len(calls) == 1
         monkeypatch.undo()
         assert rec.gradv_l2sq == gradv_l2sq(v)
-        assert rec.phi_p == phi(state, 2.5, cert.params.chi0)
+        assert rec.phi_p == phi(state, 4.5, cert.params.chi0)
+
+    def test_phi_is_taken_at_the_certificates_p_used(self):
+        # exps.p = 1.5 lies below p_bar = 3, so the certificate takes mu_min,
+        # and the monitors phi_p, at p_used = 3
+        g = Grid.line(16, 1.0)
+        u = field_from_function(g, lambda x: 0.5 + 0.2 * np.cos(np.pi * x))
+        v = field_from_function(g, lambda x: 1.0 + 0.3 * np.cos(np.pi * x))
+        state = SimState(0.0, u, v)
+        cert = make_cert(p=1.5)
+        assert (cert.exps.p, cert.p_bar, cert.p_used) == (1.5, 3.0, 3.0)
+        rec = record(state, 0.0, cert)
+        assert rec.phi_p == phi(state, 3.0, cert.params.chi0)
+        assert rec.phi_p != phi(state, 1.5, cert.params.chi0)
 
 
 class TestGradEnergy:
@@ -142,11 +154,10 @@ class TestRunLevelInvariants:
         exps = AuxiliaryExponents(4.0, 2.0, 3.0)
         cert = evaluate_certificate(params, exps, v0_sup=float(v0.values.max()),
                                     u0_mass=0.2, domain_volume=1.0)
-        cfg = MonitorConfig(p=3.0)
         records = []
         result = run(SimState(0.0, u0, v0), params,
                      SolverConfig(t_end=0.2, output_every_steps=100),
-                     lambda s, dt: records.append(record(s, dt, cert, cfg)))
+                     lambda s, dt: records.append(record(s, dt, cert)))
         assert result.status == "completed"
         assert all(r.violations == [] for r in records)
         masses = np.array([r.mass_u for r in records])
