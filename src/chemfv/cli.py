@@ -46,9 +46,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _write(out_dir: Path, filename: str, text: str) -> None:
+    """Write one output file; the directory is made at the first write, so a
+    command that fails before writing leaves no directory behind."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / filename).write_text(text)
+
+
 def _emit(obj, out_dir: Path, filename: str) -> None:
     text = _json_text(obj)
-    (out_dir / filename).write_text(text)
+    _write(out_dir, filename, text)
     sys.stdout.write(text)
 
 
@@ -114,7 +121,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_run(cfg: RunConfig, out_dir: Path, dump_fields: bool) -> int:
     executed = _execute(cfg)
     result = executed.result
-    (out_dir / "timeseries.csv").write_text(_csv_text(executed.records))
+    _write(out_dir, "timeseries.csv", _csv_text(executed.records))
     bounded = None
     if len(executed.records) >= 2:
         bounded = phi_trend(executed.records).bounded
@@ -315,7 +322,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, oracle=replace(cfg.oracle, seed=args.seed))
         out_dir = Path(args.out if args.out is not None else cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "certify":
             return cmd_certify(cfg, out_dir)
         if args.command == "run":

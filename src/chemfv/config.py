@@ -1,13 +1,16 @@
 """Strict INI-style run configuration.
 
-Every key has a documented default, so an empty file is a valid config;
-unknown sections or keys are rejected outright (experiment files must not
-contain silent typos).  ``--set section.key=value`` overrides are applied
-before validation.  This module only translates values into the library
-types, which own every rule.  Values marked ``auto`` resolve from the model:
-q1, q2 and the certificate p through ``certificates.default_exponents``
-(n+3, (n+3)/2, ceil(p_bar)).  The monitors have no exponent of their own:
-they evaluate phi_p at the certificate's p.
+Every key has a documented default, so an empty file is a valid config.
+Each value, from the file or from a ``--set section.key=value`` override,
+passes one check that rejects unknown sections and keys with the same message
+(experiment files must not contain silent typos) and converts it to its kind;
+overrides then replace file values before validation.  This module only
+translates values into the library types, which own every rule: the
+``[model]``, ``[time]``, ``[oracle]`` and ``[sweep]`` keys are their field
+names, and a type's error is reported as ``invalid [section]: ...``.
+``auto`` reads as None, for which ``certificates.default_exponents`` chooses
+q1, q2 and the certificate p (n+3, (n+3)/2, ceil(p_bar)).  The monitors have
+no exponent of their own: they evaluate phi_p at the certificate's p.
 """
 from __future__ import annotations
 
@@ -60,9 +63,9 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "dir": (_STR, "."),
     },
     "certificate": {
-        "q1": (_AUTO_FLOAT, "auto"),
-        "q2": (_AUTO_FLOAT, "auto"),
-        "p": (_AUTO_FLOAT, "auto"),
+        "q1": (_AUTO_FLOAT, None),   # None is "auto": default_exponents chooses
+        "q2": (_AUTO_FLOAT, None),
+        "p": (_AUTO_FLOAT, None),
         "k1-literal": (_BOOL, True),
     },
     "oracle": {
@@ -112,7 +115,17 @@ class RunConfig:
     sweep: SweepSpec | None
 
 
-def _convert(section: str, key: str, kind: str, raw: str):
+def _keys(section: str) -> dict[str, tuple[str, object]]:
+    if section not in _SCHEMA:
+        raise ConfigError(f"unknown config section [{section}]")
+    return _SCHEMA[section]
+
+
+def _convert(section: str, key: str, raw: str):
+    """Check that ``[section] key`` exists and convert ``raw`` to the schema's kind."""
+    if key not in _keys(section):
+        raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    kind = _SCHEMA[section][key][0]
     raw = raw.strip()
     try:
         if kind == _INT:
@@ -129,7 +142,7 @@ def _convert(section: str, key: str, kind: str, raw: str):
                 return False
             raise ValueError(raw)
         if kind == _AUTO_FLOAT:
-            return "auto" if raw.lower() == "auto" else float(raw)
+            return None if raw.lower() == "auto" else float(raw)
         if kind == _OPT_FLOAT:
             return None if raw.lower() == "none" else float(raw)
     except ValueError:
@@ -148,104 +161,69 @@ def _read_values(text: str, overrides: tuple[str, ...]) -> dict[str, dict[str, o
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}")
 
-    values: dict[str, dict[str, object]] = {s: dict() for s in _SCHEMA}
+    values = {section: {key: default for key, (_, default) in keys.items()}
+              for section, keys in _SCHEMA.items()}
     for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
+        _keys(section)   # an empty section has no key to check
         for key, raw in parser[section].items():
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[section][key] = _convert(section, key, _SCHEMA[section][key][0], raw)
+            values[section][key] = _convert(section, key, raw)
 
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override {item!r} must look like section.key=value")
         target, _, raw = item.partition("=")
         section, _, key = target.strip().partition(".")
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigError(f"override targets unknown key [{section}] {key}")
-        values[section][key] = _convert(section, key, _SCHEMA[section][key][0], raw)
-
-    for section, keys in _SCHEMA.items():
-        for key, (_, default) in keys.items():
-            values[section].setdefault(key, default)
+        values[section][key] = _convert(section, key, raw)
     return values
+
+
+def _build(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ``ChemfvError`` reported as ``invalid [section]``."""
+    try:
+        return make(*args, **kwargs)
+    except ChemfvError as exc:
+        raise ConfigError(f"invalid [{section}]: {exc}")
 
 
 def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
     """Parse, apply overrides, fill defaults, and validate semantically."""
     v = _read_values(text, tuple(overrides))
+    model = _build("model", ModelParams, **v["model"])
 
-    try:
-        model = ModelParams(
-            n=v["model"]["n"], m=v["model"]["m"], alpha=v["model"]["alpha"],
-            k=v["model"]["k"], mu=v["model"]["mu"], chi0=v["model"]["chi0"], a=v["model"]["a"],
-        )
-    except ChemfvError as exc:
-        raise ConfigError(f"invalid [model]: {exc}")
+    g = v["grid"]
+    if g["dim"] not in (1, 2):
+        raise ConfigError(f"grid dim must be 1 or 2, got {g['dim']}")
+    if model.n != g["dim"]:
+        raise ConfigError(f"model n={model.n} must match grid dim={g['dim']}")
+    grid = (_build("grid", Grid.line, g["nx"], g["Lx"]) if g["dim"] == 1
+            else _build("grid", Grid.rect, g["nx"], g["ny"], g["Lx"], g["Ly"]))
 
-    dim = v["grid"]["dim"]
-    if dim not in (1, 2):
-        raise ConfigError(f"grid dim must be 1 or 2, got {dim}")
-    if model.n != dim:
-        raise ConfigError(f"model n={model.n} must match grid dim={dim}")
-    try:
-        if dim == 1:
-            grid = Grid.line(v["grid"]["nx"], v["grid"]["Lx"])
-        else:
-            grid = Grid.rect(v["grid"]["nx"], v["grid"]["ny"],
-                             v["grid"]["Lx"], v["grid"]["Ly"])
-    except ChemfvError as exc:
-        raise ConfigError(f"invalid [grid]: {exc}")
-
-    cadence_steps = v["monitor"]["cadence_steps"]
-    cadence_time = v["monitor"]["cadence_time"]
-    if cadence_time is not None:
-        cadence_steps = None
-    try:
-        solver = SolverConfig(
-            t_end=v["time"]["t_end"], safety=v["time"]["safety"],
-            dt_min=v["time"]["dt_min"], u_max=v["time"]["u_max"],
-            max_steps=v["time"]["max_steps"],
-            output_every_steps=cadence_steps, output_every_time=cadence_time,
-        )
-    except ChemfvError as exc:
-        raise ConfigError(f"invalid [time]: {exc}")
+    cadence_steps, cadence_time = v["monitor"]["cadence_steps"], v["monitor"]["cadence_time"]
+    solver = _build("time", SolverConfig, **v["time"], output_every_time=cadence_time,
+                    output_every_steps=None if cadence_time is not None else cadence_steps)
 
     for which in ("u0", "v0"):
         parse_profile(v["init"][which])  # raises ConfigError on bad profiles
 
-    q1, q2, p_cert = (None if v["certificate"][key] == "auto" else v["certificate"][key]
-                      for key in ("q1", "q2", "p"))
-    try:
-        exponents = default_exponents(model, q1, q2, p_cert)
-        p_bar = compute_p_bar(model.n, model.m, model.alpha, exponents.q1, exponents.q2)
-    except ChemfvError as exc:
-        raise ConfigError(f"invalid [certificate]: {exc}")
+    k1_literal = v["certificate"].pop("k1-literal")
+    exponents = _build("certificate", default_exponents, model, **v["certificate"])
+    p_bar = _build("certificate", compute_p_bar, model.n, model.m, model.alpha,
+                   exponents.q1, exponents.q2)
     if exponents.p < p_bar:
         raise ConfigError(
             f"certificate p={exponents.p} is below the minimal admissible exponent {p_bar}"
         )
 
-    try:
-        oracle = OracleConfig(
-            grid=grid, trials=v["oracle"]["trials"], seed=v["oracle"]["seed"],
-            q=v["oracle"]["q"], num_modes=v["oracle"]["num_modes"],
-        )
-    except ChemfvError as exc:
-        raise ConfigError(f"invalid [oracle]: {exc}")
+    oracle = _build("oracle", OracleConfig, grid=grid, **v["oracle"])
 
-    sweep = None
-    if v["sweep"]["mu_lo"] is not None or v["sweep"]["mu_hi"] is not None:
-        if v["sweep"]["mu_lo"] is None or v["sweep"]["mu_hi"] is None:
-            raise ConfigError("sweep needs both mu_lo and mu_hi")
-        sweep = SweepSpec(v["sweep"]["mu_lo"], v["sweep"]["mu_hi"],
-                          v["sweep"]["bisection_steps"])
+    if (v["sweep"]["mu_lo"] is None) != (v["sweep"]["mu_hi"] is None):
+        raise ConfigError("sweep needs both mu_lo and mu_hi")
+    sweep = None if v["sweep"]["mu_lo"] is None else SweepSpec(**v["sweep"])
 
     return RunConfig(
         model=model, grid=grid, solver=solver,
         u0_spec=v["init"]["u0"], v0_spec=v["init"]["v0"],
         out_dir=v["output"]["dir"],
-        exponents=exponents, k1_literal=v["certificate"]["k1-literal"],
+        exponents=exponents, k1_literal=k1_literal,
         oracle=oracle, sweep=sweep,
     )

@@ -3,7 +3,8 @@
 Profiles are specified as strings such as ``constant(1.0)``,
 ``gaussian-bump(center=0.5, width=0.1, amplitude=1.0, floor=0.0)`` or
 ``cosine(amplitude=1.0, mode=1, floor=1.0)``.  ``center`` is a fraction of
-each axis extent; combinations whose minimum would be negative are rejected.
+each axis extent.  ``parse_profile`` owns every rule, so a profile whose
+minimum would be negative is rejected before any grid exists.
 """
 from __future__ import annotations
 
@@ -46,47 +47,47 @@ def parse_profile(text: str) -> tuple[str, dict[str, float]]:
                 args[key] = float(raw)
             except ValueError:
                 raise ConfigError(f"profile parameter {key}={raw.strip()!r} is not a number")
-    if name == "constant" and args["value"] is None:
-        raise ConfigError("constant profile needs a value")
+    if name == "constant":
+        if args["value"] is None:
+            raise ConfigError("constant profile needs a value")
+        if args["value"] < 0.0:
+            raise ConfigError(f"constant profile must be nonnegative, got {args['value']}")
+        return name, args
     if name == "cosine" and not (float(args["mode"]).is_integer()
                                  and abs(args["mode"]) < 2.0**63):
         # cosine_field holds modes as 64-bit integers
         raise ConfigError(f"cosine mode must be a finite integer below 2**63 in magnitude, "
                           f"got {args['mode']}")
+    floor, amplitude = args["floor"], args["amplitude"]
+    if floor < 0.0:
+        raise ConfigError(f"profile floor must be nonnegative, got {floor}")
+    if name == "gaussian-bump":
+        if not args["width"] > 0.0:
+            raise ConfigError(f"gaussian-bump width must be positive, got {args['width']}")
+        if floor + min(amplitude, 0.0) < 0.0:
+            raise ConfigError("gaussian-bump would go negative (floor + amplitude < 0)")
+    elif floor - abs(amplitude) < 0.0:
+        raise ConfigError("cosine would go negative (floor < |amplitude|)")
     return name, args
 
 
 def build_profile(grid: Grid, text: str) -> ScalarField:
     name, args = parse_profile(text)
     if name == "constant":
-        value = args["value"]
-        if value < 0.0:
-            raise ConfigError(f"constant profile must be nonnegative, got {value}")
-        return constant_field(grid, value)
+        return constant_field(grid, args["value"])
 
-    floor = args["floor"]
-    amplitude = args["amplitude"]
-    if floor < 0.0:
-        raise ConfigError(f"profile floor must be nonnegative, got {floor}")
-
+    floor, amplitude = args["floor"], args["amplitude"]
     if name == "gaussian-bump":
-        width = args["width"]
-        if not width > 0.0:
-            raise ConfigError(f"gaussian-bump width must be positive, got {width}")
-        if floor + min(amplitude, 0.0) < 0.0:
-            raise ConfigError("gaussian-bump would go negative (floor + amplitude < 0)")
         centers = grid.centers()
         r_sq = np.zeros(grid.shape)
         for axis in range(grid.dim):
             c = args["center"] * grid.extents[axis]
             r_sq = r_sq + (centers[axis] - c) ** 2
-        values = floor + amplitude * np.exp(-r_sq / (2.0 * width**2))
+        values = floor + amplitude * np.exp(-r_sq / (2.0 * args["width"]**2))
         return ScalarField(grid, np.broadcast_to(values, grid.shape).copy())
 
     # cosine: floor + amplitude * prod_a cos(mode pi x_a / L_a)
     mode = int(args["mode"])
-    if floor - abs(amplitude) < 0.0:
-        raise ConfigError("cosine would go negative (floor < |amplitude|)")
     return ScalarField(grid, floor + cosine_field(grid, [[mode] * grid.dim], [amplitude]).values)
 
 

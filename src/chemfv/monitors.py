@@ -84,13 +84,14 @@ def phi(state: SimState, p: float, chi0: float, *, grad_sq: np.ndarray | None = 
         powered = (state.u.values + 1.0) ** p
         try:
             u_term = integrate(ScalarField(state.u.grid, powered))
-        except CorruptionError:   # a power is not finite
+            if chi0 == 0.0:
+                grad_term = 0.0
+            else:
+                gsq = _grad_sq(state.v) if grad_sq is None else grad_sq
+                # a Python float power raises OverflowError where numpy gives inf
+                grad_term = chi0 ** (2.0 * p) * integrate(ScalarField(state.v.grid, gsq**p))
+        except (CorruptionError, OverflowError):   # a power is not finite
             raise CorruptionError(PHI_OVERFLOW) from None
-        if chi0 == 0.0:
-            grad_term = 0.0
-        else:
-            gsq = _grad_sq(state.v) if grad_sq is None else grad_sq
-            grad_term = chi0 ** (2.0 * p) * integrate(ScalarField(state.v.grid, gsq**p))
     value = u_term + grad_term
     if not math.isfinite(value):
         raise CorruptionError(PHI_OVERFLOW)

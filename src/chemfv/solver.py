@@ -112,7 +112,9 @@ def _kernel(grid: Grid, params: ModelParams):
     """
     m, alpha, chi0, k, mu = params.m, params.alpha, params.chi0, params.k, params.mu
     h = grid.spacing
-    inv_h2 = sum(1.0 / hx**2 for hx in h)
+    # hx**2 underflows to 0 on a tiny domain; inf makes the diffusive limit 0,
+    # so the run ends dt_underflow
+    inv_h2 = sum(1.0 / hx**2 if hx**2 else math.inf for hx in h)
     dt_diff_linear = 1.0 / (2.0 * inv_h2)
     h_min, two_dim, a_half, abs_k, two_mu = min(h), 2.0 * grid.dim, params.a * 0.5, abs(k), 2.0 * mu
     shape, n = grid.shape, math.prod(grid.shape)

@@ -139,6 +139,23 @@ class TestCertify:
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.ini")]) == 1
 
+    @pytest.mark.parametrize("command, override", [
+        *((c, "certificate.p=100") for c in ("certify", "run", "sweep")),   # overflows
+        *((c, "init.v0=gaussian-bump(width=0)") for c in ("certify", "run", "sweep", "verify")),
+    ])
+    def test_failed_command_makes_no_output_directory(self, tmp_path, command, override):
+        text = BASE_CONFIG + "\n[sweep]\nmu_lo = 0.5\nmu_hi = 4.0\nbisection_steps = 1\n"
+        out = tmp_path / "new" / "out"
+        code = main([command, "--config", write_config(tmp_path, text), "--out", str(out),
+                     "--set", override])
+        assert code == 1
+        assert not (tmp_path / "new").exists()
+
+    def test_output_directory_is_made_at_the_first_write(self, tmp_path):
+        out = tmp_path / "new" / "out"
+        assert main(["certify", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["certificate.json"]
+
 
 class TestRun:
     def test_clean_run_exit_0(self, tmp_path):
@@ -218,6 +235,27 @@ class TestRun:
         assert summary["t_end_reached"] is False
         assert (tmp_path / "timeseries.csv").read_text() == CSV_HEADER + "\n"
         assert (tmp_path / "u_final.csv").exists()
+
+    def test_chi0_power_overflow_writes_summary_and_exits_1(self, tmp_path):
+        # chi0 * sup v0 = 1 satisfies the certificate, but chi0^(2p) overflows
+        cfg = write_config(tmp_path)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path),
+                     "--set", "time.t_end=0.001", "--set", "model.chi0=1e60",
+                     "--set", "init.v0=constant(1e-60)"])
+        assert code == 1
+        summary = read_json(tmp_path, "summary.json")
+        assert summary["status"] == "corrupted"
+        assert summary["reason"] == "phi overflowed (large p on a large state)"
+        assert (tmp_path / "timeseries.csv").read_text() == CSV_HEADER + "\n"
+
+    @pytest.mark.parametrize("lx", ["1e-152", "1e-160"])
+    def test_tiny_domain_ends_dt_underflow(self, tmp_path, lx):
+        # at Lx = 1e-160 the squared cell width underflows to 0
+        cfg = write_config(tmp_path)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path), "--set", f"grid.Lx={lx}"])
+        assert code == 2
+        summary = read_json(tmp_path, "summary.json")
+        assert (summary["status"], summary["t_end_reached"]) == ("dt_underflow", False)
 
     def test_corruption_in_the_monitors_keeps_the_earlier_records(self, tmp_path, monkeypatch):
         real_phi, calls = chemfv.monitors.phi, []
@@ -396,6 +434,15 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "seed must be >= 0" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "verify.json").exists()
+
+    @pytest.mark.parametrize("override", ["init.u0=constant(-1)",
+                                          "init.v0=cosine(amplitude=2.0, floor=1.0)"])
+    def test_negative_profile_exits_1(self, tmp_path, capsys, override):
+        code = main(["verify", "--config", write_config(tmp_path), "--out", str(tmp_path),
+                     "--set", "oracle.trials=1", "--set", override])
+        assert code == 1
+        assert "negative" in capsys.readouterr().err
         assert not (tmp_path / "verify.json").exists()
 
     def test_poisoned_d3_exits_4(self, tmp_path):

@@ -148,6 +148,21 @@ class TestSemanticErrors:
         with pytest.raises(ConfigError, match="certificate"):
             parse_config(f"[certificate]\np = {value}\n")
 
+    @pytest.mark.parametrize("profile, message", [
+        ("constant(-1)", "constant profile must be nonnegative, got -1.0"),
+        ("gaussian-bump(floor=-0.5)", "profile floor must be nonnegative, got -0.5"),
+        ("cosine(amplitude=0.0, floor=-0.5)", "profile floor must be nonnegative, got -0.5"),
+        ("gaussian-bump(width=0)", "gaussian-bump width must be positive, got 0.0"),
+        ("gaussian-bump(width=nan)", "gaussian-bump width must be positive, got nan"),
+        ("gaussian-bump(amplitude=-2.0, floor=1.0)",
+         r"gaussian-bump would go negative \(floor \+ amplitude < 0\)"),
+        ("cosine(amplitude=-2.0, floor=1.0)", r"cosine would go negative \(floor < \|amplitude\|\)"),
+    ])
+    @pytest.mark.parametrize("which", ["u0", "v0"])
+    def test_profile_rules_run_at_parse_time(self, profile, message, which):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(f"[init]\n{which} = {profile}\n")
+
     @pytest.mark.parametrize("mode", ["1.5", "nan", "inf", "-inf", "1e19", "-9.3e18"])
     def test_cosine_mode_must_be_a_finite_integer(self, mode):
         with pytest.raises(ConfigError, match="cosine mode"):
@@ -175,6 +190,25 @@ class TestOverrides:
     def test_override_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("", overrides=("model.nope=1",))
+
+    @pytest.mark.parametrize("override, message", [
+        ("modle.mu=1", r"^unknown config section \[modle\]$"),
+        ("model.muu=1", r"^unknown key 'muu' in section \[model\]$"),
+    ])
+    def test_override_unknown_name_gets_the_files_message(self, override, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config("", overrides=(override,))
+        section, _, rest = override.partition(".")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"[{section}]\n{rest.replace('=', ' = ')}\n")
+
+    def test_empty_unknown_section_rejected(self):
+        with pytest.raises(ConfigError, match=r"^unknown config section \[modle\]$"):
+            parse_config("[modle]\n")
+
+    def test_file_values_are_converted_before_overrides(self):
+        with pytest.raises(ConfigError, match="not a valid float"):
+            parse_config("[model]\nmu = soon\n", overrides=("model.mu=2.0",))
 
     def test_override_shape(self):
         with pytest.raises(ConfigError, match="section.key=value"):

@@ -45,6 +45,15 @@ class TestPhi:
         with pytest.raises(DomainError):
             phi(state, 0.5, 1.0)
 
+    @pytest.mark.parametrize("amplitude, chi0", [(1e-60, 1e60), (1e3, 1.0)])
+    def test_gradient_term_overflow_is_phi_overflow(self, amplitude, chi0):
+        # chi0^(2p) overflows as a Python float power; |grad v|^(2p) as an array
+        g = Grid.line(16, 1.0)
+        v = field_from_function(g, lambda x: amplitude * (1.0 + np.cos(np.pi * x)))
+        state = SimState(0.0, constant_field(g, 0.0), v)
+        with pytest.raises(CorruptionError, match=r"^phi overflowed"):
+            phi(state, 200.0, chi0)
+
     def test_overflow_is_corruption(self):
         g = Grid.line(8, 1.0)
         state = SimState(0.0, constant_field(g, 1e300), constant_field(g, 0.0))
@@ -72,6 +81,19 @@ class TestRecord:
         assert names == ["mass"]
         assert rec.violations[0].observed == pytest.approx(0.5)
         assert rec.violations[0].bound_value == pytest.approx(0.1)
+
+    def test_gradient_energy_violation_flagged(self):
+        # M_grad = max(gradv0_l2sq, ...) is about 0.1 here; int |grad v|^2 of
+        # v = 1 + cos(pi x) is about pi^2 / 2
+        g = Grid.line(64, 1.0)
+        cert = make_cert(gradv0_l2sq=0.1)
+        v = field_from_function(g, lambda x: 1.0 + np.cos(np.pi * x))
+        state = SimState(0.0, constant_field(g, 0.05), v)
+        rec = record(state, 1e-3, cert)
+        assert [viol.bound_name for viol in rec.violations] == ["gradv_l2"]
+        assert rec.violations[0].bound_value == cert.M_grad
+        assert rec.violations[0].observed == rec.gradv_l2sq == gradv_l2sq(v)
+        assert rec.gradv_l2sq > cert.M_grad * (1.0 + chemfv.monitors.BOUND_SLACK)
 
     def test_tolerance_is_relative(self):
         g = Grid.line(16, 1.0)
