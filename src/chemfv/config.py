@@ -151,7 +151,8 @@ def _convert(section: str, key: str, raw: str):
 
 
 def _read_values(text: str, overrides: tuple[str, ...]) -> dict[str, dict[str, object]]:
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name a section "\n", so [DEFAULT] is an ordinary, unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str  # keys are case-sensitive
     try:
         parser.read_string(text)

@@ -8,9 +8,10 @@ conserve their integrand to round-off and ``integrate(laplacian(f)) == 0``
 holds for arbitrary fields.
 
 The ghosts are implicit: the second differences write the boundary cells
-from slices of the interior face gradients, and the zero boundary faces are
-never stored.  ``extend_neumann`` builds the one padded copy, for the
-centered stencils of ``gradient_cells`` and the 2D cross derivative.
+from slices of the interior face gradients, the zero boundary faces are
+never stored, and ``gradient_cells`` writes each axis's first and last cells
+from the one-sided difference that the mirror ghost gives.  ``extend_neumann``
+builds the one padded copy, for the 2D cross derivative of ``hessian``.
 
 The stencils, the integral and the cosine series act on the trailing
 ``grid.dim`` axes, so ``gradient_cells``, ``hessian`` and ``integrate`` take a
@@ -51,6 +52,9 @@ class Grid:
         for length in self.extents:
             if not (length > 0.0) or not math.isfinite(length):
                 raise DomainError(f"axis extent must be positive and finite, got {length}")
+        if not (math.isfinite(self.volume) and math.isfinite(self.cell_volume)):
+            raise DomainError(f"domain and cell volumes must be finite, "
+                              f"got {self.volume} and {self.cell_volume}")
 
     @classmethod
     def line(cls, nx: int, lx: float) -> "Grid":
@@ -74,13 +78,14 @@ class Grid:
     def spacing(self) -> tuple[float, ...]:
         return tuple(l / n for l, n in zip(self.extents, self.cells))
 
+    # math.prod overflows to inf without a warning, so __post_init__ can reject it
     @cached_property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.extents))
+        return float(math.prod(self.extents))
 
     def axis_centers(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
@@ -177,8 +182,8 @@ def _along(axis: int, index) -> tuple:
 def _pad_neumann(values: np.ndarray, dim: int) -> np.ndarray:
     """``values`` with one mirror ghost layer on each of its last ``dim`` axes.
 
-    The one padded copy in this module, for the cell gradients and the 2D
-    cross stencil of the Hessian.
+    The one padded copy in this module, for the 2D cross stencil of the
+    Hessian.
     """
     out = np.empty(values.shape[:-dim] + tuple(n + 2 for n in values.shape[-dim:]))
     out[(Ellipsis,) + (slice(1, -1),) * dim] = values
@@ -217,18 +222,27 @@ def gradient_cells(f: ScalarField | FieldStack) -> tuple[np.ndarray, ...]:
     """Per-axis cell-centered central differences (f_{i+1} - f_{i-1})/(2h).
 
     Mirror ghosts make the boundary cells use a one-sided stencil of the same
-    form, consistent with the zero-flux closure.  Each array has the shape of
-    ``f.values``.
+    form, consistent with the zero-flux closure: the first cell of an axis
+    takes (f_1 - f_0)/(2h) and the last (f_{n-1} - f_{n-2})/(2h).  Each array
+    has the shape of ``f.values``.  The differences are taken on the flattened
+    fields, entry k against k +- st for the axis's flat stride st, so they run
+    on contiguous memory; the first and last cells of each axis, where the
+    flat neighbours are not the grid's, are then written from the field.
     """
-    dim = f.grid.dim
-    padded = _pad_neumann(f.values, dim)
+    values, dim, shape = f.values, f.grid.dim, f.grid.shape
+    n = math.prod(shape)
+    flat = values.reshape(values.shape[:-dim] + (n,))
     out = []
     for axis, h in enumerate(f.grid.spacing):
-        lo = [Ellipsis] + [slice(1, -1)] * dim
-        hi = list(lo)
-        lo[1 + axis] = slice(0, -2)
-        hi[1 + axis] = slice(2, None)
-        out.append((padded[tuple(hi)] - padded[tuple(lo)]) / (2.0 * h))
+        st = math.prod(shape[axis + 1:])
+        grad = np.empty(values.shape)
+        np.subtract(flat[..., 2 * st:], flat[..., :-2 * st],
+                    out=grad.reshape(flat.shape)[..., st:-st])
+        first, last = _along(axis - dim, 0), _along(axis - dim, -1)
+        np.subtract(values[_along(axis - dim, 1)], values[first], out=grad[first])
+        np.subtract(values[last], values[_along(axis - dim, -2)], out=grad[last])
+        grad /= 2.0 * h
+        out.append(grad)
     return tuple(out)
 
 

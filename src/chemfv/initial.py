@@ -3,10 +3,13 @@
 Profiles are specified as strings such as ``constant(1.0)``,
 ``gaussian-bump(center=0.5, width=0.1, amplitude=1.0, floor=0.0)`` or
 ``cosine(amplitude=1.0, mode=1, floor=1.0)``.  ``center`` is a fraction of
-each axis extent.  ``parse_profile`` owns every rule, so a profile whose
-minimum would be negative is rejected before any grid exists.
+each axis extent.  ``parse_profile`` owns every rule, so a profile with a
+non-finite parameter, or whose minimum would be negative, is rejected before
+any grid exists.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,6 +21,15 @@ _PROFILE_DEFAULTS = {
     "gaussian-bump": {"center": 0.5, "width": 0.1, "amplitude": 1.0, "floor": 0.0},
     "cosine": {"amplitude": 1.0, "mode": 1, "floor": 0.0},
 }
+
+
+def _finite(args: dict[str, float]) -> dict[str, float]:
+    """``args``, once each is checked finite: NaN passes the comparisons of
+    ``parse_profile``'s rules."""
+    for key, value in args.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"profile parameter {key} must be finite, got {value}")
+    return args
 
 
 def parse_profile(text: str) -> tuple[str, dict[str, float]]:
@@ -52,7 +64,7 @@ def parse_profile(text: str) -> tuple[str, dict[str, float]]:
             raise ConfigError("constant profile needs a value")
         if args["value"] < 0.0:
             raise ConfigError(f"constant profile must be nonnegative, got {args['value']}")
-        return name, args
+        return name, _finite(args)
     if name == "cosine" and not (float(args["mode"]).is_integer()
                                  and abs(args["mode"]) < 2.0**63):
         # cosine_field holds modes as 64-bit integers
@@ -68,7 +80,7 @@ def parse_profile(text: str) -> tuple[str, dict[str, float]]:
             raise ConfigError("gaussian-bump would go negative (floor + amplitude < 0)")
     elif floor - abs(amplitude) < 0.0:
         raise ConfigError("cosine would go negative (floor < |amplitude|)")
-    return name, args
+    return name, _finite(args)
 
 
 def build_profile(grid: Grid, text: str) -> ScalarField:

@@ -13,7 +13,8 @@ One kernel, ``_kernel``, computes every operator (face fluxes, divergence,
 lap v, the step limits) for ``step``, ``stable_dt`` and ``run``.  The march
 holds u and v stacked in one ``(2, *shape)`` state, updated in place by each
 step, and its rates in one more; like the work arrays, both are allocated once
-per run.  Only the hook and the result get ``SimState`` copies.
+per run.  The kernel reads them flat, so each axis's faces are offset views of
+contiguous memory.  Only the hook and the result get ``SimState`` copies.
 
 Loss of boundedness is detected numerically: a run ends ``blowup_detected``
 when sup u exceeds a threshold, ``dt_underflow`` when the stable step
@@ -109,6 +110,20 @@ def _kernel(grid: Grid, params: ModelParams):
     cells of a face; reaction with sup u, the consumption rate of v, added so
     the v update stays convex.  Work arrays and face views are made here once,
     and one call on a stacked face buffer serves u and v alike.
+
+    Every array is read flat, cells in row-major order, so that each ufunc
+    runs on one contiguous block per field.  The faces of an axis with flat
+    stride ``st`` (``ny`` for the first axis of a 2D grid, 1 for the last axis
+    and in 1D) pair entry k with entry k + st: the face operands are the
+    offset views ``flat[..., :-st]`` and ``flat[..., st:]``.  On the last axis
+    of a 2D grid, the ``nx - 1`` pairs at k = ny-1 (mod ny) join one row's
+    last cell to the next row's first cell and are not faces of the grid.
+    Whatever the cells hold, overflow included, those entries are set to +0.0
+    in the speed before its max and in the flux before the divergence.  That
+    leaves the rates bit for bit as a row-by-row loop would: after the first
+    axis no rate entry is -0.0 (each starts at +0.0 and gets ``0.0 + x``,
+    which is never -0.0, then ``a - b``, which is -0.0 only where a is), so
+    adding and subtracting a +0.0 joining face changes nothing.
     """
     m, alpha, chi0, k, mu = params.m, params.alpha, params.chi0, params.k, params.mu
     h = grid.spacing
@@ -119,23 +134,27 @@ def _kernel(grid: Grid, params: ModelParams):
     h_min, two_dim, a_half, abs_k, two_mu = min(h), 2.0 * grid.dim, params.a * 0.5, abs(k), 2.0 * mu
     shape, n = grid.shape, math.prod(grid.shape)
     s, R = np.empty((2, *shape)), np.empty((2, *shape))
-    (u, v), (du_dt, dv_dt) = s, R
+    s_flat, R_flat = s.reshape(2, n), R.reshape(2, n)
+    (u, v), (du_dt, dv_dt) = s_flat, R_flat
     # Scratch that the axes, one after another, and then the reaction terms share.
     scratch = [np.empty(2 * n), np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)]
-    c1, c2 = scratch[1].reshape(shape), scratch[2].reshape(shape)
-    coef = None if m == 1.0 else np.empty(shape)
-    trans = None if alpha == 0.0 or chi0 == 0.0 else np.empty(shape)
+    c1, c2 = scratch[1], scratch[2]
+    coef = None if m == 1.0 else np.empty(n)
+    trans = None if alpha == 0.0 or chi0 == 0.0 else np.empty(n)
     powers = [(b, e) for b, e in ((coef, m - 1.0), (trans, alpha)) if b is not None]
     faces = []
     for axis, hx in enumerate(h):
-        lo, hi = ((slice(None),) + tuple(cut if i == axis else slice(None) for i in range(grid.dim))
-                  for cut in (slice(0, -1), slice(1, None)))
-        F = scratch[0][:s[lo].size].reshape(s[lo].shape)   # [u part; v part]
-        w, s1, s2, mask = (b[:F[0].size].reshape(F.shape[1:]) for b in scratch[1:])
-        c_lh = (None, None) if coef is None else (coef[lo[1:]], coef[hi[1:]])
-        t_lh = (None, None) if trans is None else (trans[lo[1:]], trans[hi[1:]])
-        faces.append((hx, s[lo], s[hi], v[lo[1:]], v[hi[1:]], F, *F, R[lo], R[hi],
-                      *c_lh, *t_lh, w, s1, s2, mask))
+        st = math.prod(shape[axis + 1:])
+        lo, hi = slice(0, n - st), slice(st, n)
+        # An axis with an outer axis is, on a grid of at most two axes, the
+        # last axis of a 2D grid (st = 1): its joining pairs, else None.
+        join = slice(shape[axis] - 1, None, shape[axis]) if st * shape[axis] < n else None
+        F = scratch[0][:2 * (n - st)].reshape(2, n - st)   # [u part; v part]
+        w, s1, s2, mask = (b[:n - st] for b in scratch[1:])
+        c_lh = (None, None) if coef is None else (coef[lo], coef[hi])
+        t_lh = (None, None) if trans is None else (trans[lo], trans[hi])
+        faces.append((hx, join, s_flat[:, lo], s_flat[:, hi], v[lo], v[hi], F, *F,
+                      R_flat[:, lo], R_flat[:, hi], *c_lh, *t_lh, w, s1, s2, mask))
 
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide   # bound once
 
@@ -146,7 +165,7 @@ def _kernel(grid: Grid, params: ModelParams):
             buf **= exponent   # in place, ** keeps numpy's fast paths (sqrt, square)
         R.fill(0.0)
         speed_max = 0.0
-        for (hx, s_lo, s_hi, v_l, v_r, F, f_u, f_v, R_lo, R_hi, c_l, c_r, t_l, t_r,
+        for (hx, join, s_lo, s_hi, v_l, v_r, F, f_u, f_v, R_lo, R_hi, c_l, c_r, t_l, t_r,
              w, s1, s2, mask) in faces:
             divide(subtract(s_hi, s_lo, F), hx, F)   # F = [grad u; grad v]
             if coef is not None:   # D_face grad u
@@ -162,9 +181,13 @@ def _kernel(grid: Grid, params: ModelParams):
                 speed = np.abs(w, s1)
                 if trans is not None and alpha > 0.0:
                     multiply(speed, np.maximum(t_l, t_r, out=w), speed)
+                if join is not None:
+                    speed[join] = 0.0
                 speed_max = max(speed_max, float(speed.max()))
                 subtract(f_u, f_chem, f_u)
             divide(F, hx, F)          # F = [flux; dv/h]
+            if join is not None:
+                F[:, join] = 0.0
             add(R_lo, F, R_lo)        # divergence: each cell gains its right face
             subtract(R_hi, F, R_hi)   # and loses its left one; boundary faces are 0
         subtract(multiply(u, k, c1), multiply(multiply(u, mu, c2), u, c2), c1)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,8 +111,24 @@ class TestCertify:
                      "--set", "grid.nx=16", "--set", "grid.ny=16", "--set", "grid.Lx=1e200",
                      "--set", "grid.Ly=1e200"])
         assert code == 1
-        assert "error: domain_volume must be finite" in capsys.readouterr().err
+        assert ("error: invalid [grid]: domain and cell volumes must be finite"
+                in capsys.readouterr().err)
         assert not (tmp_path / "certificate.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify"])   # certify: above
+    def test_overflowing_grid_volume_exits_1_at_parse_time(self, tmp_path, capsys, command):
+        text = (BASE_CONFIG.replace("n = 1", "n = 2").replace("dim = 1", "dim = 2")
+                + "\n[sweep]\nmu_lo = 0.5\nmu_hi = 4.0\nbisection_steps = 1\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no numpy overflow warning either
+            code = main([command, "--config", write_config(tmp_path, text), "--out", str(out),
+                         "--set", "grid.nx=8", "--set", "grid.ny=8", "--set", "grid.Lx=1e200",
+                         "--set", "grid.Ly=1e200"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: invalid [grid]: domain and cell volumes must be finite, got inf and inf\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["certify", "run", "sweep"])
     @pytest.mark.parametrize("override", ["certificate.p=150", "certificate.p=100",
@@ -142,6 +159,10 @@ class TestCertify:
     @pytest.mark.parametrize("command, override", [
         *((c, "certificate.p=100") for c in ("certify", "run", "sweep")),   # overflows
         *((c, "init.v0=gaussian-bump(width=0)") for c in ("certify", "run", "sweep", "verify")),
+        *((c, o) for c in ("certify", "run", "sweep", "verify")
+          for o in ("init.u0=constant(nan)", "init.v0=constant(inf)",
+                    "init.u0=gaussian-bump(amplitude=nan)",
+                    "init.v0=cosine(amplitude=nan, mode=1, floor=1.0)")),   # not finite
     ])
     def test_failed_command_makes_no_output_directory(self, tmp_path, command, override):
         text = BASE_CONFIG + "\n[sweep]\nmu_lo = 0.5\nmu_hi = 4.0\nbisection_steps = 1\n"
@@ -546,20 +567,20 @@ class TestVerify:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nan_margin_exits_4(self, tmp_path):
-        # The cell volume overflows to inf; the gradient-power margin and the
-        # GN constant are NaN, which must fail rather than be skipped.
+        # Both sides of the gradient-power inequality overflow to inf on a
+        # long, thin domain of finite volume 1e300; the NaN margin must fail
+        # rather than be skipped.
         text = BASE_CONFIG.replace("n = 1", "n = 2").replace("dim = 1", "dim = 2")
         cfg = write_config(tmp_path, text)
         code = main(["verify", "--config", cfg, "--out", str(tmp_path),
-                     "--set", "grid.nx=16", "--set", "grid.ny=16", "--set", "grid.Lx=1e200",
-                     "--set", "grid.Ly=1e200", "--set", "oracle.trials=5"])
+                     "--set", "grid.nx=16", "--set", "grid.ny=16", "--set", "grid.Lx=1e-3",
+                     "--set", "grid.Ly=1e303", "--set", "oracle.trials=5"])
         assert code == 4
         report = read_json(tmp_path, "verify.json")
         assert report["all_passed"] is False
         power = next(v for v in report["verdicts"]
                      if v["inequality_name"] == "gradient_power_hessian")
         assert math.isnan(power["worst_margin"]) and power["passed"] is False
-        assert math.isnan(report["gn_empirical_constant"])
 
 
 class TestExitCodeMapping:

@@ -157,11 +157,32 @@ class TestSemanticErrors:
         ("gaussian-bump(amplitude=-2.0, floor=1.0)",
          r"gaussian-bump would go negative \(floor \+ amplitude < 0\)"),
         ("cosine(amplitude=-2.0, floor=1.0)", r"cosine would go negative \(floor < \|amplitude\|\)"),
+        ("constant(nan)", "profile parameter value must be finite, got nan"),
+        ("constant(inf)", "profile parameter value must be finite, got inf"),
+        ("gaussian-bump(amplitude=nan)", "profile parameter amplitude must be finite, got nan"),
+        ("gaussian-bump(amplitude=inf)", "profile parameter amplitude must be finite, got inf"),
+        ("gaussian-bump(center=-inf)", "profile parameter center must be finite, got -inf"),
+        ("gaussian-bump(width=inf)", "profile parameter width must be finite, got inf"),
+        ("gaussian-bump(floor=nan)", "profile parameter floor must be finite, got nan"),
+        ("cosine(amplitude=nan, mode=1, floor=1.0)",
+         "profile parameter amplitude must be finite, got nan"),
+        ("cosine(amplitude=0.5, mode=1, floor=inf)", "profile parameter floor must be finite, got inf"),
     ])
     @pytest.mark.parametrize("which", ["u0", "v0"])
     def test_profile_rules_run_at_parse_time(self, profile, message, which):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_config(f"[init]\n{which} = {profile}\n")
+
+    @pytest.mark.parametrize("cells, extents", [
+        ((8, 8), (1e200, 1e200)),      # both volumes overflow
+        ((4, 4), (1e154, 1.9e154)),    # the domain volume alone overflows
+    ])
+    def test_grid_volumes_finite(self, cells, extents):
+        text = (f"[model]\nn = 2\n[grid]\ndim = 2\nnx = {cells[0]}\nny = {cells[1]}\n"
+                f"Lx = {extents[0]}\nLy = {extents[1]}\n")
+        with pytest.raises(ConfigError,
+                           match=r"^invalid \[grid\]: domain and cell volumes must be finite"):
+            parse_config(text)
 
     @pytest.mark.parametrize("mode", ["1.5", "nan", "inf", "-inf", "1e19", "-9.3e18"])
     def test_cosine_mode_must_be_a_finite_integer(self, mode):
@@ -201,6 +222,16 @@ class TestOverrides:
         section, _, rest = override.partition(".")
         with pytest.raises(ConfigError, match=message):
             parse_config(f"[{section}]\n{rest.replace('=', ' = ')}\n")
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nmu = 5\n",
+                                      "[DEFAULT]\nmu = 5\n[model]\nk = 1\n",
+                                      "[model]\nk = 1\n[DEFAULT]\nmu = 5\n",
+                                      "[DEFAULT]\nmu = 5\n[grid]\nnx = 8\n",
+                                      "[DEFAULT]\n"])
+    def test_default_section_is_an_unknown_section(self, text):
+        # configparser's [DEFAULT] would otherwise feed its keys to every section
+        with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+            parse_config(text)
 
     def test_empty_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match=r"^unknown config section \[modle\]$"):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,17 @@ class TestGrid:
             Grid.line(8, 0.0)
         with pytest.raises(DomainError):
             Grid((4, 4, 4), (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("cells, extents", [
+        ((8, 8), (1e200, 1e200)),      # both volumes overflow
+        ((4, 4), (1e154, 1.9e154)),    # the domain volume alone overflows
+    ])
+    def test_volumes_must_be_finite(self, cells, extents):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # rejected without a numpy overflow warning
+            with pytest.raises(DomainError, match="domain and cell volumes must be finite"):
+                Grid(cells, extents)
+        assert math.isfinite(Grid(cells, (1e154, 1e154)).volume)
 
     def test_geometry(self):
         g = Grid.rect(8, 4, 2.0, 1.0)
@@ -433,6 +445,49 @@ class TestPadFreeByteParity:
             f = random_smooth_field(grid, (7, seed), 8)
             _assert_same_bytes(f.values, _ref_random_smooth_field(grid, (7, seed), 8))
             _assert_operators_match_reference(f)
+
+
+# gradient_cells as it was written on the mirror-padded copy, before it took
+# its differences as offset views of the flattened fields.
+def _padded_gradient_cells(f):
+    values, dim = f.values, f.grid.dim
+    padded = np.empty(values.shape[:-dim] + tuple(n + 2 for n in values.shape[-dim:]))
+    padded[(Ellipsis,) + (slice(1, -1),) * dim] = values
+    for axis in range(-dim, 0):
+        rest = (slice(None),) * (-1 - axis)
+        padded[(Ellipsis, 0) + rest] = padded[(Ellipsis, 1) + rest]
+        padded[(Ellipsis, -1) + rest] = padded[(Ellipsis, -2) + rest]
+    out = []
+    for axis, h in enumerate(f.grid.spacing):
+        lo = [Ellipsis] + [slice(1, -1)] * dim
+        hi = list(lo)
+        lo[1 + axis] = slice(0, -2)
+        hi[1 + axis] = slice(2, None)
+        out.append((padded[tuple(hi)] - padded[tuple(lo)]) / (2.0 * h))
+    return tuple(out)
+
+
+class TestFlatGradientParity:
+    @pytest.mark.parametrize("grid", [Grid.line(4, 1.0), Grid.line(9, 2.5),
+                                      Grid.rect(4, 4, 1.0, 1.0), Grid.rect(4, 13, 0.3, 3.7),
+                                      Grid.rect(13, 4, 1.0, 0.5), Grid.rect(24, 16, 1.0, 2.0),
+                                      Grid.rect(64, 64, 1.0, 1.0)], ids=str)
+    @pytest.mark.parametrize("kind", ["random", "negative-zero", "integer", "non-finite"])
+    @pytest.mark.parametrize("lead", [None, (1,), (5,)], ids=str)
+    def test_matches_the_padded_stencil(self, grid, kind, lead):
+        rng = np.random.default_rng(13)
+        shape = grid.shape if lead is None else lead + grid.shape
+        values = {
+            "random": lambda: rng.standard_normal(shape),
+            "negative-zero": lambda: np.where(rng.random(shape) < 0.5, -0.0, 0.0),
+            "integer": lambda: rng.integers(-5, 6, size=shape).astype(float),
+            "non-finite": lambda: rng.choice([1.5, -0.0, math.inf, -math.inf, math.nan], shape),
+        }[kind]()
+        f = ScalarField(grid, values) if lead is None else FieldStack(grid, values)
+        with np.errstate(invalid="ignore"):
+            pairs = list(zip(gradient_cells(f), _padded_gradient_cells(f), strict=True))
+        for new, ref in pairs:
+            _assert_same_bytes(new, ref)
 
 
 class TestStackedOperators:

@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import chemfv.oracle
 from chemfv import (DomainError, Grid, ScalarField, compute_p_bar, field_from_function,
                     gradient_cells, hessian, integrate, random_smooth_field)
 from chemfv.oracle import (GN_MAX_FIELDS, TRIAL_BATCH_CELLS, OracleConfig, _stack_margins,
@@ -169,17 +170,29 @@ class TestGNEstimate:
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestNaNMargins:
-    # A cell volume of (1e200/16)^2 overflows to inf, so both sides of the
-    # gradient-power inequality and every GN ratio evaluate to NaN.
-    CFG = OracleConfig(grid=Grid.rect(16, 16, 1e200, 1e200), trials=5)
+    # The domain volume is a finite 1e300, but with the x gradients of order
+    # 1e3 both sides of the gradient-power inequality overflow to inf when
+    # their sums are scaled by the cell volume of about 4e297, so the margin
+    # evaluates to NaN.
+    CFG = OracleConfig(grid=Grid.rect(16, 16, 1e-3, 1e303), trials=5)
 
     def test_nan_margin_fails_its_verdict(self):
         verdict = verify_gradient_power_hessian(self.CFG)
         assert math.isnan(verdict.worst_margin)
         assert verdict.passed is False
 
-    def test_nan_ratio_makes_the_gn_constant_nan(self):
-        assert math.isnan(estimate_gn_constant(self.CFG))
+    def test_nan_ratio_makes_the_gn_constant_nan(self, monkeypatch):
+        # A NaN ratio needed an infinite cell volume, which Grid now rejects;
+        # one NaN among finite ratios must still stick.
+        real = chemfv.oracle._gn_ratios
+
+        def with_a_nan(ops, theta, count):
+            ratios = real(ops, theta, count)
+            ratios[1] = math.nan
+            return ratios
+
+        monkeypatch.setattr(chemfv.oracle, "_gn_ratios", with_a_nan)
+        assert math.isnan(estimate_gn_constant(OracleConfig(grid=Grid.line(16, 1.0), trials=5)))
 
     def test_finite_checks_are_unaffected(self):
         lap, hg, _ = verify_fields(self.CFG)[0]

@@ -706,6 +706,40 @@ class TestKernelByteParity:
             params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=0.7)
             self._assert_march_identical(g, params, *self._fields(rng, g, profile))
 
+    # The kernel reads every axis's faces as offset views of the flattened
+    # fields; on the last axis of a 2D grid the pairs that join one row's end
+    # to the next row's start must leave no trace, on the smallest grids and
+    # on thin ones of either orientation too.
+    @pytest.mark.parametrize("cells", [(4,), (4, 4), (4, 13), (13, 4)], ids=str)
+    def test_small_and_thin_grids(self, cells):
+        rng = np.random.default_rng(29)
+        g = Grid(cells, (1.0, 1.3)[:len(cells)])
+        for m, alpha, chi0, a in itertools.product(
+                (1.0, 1.7), (-0.5, 0.0, 0.6), (0.0, 1.2), (0.0, 0.7)):
+            params = ModelParams(n=len(cells), m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=a)
+            for profile in ("random", "negative_zeros"):
+                self._assert_march_identical(g, params, *self._fields(rng, g, profile))
+
+    @pytest.mark.parametrize("cells", [(9, 11), (4, 4), (4, 13), (13, 4)], ids=str)
+    def test_overflowing_powers_at_row_ends(self, cells):
+        # (u+1)^(m-1) and (u+1)^alpha overflow at a row's last cell alone and
+        # on both sides of a joining pair; NaN limits count as equal.
+        g = Grid.rect(*cells, 1.0, 1.3)
+        params = ModelParams(n=2, m=3.2, alpha=2.0, k=0.5, mu=1.5, chi0=1.2, a=0.7)
+        u, v = self._fields(np.random.default_rng(31), g, "random")
+        u[0, -1] = u[1, -1] = u[2, 0] = 1e200
+        s, kernel = _kernel(g, params)
+        s[0], s[1] = u, v
+        _, sup_u, _, sup_v, _ = _ref_extrema(u, v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _ref_kernel(g, params)(u, v, sup_u, sup_v)
+            (du_dt, dv_dt), *limits = kernel(sup_u, sup_v)
+        assert not np.isfinite(expected[0]).all()
+        assert du_dt.tobytes() == expected[0].tobytes()
+        assert dv_dt.tobytes() == expected[1].tobytes()
+        assert all(x == y or (math.isnan(x) and math.isnan(y))
+                   for x, y in zip(limits, expected[2:], strict=True))
+
 
 @st.composite
 def step_cases(draw, chi0=st.floats(0.0, 5.0), k=st.floats(-5.0, 5.0),
