@@ -123,7 +123,10 @@ def _kernel(grid: Grid, params: ModelParams):
     leaves the rates bit for bit as a row-by-row loop would: after the first
     axis no rate entry is -0.0 (each starts at +0.0 and gets ``0.0 + x``,
     which is never -0.0, then ``a - b``, which is -0.0 only where a is), so
-    adding and subtracting a +0.0 joining face changes nothing.
+    adding and subtracting a +0.0 joining face changes nothing.  The joining
+    pairs are still computed before they are zeroed, so where one of them
+    alone overflows (v ~ 1e154 on both sides, say) numpy prints a
+    RuntimeWarning that a row-by-row loop would not; the rates are unaffected.
     """
     m, alpha, chi0, k, mu = params.m, params.alpha, params.chi0, params.k, params.mu
     h = grid.spacing

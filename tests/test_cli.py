@@ -566,10 +566,19 @@ class TestVerify:
             (name, id(s)) for s in stacks for name in ("hessian", "gradient_cells")]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_nan_margin_exits_4(self, tmp_path):
+    def test_nan_margin_exits_4(self, tmp_path, monkeypatch):
         # Both sides of the gradient-power inequality overflow to inf on a
         # long, thin domain of finite volume 1e300; the NaN margin must fail
-        # rather than be skipped.
+        # rather than be skipped.  No finite grid makes a GN ratio NaN, so one
+        # is injected: it must reach verify.json as a NaN GN constant.
+        real = chemfv.oracle._gn_ratios
+
+        def with_a_nan(ops, theta, count):
+            ratios = real(ops, theta, count)
+            ratios[-1] = math.nan
+            return ratios
+
+        monkeypatch.setattr(chemfv.oracle, "_gn_ratios", with_a_nan)
         text = BASE_CONFIG.replace("n = 1", "n = 2").replace("dim = 1", "dim = 2")
         cfg = write_config(tmp_path, text)
         code = main(["verify", "--config", cfg, "--out", str(tmp_path),
@@ -581,6 +590,7 @@ class TestVerify:
         power = next(v for v in report["verdicts"]
                      if v["inequality_name"] == "gradient_power_hessian")
         assert math.isnan(power["worst_margin"]) and power["passed"] is False
+        assert math.isnan(report["gn_empirical_constant"])
 
 
 class TestExitCodeMapping:

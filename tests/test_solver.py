@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -739,6 +740,28 @@ class TestKernelByteParity:
         assert dv_dt.tobytes() == expected[1].tobytes()
         assert all(x == y or (math.isnan(x) and math.isnan(y))
                    for x, y in zip(limits, expected[2:], strict=True))
+
+    def test_joining_pair_overflow_warns_but_leaves_no_trace(self):
+        # v's face mean overflows np.square only on the pair joining row 0's
+        # last cell to row 1's first, which is no face: the kernel computes it
+        # anyway and numpy warns where the row-by-row reference is silent.  The
+        # rates and limits are unaffected; this pins the known difference.
+        g = Grid.rect(9, 11, 1.0, 1.3)
+        params = ModelParams(n=2, m=1.0, alpha=0.0, k=0.5, mu=1.5, chi0=1.2, a=0.7)
+        u, v = self._fields(np.random.default_rng(37), g, "random")
+        v[0, -1] = v[1, 0] = 2e154
+        _, sup_u, _, sup_v, _ = _ref_extrema(u, v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = _ref_kernel(g, params)(u, v, sup_u, sup_v)
+        s, kernel = _kernel(g, params)
+        s[0], s[1] = u, v
+        with pytest.warns(RuntimeWarning, match="overflow encountered in square") as record:
+            (du_dt, dv_dt), *limits = kernel(sup_u, sup_v)
+        assert len(record) == 1
+        assert du_dt.tobytes() == expected[0].tobytes()
+        assert dv_dt.tobytes() == expected[1].tobytes()
+        assert limits == list(expected[2:])
 
 
 @st.composite
