@@ -270,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the INI config file")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override a config value (repeatable)")
-        p.add_argument("--seed", type=int, default=None, help="override the oracle seed")
+        p.add_argument("--seed", type=int, default=None, help="same as a last --set oracle.seed=N")
         p.add_argument("--out", default=None, help="output directory (default: [output] dir)")
         if name == "run":
             p.add_argument("--dump-fields", action="store_true",
@@ -318,9 +318,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        cfg = parse_config(text, tuple(args.set))
-        if args.seed is not None:
-            cfg = replace(cfg, oracle=replace(cfg.oracle, seed=args.seed))
+        seed = () if args.seed is None else (f"oracle.seed={args.seed}",)
+        cfg = parse_config(text, tuple(args.set) + seed)
         out_dir = Path(args.out if args.out is not None else cfg.out_dir)
         if args.command == "certify":
             return cmd_certify(cfg, out_dir)

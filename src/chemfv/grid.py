@@ -7,16 +7,20 @@ across any boundary face is identically zero, so divergence-form operators
 conserve their integrand to round-off and ``integrate(laplacian(f)) == 0``
 holds for arbitrary fields.
 
-The ghosts are implicit: the second differences write the boundary cells
-from slices of the interior face gradients, the zero boundary faces are
-never stored, and ``gradient_cells`` writes each axis's first and last cells
-from the one-sided difference that the mirror ghost gives.  ``extend_neumann``
-builds the one padded copy, for the 2D cross derivative of ``hessian``.
+The ghosts are implicit.  The second differences and ``gradient_cells`` take
+an axis of flat stride st as the offset views ``flat[st:]``, ``flat[:-st]``
+of the values read as one flat array, then write each axis's first and last
+cells, where the pairs that join one line of the axis to the next land, from
+the zero boundary face (never stored) or the one-sided difference that the
+mirror ghost gives.  An overflow on such a pair alone warns, as a line-by-line
+stencil would not; the results keep their bits.  ``extend_neumann`` builds
+the one padded copy, for the 2D cross derivative of ``hessian``.
 
 The stencils, the integral and the cosine series act on the trailing
-``grid.dim`` axes, so ``gradient_cells``, ``hessian`` and ``integrate`` take a
-``FieldStack`` of fields where they take one ``ScalarField``, and treat each
-field of the stack as they treat it alone.
+``grid.dim`` axes, so ``gradient_cells``, ``hessian``, ``extend_neumann`` and
+``integrate`` take a ``FieldStack`` of fields where they take one
+``ScalarField``, and treat each field of the stack as they treat it alone.
+``gradient_cells`` returns one ``(dim, *f.values.shape)`` array.
 
 Quadrature is the midpoint rule, which is the natural pairing for a
 cell-centered finite volume scheme and is exact for cellwise-linear data.
@@ -179,71 +183,67 @@ def _along(axis: int, index) -> tuple:
     return (Ellipsis, index) + (slice(None),) * (-1 - axis)
 
 
-def _pad_neumann(values: np.ndarray, dim: int) -> np.ndarray:
-    """``values`` with one mirror ghost layer on each of its last ``dim`` axes.
-
-    The one padded copy in this module, for the 2D cross stencil of the
-    Hessian.
-    """
-    out = np.empty(values.shape[:-dim] + tuple(n + 2 for n in values.shape[-dim:]))
-    out[(Ellipsis,) + (slice(1, -1),) * dim] = values
+def extend_neumann(f: ScalarField | FieldStack) -> np.ndarray:
+    """Values with one mirror ghost layer on each grid axis, a ghost equal to
+    the adjacent interior cell: the one padded copy in this module, for the 2D
+    cross stencil of ``hessian``."""
+    dim = f.grid.dim
+    out = np.empty(f.values.shape[:-dim] + tuple(n + 2 for n in f.grid.shape))
+    out[(Ellipsis,) + (slice(1, -1),) * dim] = f.values
     for axis in range(-dim, 0):
         out[_along(axis, 0)] = out[_along(axis, 1)]
         out[_along(axis, -1)] = out[_along(axis, -2)]
     return out
 
 
-def extend_neumann(f: ScalarField) -> np.ndarray:
-    """Values with one mirror ghost layer: ghost equals the adjacent interior cell."""
-    return _pad_neumann(f.values, f.grid.dim)
+def _second_difference(f: ScalarField | FieldStack, axis: int, out: np.ndarray) -> np.ndarray:
+    """(g_R - g_L)/h along grid ``axis`` into ``out`` (C-contiguous, shaped as
+    ``f.values``), g the face gradient with zero boundary faces.
 
-
-def _second_difference(values: np.ndarray, axis: int, h: float,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Per-axis (g_R - g_L)/h along the negative ``axis``, g the face gradient
-    with zero boundary faces.
-
-    The boundary faces are never stored: the first cell takes g_R - 0 = g_R
-    and the last 0 - g_L, computed as a subtraction so that +0.0 stays +0.0.
+    The faces g_k = (f_{k+st} - f_k)/h, st the axis's flat stride, and their
+    differences are offset views of the flat values, one ufunc call each.  The
+    pairs that join one line of the axis to the next land on its first and
+    last cells, which are then written from the faces: the first takes
+    g_R - 0 = g_R and the last 0 - g_L, a subtraction so that +0.0 stays +0.0.
     """
-    g = np.diff(values, axis=axis) / h
-    if out is None:
-        out = np.empty(values.shape)
-    np.subtract(g[_along(axis, slice(1, None))], g[_along(axis, slice(None, -1))],
-                out=out[_along(axis, slice(1, -1))])
-    first, last = _along(axis, slice(0, 1)), _along(axis, slice(-1, None))
+    values, dim, h = f.values, f.grid.dim, f.grid.spacing[axis]
+    st = math.prod(f.grid.shape[axis + 1:])
+    flat = values.reshape(-1)
+    g = np.empty(flat.shape)        # g[k] is the face from cell k to k + st
+    faces = np.subtract(flat[st:], flat[:-st], out=g[:-st])
+    faces /= h
+    np.subtract(faces[st:], faces[:-st], out=out.reshape(-1)[st:-st])
+    g = g.reshape(values.shape)
+    first, last = _along(axis - dim, 0), _along(axis - dim, -1)
     out[first] = g[first]
-    np.subtract(0.0, g[last], out=out[last])
+    np.subtract(0.0, g[_along(axis - dim, -2)], out=out[last])
     out /= h
     return out
 
 
-def gradient_cells(f: ScalarField | FieldStack) -> tuple[np.ndarray, ...]:
-    """Per-axis cell-centered central differences (f_{i+1} - f_{i-1})/(2h).
+def gradient_cells(f: ScalarField | FieldStack) -> np.ndarray:
+    """Per-axis cell-centered central differences (f_{i+1} - f_{i-1})/(2h),
+    shape (dim, *f.values.shape).
 
     Mirror ghosts make the boundary cells use a one-sided stencil of the same
     form, consistent with the zero-flux closure: the first cell of an axis
-    takes (f_1 - f_0)/(2h) and the last (f_{n-1} - f_{n-2})/(2h).  Each array
-    has the shape of ``f.values``.  The differences are taken on the flattened
-    fields, entry k against k +- st for the axis's flat stride st, so they run
-    on contiguous memory; the first and last cells of each axis, where the
+    takes (f_1 - f_0)/(2h) and the last (f_{n-1} - f_{n-2})/(2h).  The
+    differences are offset views of the flat values, entry k against k +- st,
+    as in ``_second_difference``; each axis's first and last cells, where the
     flat neighbours are not the grid's, are then written from the field.
     """
-    values, dim, shape = f.values, f.grid.dim, f.grid.shape
-    n = math.prod(shape)
-    flat = values.reshape(values.shape[:-dim] + (n,))
-    out = []
+    values, dim = f.values, f.grid.dim
+    flat = values.reshape(-1)
+    out = np.empty((dim,) + values.shape)
     for axis, h in enumerate(f.grid.spacing):
-        st = math.prod(shape[axis + 1:])
-        grad = np.empty(values.shape)
-        np.subtract(flat[..., 2 * st:], flat[..., :-2 * st],
-                    out=grad.reshape(flat.shape)[..., st:-st])
+        st = math.prod(f.grid.shape[axis + 1:])
+        grad = out[axis]
+        np.subtract(flat[2 * st:], flat[:-2 * st], out=grad.reshape(-1)[st:-st])
         first, last = _along(axis - dim, 0), _along(axis - dim, -1)
         np.subtract(values[_along(axis - dim, 1)], values[first], out=grad[first])
         np.subtract(values[last], values[_along(axis - dim, -2)], out=grad[last])
         grad /= 2.0 * h
-        out.append(grad)
-    return tuple(out)
+    return out
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -253,10 +253,9 @@ def laplacian(f: ScalarField) -> ScalarField:
     domain telescopes to zero exactly and the stencil is exact for quadratics
     away from the boundary.
     """
-    dim, h = f.grid.dim, f.grid.spacing
-    total = _second_difference(f.values, -dim, h[0])
-    for axis in range(1, dim):
-        total += _second_difference(f.values, axis - dim, h[axis])
+    total = _second_difference(f, 0, np.empty(f.values.shape))
+    for axis in range(1, f.grid.dim):
+        total += _second_difference(f, axis, np.empty(f.values.shape))
     return ScalarField(f.grid, total)
 
 
@@ -267,12 +266,12 @@ def hessian(f: ScalarField | FieldStack) -> np.ndarray:
     ``laplacian`` (so the trace matches it to round-off); off-diagonal entries
     use the centered cross stencil on mirror ghosts.
     """
-    values, dim, h = f.values, f.grid.dim, f.grid.spacing
-    out = np.empty((dim, dim) + values.shape)
+    dim, h = f.grid.dim, f.grid.spacing
+    out = np.empty((dim, dim) + f.values.shape)
     for axis in range(dim):
-        _second_difference(values, axis - dim, h[axis], out=out[axis, axis])
+        _second_difference(f, axis, out[axis, axis])
     if dim == 2:
-        p = _pad_neumann(values, 2)
+        p = extend_neumann(f)
         cross = (p[..., 2:, 2:] - p[..., 2:, :-2] - p[..., :-2, 2:] + p[..., :-2, :-2]) / (
             4.0 * h[0] * h[1])
         out[0, 1] = cross

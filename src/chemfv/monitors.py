@@ -62,10 +62,7 @@ class MonitorRecord:
 def _grad_sq(v: ScalarField) -> np.ndarray:
     """|grad v|^2 per cell, with the cell-centered gradient."""
     grads = gradient_cells(v)
-    total = grads[0] ** 2
-    for g in grads[1:]:
-        total = total + g**2
-    return total
+    return np.square(grads, out=grads).sum(axis=0)
 
 
 def gradv_l2sq(v: ScalarField) -> float:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .certificates import compute_p_bar, d3_constant, pbar_relation_margins
-from .errors import DomainError
+from .errors import CorruptionError, DomainError
 from .grid import (FieldStack, Grid, ScalarField, gradient_cells, hessian, integrate,
                    random_smooth_stack)
 
@@ -103,7 +103,7 @@ class _StackOps(NamedTuple):
 
 def _stack_ops(stack: FieldStack) -> _StackOps:
     hess = hessian(stack)
-    grads = np.stack(gradient_cells(stack))
+    grads = gradient_cells(stack)
     grads_sq = grads**2
     return _StackOps(stack.grid, stack.values, hess, grads, grads_sq,
                      (hess**2).sum(axis=(0, 1)), grads_sq.sum(axis=0))
@@ -131,8 +131,12 @@ def _hessian_gradient(ops: _StackOps) -> list[float]:
 
 def _gradient_power(ops: _StackOps, q: float) -> list[tuple[float, float]]:
     grid = ops.grid
-    lhs = integrate(FieldStack(grid, ops.gsq ** (q + 1.0)))
-    rhs = integrate(FieldStack(grid, ops.gsq ** (q - 1.0) * ops.hsq))
+    try:
+        lhs = integrate(FieldStack(grid, ops.gsq ** (q + 1.0)))
+        rhs = integrate(FieldStack(grid, ops.gsq ** (q - 1.0) * ops.hsq))
+    except CorruptionError:   # a cell's power is not finite
+        raise DomainError(f"gradient_power_hessian: |grad f|^(2q+2) or |grad f|^(2q-2) |D2 f|^2 "
+                          f"is not finite at q = {q} on grid spacing {grid.spacing}") from None
     sups = _rows(np.abs(ops.values)).max(axis=1).tolist()
     factor = 2.0 * (4.0 * q**2 + grid.dim)
     return [(l, factor * sup_f**2 * r) for l, sup_f, r in zip(lhs, sups, rhs)]

@@ -456,6 +456,40 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1 and "seed must be >= 0" in err
         assert "Traceback" not in err
         assert not (tmp_path / "verify.json").exists()
+        # --seed N is the override oracle.seed=N, so both forms print the same line
+        assert err == "error: invalid [oracle]: seed must be >= 0\n"
+
+    def test_seed_flag_applies_after_every_set(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(chemfv.cli, "cmd_verify",
+                            lambda cfg, out_dir, poison_d3: seen.append(cfg.oracle.seed) or 0)
+        cfg = write_config(tmp_path)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--seed", "5",
+                     "--set", "oracle.seed=9", "--set", "oracle.seed=11"]) == 0
+        assert seen == [5]
+
+    # Each overflows |grad f|^(2q+2): a tiny 1D spacing, a tiny 2D spacing, a large q.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("dim, overrides, named", [
+        (1, ["grid.Lx=1e-200"], "q = 1.0 on grid spacing (1.5625e-202,)"),
+        (2, ["grid.nx=16", "grid.ny=16", "grid.Lx=1e-100", "grid.Ly=1e-100"],
+         "q = 1.0 on grid spacing (6.25e-102, 6.25e-102)"),
+        (1, ["oracle.q=400"], "q = 400.0 on grid spacing (0.015625,)"),
+    ])
+    def test_gradient_power_overflow_names_the_check(self, tmp_path, capsys, dim, overrides,
+                                                     named):
+        text = BASE_CONFIG
+        if dim == 2:
+            text = text.replace("n = 1", "n = 2").replace("dim = 1", "dim = 2")
+        sets = [arg for item in overrides + ["oracle.trials=20"] for arg in ("--set", item)]
+        code = main(["verify", "--config", write_config(tmp_path, text), "--out",
+                     str(tmp_path / "out"), *sets])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: gradient_power_hessian: |grad f|^(2q+2) or |grad f|^(2q-2) |D2 f|^2 "
+            f"is not finite at {named}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override", ["init.u0=constant(-1)",
                                           "init.v0=cosine(amplitude=2.0, floor=1.0)"])

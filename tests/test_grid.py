@@ -447,16 +447,61 @@ class TestPadFreeByteParity:
             _assert_operators_match_reference(f)
 
 
+def _along(axis, index):
+    return (Ellipsis, index) + (slice(None),) * (-1 - axis)
+
+
+# The padded copy and the second difference as they were written before the
+# second difference took offset views of the flattened fields: a copy with
+# its ghosts filled by hand, and np.diff along the axis.
+def _pad_neumann(values, dim):
+    out = np.empty(values.shape[:-dim] + tuple(n + 2 for n in values.shape[-dim:]))
+    out[(Ellipsis,) + (slice(1, -1),) * dim] = values
+    for axis in range(-dim, 0):
+        out[_along(axis, 0)] = out[_along(axis, 1)]
+        out[_along(axis, -1)] = out[_along(axis, -2)]
+    return out
+
+
+def _diff_second_difference(values, axis, h):
+    g = np.diff(values, axis=axis) / h
+    out = np.empty(values.shape)
+    np.subtract(g[_along(axis, slice(1, None))], g[_along(axis, slice(None, -1))],
+                out=out[_along(axis, slice(1, -1))])
+    first, last = _along(axis, slice(0, 1)), _along(axis, slice(-1, None))
+    out[first] = g[first]
+    np.subtract(0.0, g[last], out=out[last])
+    out /= h
+    return out
+
+
+def _diff_laplacian(f):
+    dim, h = f.grid.dim, f.grid.spacing
+    total = _diff_second_difference(f.values, -dim, h[0])
+    for axis in range(1, dim):
+        total += _diff_second_difference(f.values, axis - dim, h[axis])
+    return total
+
+
+def _diff_hessian(f):
+    values, dim, h = f.values, f.grid.dim, f.grid.spacing
+    out = np.empty((dim, dim) + values.shape)
+    for axis in range(dim):
+        out[axis, axis] = _diff_second_difference(values, axis - dim, h[axis])
+    if dim == 2:
+        p = _pad_neumann(values, 2)
+        cross = (p[..., 2:, 2:] - p[..., 2:, :-2] - p[..., :-2, 2:] + p[..., :-2, :-2]) / (
+            4.0 * h[0] * h[1])
+        out[0, 1] = cross
+        out[1, 0] = cross
+    return out
+
+
 # gradient_cells as it was written on the mirror-padded copy, before it took
 # its differences as offset views of the flattened fields.
 def _padded_gradient_cells(f):
-    values, dim = f.values, f.grid.dim
-    padded = np.empty(values.shape[:-dim] + tuple(n + 2 for n in values.shape[-dim:]))
-    padded[(Ellipsis,) + (slice(1, -1),) * dim] = values
-    for axis in range(-dim, 0):
-        rest = (slice(None),) * (-1 - axis)
-        padded[(Ellipsis, 0) + rest] = padded[(Ellipsis, 1) + rest]
-        padded[(Ellipsis, -1) + rest] = padded[(Ellipsis, -2) + rest]
+    dim = f.grid.dim
+    padded = _pad_neumann(f.values, dim)
     out = []
     for axis, h in enumerate(f.grid.spacing):
         lo = [Ellipsis] + [slice(1, -1)] * dim
@@ -467,27 +512,82 @@ def _padded_gradient_cells(f):
     return tuple(out)
 
 
+FLAT_GRIDS = [Grid.line(4, 1.0), Grid.line(9, 2.5), Grid.rect(4, 4, 1.0, 1.0),
+              Grid.rect(4, 13, 0.3, 3.7), Grid.rect(13, 4, 1.0, 0.5),
+              Grid.rect(24, 16, 1.0, 2.0), Grid.rect(64, 64, 1.0, 1.0)]
+
+
+def _flat_case(grid, kind, lead):
+    rng = np.random.default_rng(13)
+    shape = grid.shape if lead is None else lead + grid.shape
+    values = {
+        "random": lambda: rng.standard_normal(shape),
+        "negative-zero": lambda: np.where(rng.random(shape) < 0.5, -0.0, 0.0),
+        "integer": lambda: rng.integers(-5, 6, size=shape).astype(float),
+        "non-finite": lambda: rng.choice([1.5, -0.0, math.inf, -math.inf, math.nan], shape),
+    }[kind]()
+    return ScalarField(grid, values) if lead is None else FieldStack(grid, values)
+
+
 class TestFlatGradientParity:
-    @pytest.mark.parametrize("grid", [Grid.line(4, 1.0), Grid.line(9, 2.5),
-                                      Grid.rect(4, 4, 1.0, 1.0), Grid.rect(4, 13, 0.3, 3.7),
-                                      Grid.rect(13, 4, 1.0, 0.5), Grid.rect(24, 16, 1.0, 2.0),
-                                      Grid.rect(64, 64, 1.0, 1.0)], ids=str)
+    @pytest.mark.parametrize("grid", FLAT_GRIDS, ids=str)
     @pytest.mark.parametrize("kind", ["random", "negative-zero", "integer", "non-finite"])
     @pytest.mark.parametrize("lead", [None, (1,), (5,)], ids=str)
     def test_matches_the_padded_stencil(self, grid, kind, lead):
-        rng = np.random.default_rng(13)
-        shape = grid.shape if lead is None else lead + grid.shape
-        values = {
-            "random": lambda: rng.standard_normal(shape),
-            "negative-zero": lambda: np.where(rng.random(shape) < 0.5, -0.0, 0.0),
-            "integer": lambda: rng.integers(-5, 6, size=shape).astype(float),
-            "non-finite": lambda: rng.choice([1.5, -0.0, math.inf, -math.inf, math.nan], shape),
-        }[kind]()
-        f = ScalarField(grid, values) if lead is None else FieldStack(grid, values)
+        f = _flat_case(grid, kind, lead)
         with np.errstate(invalid="ignore"):
             pairs = list(zip(gradient_cells(f), _padded_gradient_cells(f), strict=True))
         for new, ref in pairs:
             _assert_same_bytes(new, ref)
+
+    @pytest.mark.parametrize("grid", FLAT_GRIDS, ids=str)
+    @pytest.mark.parametrize("kind", ["random", "negative-zero", "integer", "non-finite"])
+    @pytest.mark.parametrize("lead", [None, (1,), (5,)], ids=str)
+    def test_second_differences_match_np_diff(self, grid, kind, lead):
+        f = _flat_case(grid, kind, lead)
+        with np.errstate(invalid="ignore"):
+            grads = gradient_cells(f)
+            assert isinstance(grads, np.ndarray)
+            _assert_same_bytes(grads, np.stack(_padded_gradient_cells(f)))
+            _assert_same_bytes(hessian(f), _diff_hessian(f))
+            _assert_same_bytes(extend_neumann(f), _pad_neumann(f.values, grid.dim))
+            if lead is None:
+                _assert_same_bytes(laplacian(f).values, _diff_laplacian(f))
+
+
+class TestJoiningPairs:
+    # The flat differences also compute the pairs that join one line of an
+    # axis to the next (a row's last cell to the next row's first on the last
+    # axis of a 2D grid, and a field's last cells to the next field's first in
+    # a stack), then overwrite those cells.  An overflow on such a pair alone
+    # warns where the line-by-line stencils are silent; the results keep their
+    # bytes.  This pins that known difference.  The values are 0 but for +1e308
+    # in each line's last cell and -1e308 in its cell ``low``: only the joining
+    # pairs span 2e308.
+    @pytest.mark.parametrize("grid, lead, name, low", [
+        (Grid.rect(9, 11, 9.0, 11.0), (), "gradient_cells", 1),
+        (Grid.rect(9, 11, 9.0, 11.0), (), "hessian", 0),
+        (Grid.rect(9, 11, 9.0, 11.0), (), "laplacian", 0),
+        (Grid.line(9, 9.0), (3,), "gradient_cells", 1),
+        (Grid.line(9, 9.0), (3,), "hessian", 0),
+    ], ids=str)
+    def test_joining_pair_overflow_warns_but_leaves_no_trace(self, grid, lead, name, low):
+        values = np.zeros(lead + grid.shape)
+        values[..., -1], values[..., low] = 1e308, -1e308
+        f = FieldStack(grid, values) if lead else ScalarField(grid, values)
+        operator, reference = {
+            "gradient_cells": (gradient_cells, lambda f: np.stack(_padded_gradient_cells(f))),
+            "hessian": (hessian, _diff_hessian),
+            "laplacian": (lambda f: laplacian(f).values, _diff_laplacian),
+        }[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = reference(f)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in subtract") as record:
+            result = operator(f)
+        assert len(record) == 1
+        _assert_same_bytes(result, expected)
+        assert np.isfinite(result).all()
 
 
 class TestStackedOperators:
