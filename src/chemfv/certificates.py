@@ -16,7 +16,7 @@ formulas live in the test suite, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import DomainError
 
@@ -60,12 +60,6 @@ class ModelParams:
                 f"alpha < (m+1)/2 violated (alpha={self.alpha}, m={self.m})"
             )
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "alpha": self.alpha, "k": self.k,
-            "mu": self.mu, "chi0": self.chi0, "a": self.a,
-        }
-
 
 @dataclass(frozen=True)
 class AuxiliaryExponents:
@@ -78,9 +72,6 @@ class AuxiliaryExponents:
     q1: float
     q2: float
     p: float
-
-    def as_dict(self) -> dict:
-        return {"q1": self.q1, "q2": self.q2, "p": self.p}
 
 
 def validate_exponents(params: ModelParams, exps: AuxiliaryExponents) -> None:
@@ -303,13 +294,6 @@ class EnergyConstants:
     c0: float
     D1: float
 
-    def as_dict(self) -> dict:
-        return {
-            "eps1": self.eps1, "eps2": self.eps2, "eps3": self.eps3,
-            "delta1": self.delta1, "C1": self.C1, "C2": self.C2,
-            "C3": self.C3, "c0": self.c0, "D1": self.D1,
-        }
-
 
 def energy_constants(p: float, m: float, alpha: float, mu: float, k: float,
                      chi0: float, v0_sup: float, n: int) -> EnergyConstants:
@@ -343,6 +327,10 @@ def energy_constants(p: float, m: float, alpha: float, mu: float, k: float,
     return EnergyConstants(eps1, eps2, eps3, delta1, c1, c2, c3, c0, d1)
 
 
+# Marks the CertificateReport fields that certificate.json nests under "inputs".
+_INPUT = {"input": True}
+
+
 @dataclass
 class CertificateReport:
     """Machine-readable verdict of the damping-sufficiency check."""
@@ -355,36 +343,23 @@ class CertificateReport:
     m_mass: float
     M_grad: float
     satisfied: bool
-    params: ModelParams
-    exps: AuxiliaryExponents
-    v0_sup: float
-    u0_mass: float
-    gradv0_l2sq: float
-    domain_volume: float
-    k1_literal: bool = True
+    params: ModelParams = field(metadata=_INPUT)
+    exps: AuxiliaryExponents = field(metadata=_INPUT)
+    v0_sup: float = field(metadata=_INPUT)
+    u0_mass: float = field(metadata=_INPUT)
+    gradv0_l2sq: float = field(metadata=_INPUT)
+    domain_volume: float = field(metadata=_INPUT)
+    k1_literal: bool = field(default=True, metadata=_INPUT)
     schema: int = field(default=1)
 
     def as_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "p_bar": self.p_bar,
-            "p_used": self.p_used,
-            "k1": self.k1,
-            "k2": self.k2,
-            "mu_min": self.mu_min,
-            "m_mass": self.m_mass,
-            "M_grad": self.M_grad,
-            "satisfied": self.satisfied,
-            "inputs": {
-                "model": self.params.as_dict(),
-                "exponents": self.exps.as_dict(),
-                "v0_sup": self.v0_sup,
-                "u0_mass": self.u0_mass,
-                "gradv0_l2sq": self.gradv0_l2sq,
-                "domain_volume": self.domain_volume,
-                "k1_literal": self.k1_literal,
-            },
-        }
+        """The certificate.json object: the verdict fields at top level, the
+        input fields under ``inputs``, with ``params`` and ``exps`` as
+        ``model`` and ``exponents``."""
+        out = asdict(self)
+        inputs = {f.name: out.pop(f.name) for f in fields(self) if f.metadata.get("input")}
+        inputs["model"], inputs["exponents"] = inputs.pop("params"), inputs.pop("exps")
+        return {**out, "inputs": inputs}
 
 
 def evaluate_certificate(params: ModelParams, exps: AuxiliaryExponents, v0_sup: float,

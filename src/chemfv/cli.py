@@ -1,5 +1,8 @@
 """Command-line surface: certify, run, sweep, verify.
 
+The JSON objects and CSV columns are the fields of the library's dataclasses:
+``CertificateReport``, ``OracleVerdict``, ``Violation`` and ``MonitorRecord``.
+
 Outputs are deterministic: identical config and seed give byte-identical CSV
 and JSON files (floats are serialized with ``repr``, JSON keys are sorted,
 and nothing time- or host-dependent is ever written).
@@ -15,7 +18,7 @@ import ctypes
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import monitors
@@ -33,7 +36,8 @@ from .oracle import (estimate_gn_constant, verify_gradient_power_hessian,  # noq
 from .solver import (BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW, STEP_BUDGET, RunResult,
                      SimState, run)
 
-CSV_HEADER = "t,mass_u,sup_u,min_u,sup_v,gradv_l2sq,phi_p,dt"
+CSV_COLUMNS = tuple(f.name for f in fields(MonitorRecord) if f.name != "violations")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -62,8 +66,7 @@ def _emit(obj, out_dir: Path, filename: str) -> None:
 def _csv_text(records: list[MonitorRecord]) -> str:
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(",".join(repr(x) for x in (
-            r.t, r.mass_u, r.sup_u, r.min_u, r.sup_v, r.gradv_l2sq, r.phi_p, r.dt)))
+        lines.append(",".join(repr(getattr(r, name)) for name in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -96,9 +99,7 @@ def _execute(cfg: RunConfig) -> ExecutedRun:
         records.append(monitors.record(state, dt, cert))
 
     result = run(initial, cfg.model, cfg.solver, hook)
-    violations = [
-        {"t": r.t, **viol.as_dict()} for r in records for viol in r.violations
-    ]
+    violations = [{"t": r.t, **asdict(viol)} for r in records for viol in r.violations]
     return ExecutedRun(result, records, cert, violations)
 
 
@@ -238,16 +239,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, poison_d3: bool) -> int:
         "schema": 1,
         "all_passed": all_passed,
         "gn_empirical_constant": gn_constant,
-        "verdicts": [
-            {
-                "inequality_name": v.inequality_name,
-                "trials_run": v.trials_run,
-                "worst_margin": v.worst_margin,
-                "passed": v.passed,
-                "slack": v.slack,
-            }
-            for v in verdicts
-        ],
+        "verdicts": [asdict(v) for v in verdicts],
     }
     _emit(payload, out_dir, "verify.json")
     return EXIT_OK if all_passed else EXIT_ORACLE_FAILURE
@@ -290,12 +282,13 @@ def _keep_freed_heap() -> None:
     top of the heap goes back to the system and is faulted in again by the
     next call, and arrays above the mmap threshold are mapped and unmapped
     each time.  With fixed thresholds up to 64 MiB of freed heap stays in the
-    process.  Measured with ``main`` in-process and this call disabled (2-core
-    VM, numpy 2.4, minor faults from ``getrusage(RUSAGE_SELF)``): the run-2d
-    bench workload (128^2, a monitor record every step) went from 0.74-0.90 s
-    to 0.99-1.20 s and from about 1,000 to 69,600 minor page faults, and
-    verify-2d (64^2, 300 trials in stacks of 4 fields) from 0.12-0.19 s to
-    0.19-0.27 s and from about 890 to 38,300 faults.  The call can go once
+    process.  Measured with ``main`` in-process, three runs each with this call
+    kept and disabled (2-core VM, numpy 2.4, minor faults from
+    ``getrusage(RUSAGE_SELF)``): the run-2d bench workload (128^2, a monitor
+    record every step) went from 650 to about 51,600 minor page faults and
+    from 0.53-0.59 s to 0.66-0.86 s, and verify-2d (64^2, 300 trials in
+    stacks of 4 fields) from about 880 to 38,300 faults and from 0.17-0.19 s
+    to 0.22-0.31 s.  The call can go once
     ``monitors.record`` and the oracle pass stop freeing grid arrays per
     call.  Other C libraries are left alone.
     """

@@ -219,7 +219,7 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
 
     if (v["sweep"]["mu_lo"] is None) != (v["sweep"]["mu_hi"] is None):
         raise ConfigError("sweep needs both mu_lo and mu_hi")
-    sweep = None if v["sweep"]["mu_lo"] is None else SweepSpec(**v["sweep"])
+    sweep = None if v["sweep"]["mu_lo"] is None else _build("sweep", SweepSpec, **v["sweep"])
 
     return RunConfig(
         model=model, grid=grid, solver=solver,

@@ -41,10 +41,6 @@ class Violation:
     bound_value: float
     observed: float
 
-    def as_dict(self) -> dict:
-        return {"bound_name": self.bound_name, "bound_value": self.bound_value,
-                "observed": self.observed}
-
 
 @dataclass
 class MonitorRecord:

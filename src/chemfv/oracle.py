@@ -229,14 +229,16 @@ def verify_fields(cfg: OracleConfig) -> tuple[list[OracleVerdict], float]:
     batch = _stack_size(cfg)
     lap_worst = hg_worst = power_worst = math.inf
     gn = 0.0
-    for start in range(0, cfg.trials, batch):
-        for lap, hg, power, ratio in _stack_margins(cfg, start, min(batch, cfg.trials - start),
-                                                    theta):
-            lap_worst = _worse(lap_worst, lap)
-            hg_worst = _worse(hg_worst, hg)
-            power_worst = _worse(power_worst, power)
-            if ratio > gn or math.isnan(ratio):
-                gn = ratio
+    # Non-finite operator values reach the gradient-power sides, which report them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, cfg.trials, batch):
+            for lap, hg, power, ratio in _stack_margins(cfg, start,
+                                                        min(batch, cfg.trials - start), theta):
+                lap_worst = _worse(lap_worst, lap)
+                hg_worst = _worse(hg_worst, hg)
+                power_worst = _worse(power_worst, power)
+                if ratio > gn or math.isnan(ratio):
+                    gn = ratio
     power_slack = ADDITIVE_SLACK + H_SLACK * max(cfg.grid.spacing)
     return [
         _verdict("laplacian_vs_hessian", cfg.trials, lap_worst, POINTWISE_SLACK),

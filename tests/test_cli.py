@@ -305,6 +305,15 @@ class TestRun:
 
 
 class TestSweep:
+    def test_invalid_bounds_read_like_every_section(self, tmp_path, capsys):
+        text = BASE_CONFIG + "\n[sweep]\nmu_lo = 1.0\nmu_hi = 2.0\nbisection_steps = 1\n"
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", write_config(tmp_path, text), "--out", str(out),
+                     "--set", "sweep.mu_lo=5", "--set", "sweep.mu_hi=1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: invalid [sweep]: sweep requires mu_lo < mu_hi\n"
+        assert not out.exists()
+
     def test_synthetic_bisection_brackets_frontier(self, tmp_path):
         text = BASE_CONFIG + "\n[sweep]\nmu_lo = 1.0\nmu_hi = 2.0\nbisection_steps = 3\n"
         cfg = parse_config(text)
@@ -469,8 +478,6 @@ class TestVerify:
         assert seen == [5]
 
     # Each overflows |grad f|^(2q+2): a tiny 1D spacing, a tiny 2D spacing, a large q.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("dim, overrides, named", [
         (1, ["grid.Lx=1e-200"], "q = 1.0 on grid spacing (1.5625e-202,)"),
         (2, ["grid.nx=16", "grid.ny=16", "grid.Lx=1e-100", "grid.Ly=1e-100"],
@@ -483,8 +490,10 @@ class TestVerify:
         if dim == 2:
             text = text.replace("n = 1", "n = 2").replace("dim = 1", "dim = 2")
         sets = [arg for item in overrides + ["oracle.trials=20"] for arg in ("--set", item)]
-        code = main(["verify", "--config", write_config(tmp_path, text), "--out",
-                     str(tmp_path / "out"), *sets])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # the error line is all that is printed
+            code = main(["verify", "--config", write_config(tmp_path, text), "--out",
+                         str(tmp_path / "out"), *sets])
         assert code == 1
         assert capsys.readouterr().err == (
             "error: gradient_power_hessian: |grad f|^(2q+2) or |grad f|^(2q-2) |D2 f|^2 "
@@ -599,7 +608,6 @@ class TestVerify:
         assert [(name, id(f)) for name, f in calls] == [
             (name, id(s)) for s in stacks for name in ("hessian", "gradient_cells")]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nan_margin_exits_4(self, tmp_path, monkeypatch):
         # Both sides of the gradient-power inequality overflow to inf on a
         # long, thin domain of finite volume 1e300; the NaN margin must fail
@@ -625,6 +633,32 @@ class TestVerify:
                      if v["inequality_name"] == "gradient_power_hessian")
         assert math.isnan(power["worst_margin"]) and power["passed"] is False
         assert math.isnan(report["gn_empirical_constant"])
+
+
+class TestOutputKeys:
+    def test_key_sets_of_certificate_verdicts_and_violations(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        cert = read_json(tmp_path, "certificate.json")
+        assert set(cert) == {"schema", "p_bar", "p_used", "k1", "k2", "mu_min", "m_mass",
+                             "M_grad", "satisfied", "inputs"}
+        assert set(cert["inputs"]) == {"model", "exponents", "v0_sup", "u0_mass",
+                                       "gradv0_l2sq", "domain_volume", "k1_literal"}
+        assert set(cert["inputs"]["model"]) == {"n", "m", "alpha", "k", "mu", "chi0", "a"}
+        assert set(cert["inputs"]["exponents"]) == {"q1", "q2", "p"}
+
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path),
+                     "--set", "oracle.trials=5"]) == 0
+        for verdict in read_json(tmp_path, "verify.json")["verdicts"]:
+            assert set(verdict) == {"inequality_name", "trials_run", "worst_margin", "passed",
+                                    "slack"}
+
+        # the violation path of test_bound_violation_exits_3
+        monkeypatch.setattr(chemfv.certificates, "mass_bound",
+                            lambda k, mu, vol, u0: 1e-6)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 3
+        violation = read_json(tmp_path, "summary.json")["violations"][0]
+        assert set(violation) == {"t", "bound_name", "bound_value", "observed"}
 
 
 class TestExitCodeMapping:

@@ -168,7 +168,6 @@ class TestGNEstimate:
         assert c > 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestNaNMargins:
     # The domain volume is a finite 1e300, but with the x gradients of order
     # 1e3 both sides of the gradient-power inequality overflow to inf when
