@@ -12,9 +12,8 @@ The package couples three layers:
 The ``chemfv`` command line (see ``chemfv.cli``) drives all of it from
 INI-style config files.
 """
-from .certificates import (AuxiliaryExponents, CertificateReport, EnergyConstants,
-                           ModelParams, chi_prototype, compute_p_bar, d1_constant,
-                           d3_constant, default_exponents, energy_constants,
+from .certificates import (AuxiliaryExponents, CertificateReport, ModelParams,
+                           compute_p_bar, d3_constant, default_exponents,
                            evaluate_certificate, gradv_bound, k1_coeff, k2_coeff,
                            mass_bound, mu_threshold)
 from .errors import ChemfvError, ConfigError, CorruptionError, DomainError
@@ -30,10 +29,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxiliaryExponents", "CertificateReport", "ChemfvError", "ConfigError",
-    "CorruptionError", "DomainError", "EnergyConstants", "FieldStack", "Grid", "ModelParams",
+    "CorruptionError", "DomainError", "FieldStack", "Grid", "ModelParams",
     "MonitorRecord", "PhiTrend", "RunResult", "ScalarField",
-    "SimState", "SolverConfig", "StepOutcome", "chi_prototype", "compute_p_bar",
-    "constant_field", "cosine_field", "d1_constant", "d3_constant", "default_exponents", "energy_constants",
+    "SimState", "SolverConfig", "StepOutcome", "compute_p_bar",
+    "constant_field", "cosine_field", "d3_constant", "default_exponents",
     "evaluate_certificate", "extend_neumann", "field_from_function",
     "gradient_cells", "gradv_bound", "hessian", "integrate", "k1_coeff",
     "k2_coeff", "laplacian", "lp_norm", "mass_bound", "mu_threshold", "phi",

@@ -8,10 +8,11 @@ The model couples a cell density u and a consumed signal v:
 with zero-flux boundaries, chi(v) = chi0 / (1 + a v)^2 as the prototype
 sensitivity, and the standing requirement alpha < (m+1)/2.  For damping mu
 above an explicit threshold built from the coefficients and sup v0, every
-solution stays uniformly bounded.  This module evaluates that threshold and
-all auxiliary constants in closed form, in plain 64-bit arithmetic, and
-returns a machine-readable verdict.  High-precision cross-checks of the same
-formulas live in the test suite, not here.
+solution stays uniformly bounded.  This module evaluates that threshold, the
+exponent p_bar it is taken at and the uniform mass and signal-gradient bounds
+in closed form, in plain 64-bit arithmetic, and returns a machine-readable
+verdict.  High-precision cross-checks of the same formulas live in the test
+suite, not here.
 """
 from __future__ import annotations
 
@@ -156,21 +157,6 @@ def compute_p_bar(n: int, m: float, alpha: float, q1: float, q2: float) -> float
     return p_bar
 
 
-def chi_prototype(v, chi0: float, a: float):
-    """Prototype sensitivity chi(v) = chi0 / (1 + a v)^2; accepts arrays for v."""
-    import numpy as np
-
-    if chi0 < 0.0:
-        raise DomainError("chi0 must be nonnegative")
-    if a < 0.0:
-        raise DomainError("a must be nonnegative")
-    v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr < 0.0):
-        raise DomainError("chi_prototype requires v >= 0")
-    out = chi0 / (1.0 + a * v_arr) ** 2
-    return float(out) if np.isscalar(v) or v_arr.ndim == 0 else out
-
-
 def k1_coeff(p: float, n: int, chi0_v0_sup: float, literal: bool = True) -> float:
     """First threshold coefficient.
 
@@ -269,62 +255,6 @@ def d3_constant(d1: float, d2: float) -> tuple[float, float]:
         return (d - k) / d * (d / k) ** (k / (d - k))
 
     return k, term(d1) + term(d2)
-
-
-def d1_constant(delta1: float, p: float) -> float:
-    """Gradient-energy Young constant D1(delta1) = (2/(p+1)) (delta1 (p+1)/(p-1))^((1-p)/2)."""
-    if not p > 1.0:
-        raise DomainError(f"d1_constant requires p > 1, got {p}")
-    if not delta1 > 0.0:
-        raise DomainError("delta1 must be positive")
-    return 2.0 / (p + 1.0) * (delta1 * (p + 1.0) / (p - 1.0)) ** ((1.0 - p) / 2.0)
-
-
-@dataclass(frozen=True)
-class EnergyConstants:
-    """The explicit constants of the absorbed energy estimate."""
-
-    eps1: float
-    eps2: float
-    eps3: float
-    delta1: float
-    C1: float
-    C2: float
-    C3: float
-    c0: float
-    D1: float
-
-
-def energy_constants(p: float, m: float, alpha: float, mu: float, k: float,
-                     chi0: float, v0_sup: float, n: int) -> EnergyConstants:
-    """Evaluate every constant of the energy estimate exactly as printed.
-
-    eps2 and delta1 divide by powers of ||v0||, so a zero signal leaves them
-    undefined and raises.
-    """
-    if not p > 1.0:
-        raise DomainError(f"energy_constants requires p > 1, got {p}")
-    if not chi0 > 0.0:
-        raise DomainError("energy_constants requires chi0 > 0")
-    if v0_sup <= 0.0:
-        raise DomainError("constants undefined for zero signal (v0_sup = 0)")
-    k_plus = max(k, 0.0)
-    poly = 4.0 * p**2 + n
-
-    eps1 = 1.0 / (2.0 * chi0)
-    c1 = 1.0 / (4.0 * eps1)
-    eps2 = chi0 ** (2.0 * p - 1.0) / (4.0 * (p - 1.0) * c1 * poly * v0_sup**2)
-    delta1 = 1.0 / (4.0 * (p + n - 1.0) * poly * v0_sup**4)
-    eps3 = (p**2 / 2.0) * ((p - 1.0) / (p + 1.0)) ** ((p + 1.0) / p) \
-        * poly ** (1.0 / p) * (chi0 * v0_sup) ** (2.0 / p)
-    c2 = p / (p + 1.0) * (eps2 * (p + 1.0)) ** (-1.0 / p)
-    c3 = 1.0 / (p + 1.0) * (eps3 * (p + 1.0) / ((2.0 * mu + k_plus) * p**2)) ** (-p)
-    x = p + 2.0 * alpha - m - 1.0
-    # x == 0 is the limit point of the last factor; x ln(p/x) -> 0 there.
-    power = 1.0 if x == 0.0 else (p / x) ** (x / (2.0 * alpha - m - 1.0))
-    c0 = c1 * c2 * (m + 1.0 - 2.0 * alpha) / p * power
-    d1 = d1_constant(delta1, p)
-    return EnergyConstants(eps1, eps2, eps3, delta1, c1, c2, c3, c0, d1)
 
 
 # Marks the CertificateReport fields that certificate.json nests under "inputs".

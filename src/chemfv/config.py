@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .certificates import AuxiliaryExponents, ModelParams, compute_p_bar, default_exponents
 from .errors import ChemfvError, ConfigError
@@ -92,6 +92,8 @@ class SweepSpec:
     bisection_steps: int
 
     def __post_init__(self):
+        if self.mu_lo is None or self.mu_hi is None:
+            raise ConfigError("sweep needs both mu_lo and mu_hi")
         if not (0.0 < self.mu_lo < math.inf and 0.0 < self.mu_hi < math.inf):
             raise ConfigError(f"sweep bounds must be positive and finite, "
                               f"got mu_lo={self.mu_lo}, mu_hi={self.mu_hi}")
@@ -193,15 +195,21 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
 
     g = v["grid"]
     if g["dim"] not in (1, 2):
-        raise ConfigError(f"grid dim must be 1 or 2, got {g['dim']}")
+        raise ConfigError(f"invalid [grid]: grid dim must be 1 or 2, got {g['dim']}")
     if model.n != g["dim"]:
         raise ConfigError(f"model n={model.n} must match grid dim={g['dim']}")
     grid = (_build("grid", Grid.line, g["nx"], g["Lx"]) if g["dim"] == 1
             else _build("grid", Grid.rect, g["nx"], g["ny"], g["Lx"], g["Ly"]))
 
-    cadence_steps, cadence_time = v["monitor"]["cadence_steps"], v["monitor"]["cadence_time"]
-    solver = _build("time", SolverConfig, **v["time"], output_every_time=cadence_time,
-                    output_every_steps=None if cadence_time is not None else cadence_steps)
+    solver = _build("time", SolverConfig, **v["time"])
+    # A set cadence_time replaces cadence_steps.  SolverConfig owns the rule; its
+    # message names the field, reported under the [monitor] key.
+    key = "cadence_steps" if v["monitor"]["cadence_time"] is None else "cadence_time"
+    field = {"cadence_steps": "output_every_steps", "cadence_time": "output_every_time"}[key]
+    try:
+        solver = replace(solver, **{field: v["monitor"][key]})
+    except ChemfvError as exc:
+        raise ConfigError(f"invalid [monitor]: {str(exc).replace(field, key)}")
 
     for which in ("u0", "v0"):
         parse_profile(v["init"][which])  # raises ConfigError on bad profiles
@@ -217,9 +225,8 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
 
     oracle = _build("oracle", OracleConfig, grid=grid, **v["oracle"])
 
-    if (v["sweep"]["mu_lo"] is None) != (v["sweep"]["mu_hi"] is None):
-        raise ConfigError("sweep needs both mu_lo and mu_hi")
-    sweep = None if v["sweep"]["mu_lo"] is None else _build("sweep", SweepSpec, **v["sweep"])
+    sweep = (None if v["sweep"]["mu_lo"] is None and v["sweep"]["mu_hi"] is None
+             else _build("sweep", SweepSpec, **v["sweep"]))
 
     return RunConfig(
         model=model, grid=grid, solver=solver,

@@ -117,9 +117,6 @@ class ScalarField:
                 f"field shape {self.values.shape} does not match grid shape {self.grid.shape}"
             )
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class FieldStack:
@@ -173,7 +170,7 @@ def lp_norm(f: ScalarField, p: float) -> float:
     _require_finite(f.values)
     if p == math.inf:
         return float(np.abs(f.values).max())
-    if p < 1.0:
+    if not p >= 1.0:
         raise DomainError(f"lp_norm requires p >= 1, got {p}")
     return float((f.grid.cell_volume * (np.abs(f.values) ** p).sum()) ** (1.0 / p))
 

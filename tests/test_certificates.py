@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemfv import (AuxiliaryExponents, DomainError, ModelParams, chi_prototype,
-                    compute_p_bar, d1_constant, d3_constant, default_exponents,
-                    energy_constants, evaluate_certificate, gradv_bound, k1_coeff,
-                    k2_coeff, mass_bound, mu_threshold)
+from chemfv import (AuxiliaryExponents, DomainError, ModelParams, compute_p_bar,
+                    d3_constant, default_exponents, evaluate_certificate, gradv_bound,
+                    k1_coeff, k2_coeff, mass_bound, mu_threshold)
 from chemfv.certificates import pbar_relation_margins
 
 
@@ -81,17 +80,6 @@ class TestPBar:
             p_bar = compute_p_bar(*args)
             margins = pbar_relation_margins(*args, p_bar - 1.5)
             assert min(margins.values()) <= 0.0
-
-
-class TestSensitivity:
-    def test_prototype_values(self):
-        assert chi_prototype(0.0, 3.0, 5.0) == 3.0
-        assert chi_prototype(7.0, 1.0, 0.0) == 1.0
-        assert chi_prototype(1.0, 2.0, 1.0) == 0.5
-
-    def test_negative_v_rejected(self):
-        with pytest.raises(DomainError):
-            chi_prototype(-0.1, 1.0, 1.0)
 
 
 class TestThresholdCoefficients:
@@ -212,41 +200,6 @@ class TestD3:
             lhs = A**d1 + B**d2
             rhs = 2.0 ** (-k) * (A + B) ** k - d3
             assert lhs >= rhs - 1e-9 * (1.0 + abs(lhs))
-
-
-class TestEnergyConstants:
-    def test_eps1_and_c1(self):
-        ec = energy_constants(p=2.0, m=1.0, alpha=0.0, mu=1.0, k=0.0, chi0=1.0,
-                              v0_sup=1.0, n=1)
-        assert ec.eps1 == 0.5
-        assert ec.C1 == 0.5
-
-    def test_delta1_hand_value(self):
-        ec = energy_constants(p=2.0, m=1.0, alpha=0.0, mu=1.0, k=0.0, chi0=1.0,
-                              v0_sup=1.0, n=1)
-        assert ec.delta1 == pytest.approx(1.0 / 136.0, rel=1e-14)  # 1/(4*2*17)
-
-    def test_d1_formula(self):
-        assert d1_constant(1.0, 3.0) == pytest.approx(0.25, rel=1e-14)  # (2/4) (4/2)^-1
-
-    def test_internal_consistency(self):
-        p, n, chi0, v0 = 3.0, 2, 1.5, 0.8
-        ec = energy_constants(p=p, m=1.2, alpha=0.3, mu=2.0, k=1.0, chi0=chi0,
-                              v0_sup=v0, n=n)
-        assert ec.eps3 == pytest.approx(0.5 * k1_coeff(p, n, chi0 * v0), rel=1e-12)
-        assert ec.C2 == pytest.approx(p / (p + 1) * (ec.eps2 * (p + 1)) ** (-1 / p), rel=1e-12)
-        assert ec.D1 == pytest.approx(d1_constant(ec.delta1, p), rel=1e-12)
-
-    def test_degenerate_holder_exponent(self):
-        # p + 2 alpha - m - 1 == 0 makes the c0 power factor its limit value 1
-        ec = energy_constants(p=2.0, m=1.0, alpha=0.0, mu=1.0, k=0.0, chi0=1.0,
-                              v0_sup=1.0, n=1)
-        assert ec.c0 == pytest.approx(ec.C1 * ec.C2 * (1.0 + 1.0 - 0.0) / 2.0, rel=1e-12)
-
-    def test_zero_signal_rejected(self):
-        with pytest.raises(DomainError, match="zero signal"):
-            energy_constants(p=2.0, m=1.0, alpha=0.0, mu=1.0, k=0.0, chi0=1.0,
-                             v0_sup=0.0, n=1)
 
 
 class TestModelParams:

@@ -672,6 +672,26 @@ class TestExitCodeMapping:
         assert _exit_code_for("step_budget_exceeded", []) == 1
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("section, overrides, line", [
+        ("", ["grid.dim=3", "model.n=3"], "invalid [grid]: grid dim must be 1 or 2, got 3"),
+        ("[sweep]\nmu_lo = 1.0\n", [], "invalid [sweep]: sweep needs both mu_lo and mu_hi"),
+        ("[sweep]\nmu_hi = 2.0\n", [], "invalid [sweep]: sweep needs both mu_lo and mu_hi"),
+        ("", ["monitor.cadence_steps=0"], "invalid [monitor]: cadence_steps must be >= 1"),
+        ("", ["monitor.cadence_time=-1"], "invalid [monitor]: cadence_time must be positive"),
+        ("", ["monitor.cadence_time=nan"], "invalid [monitor]: cadence_time must be positive"),
+    ])
+    def test_single_section_errors_name_the_section(self, tmp_path, capsys, section,
+                                                    overrides, line):
+        out = tmp_path / "out"
+        argv = ["certify", "--config", write_config(tmp_path, BASE_CONFIG + "\n" + section),
+                "--out", str(out)]
+        code = main(argv + [arg for item in overrides for arg in ("--set", item)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not out.exists()
+
+
 class TestTimeCadence:
     def test_config_time_cadence_rows(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -130,9 +130,10 @@ class TestLpNorm:
         values = np.array([0.0, -3.0, 1.0, 0.5, 0.0, 0.0, 0.0, 2.0])
         assert lp_norm(ScalarField(g, values), math.inf) == 3.0
 
-    def test_p_below_one_rejected(self):
+    @pytest.mark.parametrize("p", [0.5, float("nan")])
+    def test_p_below_one_rejected(self, p):
         with pytest.raises(DomainError):
-            lp_norm(constant_field(Grid.line(8, 1.0), 1.0), 0.5)
+            lp_norm(constant_field(Grid.line(8, 1.0), 1.0), p)
 
 
 class TestNeumannExtension:
