@@ -87,14 +87,18 @@ def validate_exponents(params: ModelParams, exps: AuxiliaryExponents) -> None:
 
 def default_exponents(params: ModelParams, q1: float | None = None,
                       q2: float | None = None, p: float | None = None) -> AuxiliaryExponents:
-    """Smallest round admissible exponents: q1 = n+3, q2 = (n+3)/2, p = ceil(p_bar)."""
+    """Smallest round admissible exponents: q1 = n+3, q2 = (n+3)/2, p = ceil(p_bar).
+
+    A given exponent replaces its default; a given p below p_bar is rejected."""
     n = params.n
     q1 = float(n + 3) if q1 is None else float(q1)
     q2 = (n + 3) / 2.0 if q2 is None else float(q2)
-    if p is None:
-        p = float(math.ceil(compute_p_bar(n, params.m, params.alpha, q1, q2)))
-    exps = AuxiliaryExponents(q1, q2, float(p))
+    p_bar = compute_p_bar(n, params.m, params.alpha, q1, q2)
+    exps = AuxiliaryExponents(q1, q2, float(math.ceil(p_bar) if p is None else p))
     validate_exponents(params, exps)
+    if exps.p < p_bar:
+        raise DomainError(
+            f"certificate p={exps.p} is below the minimal admissible exponent {p_bar}")
     return exps
 
 

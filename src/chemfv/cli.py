@@ -324,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     except ChemfvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except OSError as exc:   # the config was read above; only the outputs remain
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -6,11 +6,12 @@ passes one check that rejects unknown sections and keys with the same message
 (experiment files must not contain silent typos) and converts it to its kind;
 overrides then replace file values before validation.  This module only
 translates values into the library types, which own every rule: the
-``[model]``, ``[time]``, ``[oracle]`` and ``[sweep]`` keys are their field
-names, and a type's error is reported as ``invalid [section]: ...``.
+``[model]``, ``[time]``, ``[monitor]``, ``[oracle]`` and ``[sweep]`` keys are
+their field names, and a type's error is reported as ``invalid [section]: ...``.
 ``auto`` reads as None, for which ``certificates.default_exponents`` chooses
-q1, q2 and the certificate p (n+3, (n+3)/2, ceil(p_bar)).  The monitors have
-no exponent of their own: they evaluate phi_p at the certificate's p.
+q1, q2 and the certificate p (n+3, (n+3)/2, ceil(p_bar)); it also rejects a
+given p below p_bar.  The monitors have no exponent of their own: they
+evaluate phi_p at the certificate's p.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 
-from .certificates import AuxiliaryExponents, ModelParams, compute_p_bar, default_exponents
+from .certificates import AuxiliaryExponents, ModelParams, default_exponents
 from .errors import ChemfvError, ConfigError
 from .grid import Grid
 from .initial import parse_profile
@@ -201,27 +202,13 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
     grid = (_build("grid", Grid.line, g["nx"], g["Lx"]) if g["dim"] == 1
             else _build("grid", Grid.rect, g["nx"], g["ny"], g["Lx"], g["Ly"]))
 
-    solver = _build("time", SolverConfig, **v["time"])
-    # A set cadence_time replaces cadence_steps.  SolverConfig owns the rule; its
-    # message names the field, reported under the [monitor] key.
-    key = "cadence_steps" if v["monitor"]["cadence_time"] is None else "cadence_time"
-    field = {"cadence_steps": "output_every_steps", "cadence_time": "output_every_time"}[key]
-    try:
-        solver = replace(solver, **{field: v["monitor"][key]})
-    except ChemfvError as exc:
-        raise ConfigError(f"invalid [monitor]: {str(exc).replace(field, key)}")
+    solver = _build("monitor", replace, _build("time", SolverConfig, **v["time"]), **v["monitor"])
 
     for which in ("u0", "v0"):
         parse_profile(v["init"][which])  # raises ConfigError on bad profiles
 
     k1_literal = v["certificate"].pop("k1-literal")
     exponents = _build("certificate", default_exponents, model, **v["certificate"])
-    p_bar = _build("certificate", compute_p_bar, model.n, model.m, model.alpha,
-                   exponents.q1, exponents.q2)
-    if exponents.p < p_bar:
-        raise ConfigError(
-            f"certificate p={exponents.p} is below the minimal admissible exponent {p_bar}"
-        )
 
     oracle = _build("oracle", OracleConfig, grid=grid, **v["oracle"])
 

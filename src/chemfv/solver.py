@@ -48,13 +48,15 @@ STEP_BUDGET = "step_budget_exceeded"
 
 @dataclass
 class SolverConfig:
+    """March settings; a set ``cadence_time`` replaces ``cadence_steps`` (see ``run``)."""
+
     t_end: float
     safety: float = 0.4
     dt_min: float = 1e-12
     u_max: float = 1e6
     max_steps: int = 50_000_000
-    output_every_steps: int | None = None
-    output_every_time: float | None = None
+    cadence_steps: int | None = None
+    cadence_time: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.t_end < math.inf:
@@ -67,10 +69,10 @@ class SolverConfig:
             raise DomainError("u_max must be positive")
         if self.max_steps < 1:
             raise DomainError("max_steps must be >= 1")
-        if self.output_every_steps is not None and self.output_every_steps < 1:
-            raise DomainError("output_every_steps must be >= 1")
-        if self.output_every_time is not None and not self.output_every_time > 0.0:
-            raise DomainError("output_every_time must be positive")
+        if self.cadence_steps is not None and self.cadence_steps < 1:
+            raise DomainError("cadence_steps must be >= 1")
+        if self.cadence_time is not None and not self.cadence_time > 0.0:
+            raise DomainError("cadence_time must be positive")
 
 
 @dataclass
@@ -290,8 +292,8 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
         monitor_hook: MonitorHook | None = None) -> RunResult:
     """March the system to t_end, blow-up, step underflow, corruption or ``max_steps``.
 
-    The hook fires on the initial state, at the configured cadence (every N
-    steps or at exact multiples of the output interval), on the final state,
+    The hook fires on the initial state, every ``cadence_steps`` steps or, if
+    ``cadence_time`` is set, at its exact multiples instead, on the final state,
     and on a blow-up state.  A ``CorruptionError`` from the hook (say, phi
     overflowing) ends the run ``corrupted`` on the hooked state, with the
     error's message as the result's ``reason``.  Initial data must be
@@ -307,7 +309,8 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
         raise DomainError("initial data must be nonnegative")
     v_cap = sup_v * (1.0 + V_SUP_REL_TOL)
     t, t_end = initial.t, config.t_end
-    every_steps, every_time = config.output_every_steps, config.output_every_time
+    every_time = config.cadence_time
+    every_steps = config.cadence_steps if every_time is None else None
     sup_u_max, hooked_t, reason = sup_u, initial.t, None
     if monitor_hook is not None:
         reason = _call_hook(monitor_hook, initial, 0.0)

@@ -680,6 +680,10 @@ class TestConfigErrors:
         ("", ["monitor.cadence_steps=0"], "invalid [monitor]: cadence_steps must be >= 1"),
         ("", ["monitor.cadence_time=-1"], "invalid [monitor]: cadence_time must be positive"),
         ("", ["monitor.cadence_time=nan"], "invalid [monitor]: cadence_time must be positive"),
+        ("", ["monitor.cadence_steps=-5", "monitor.cadence_time=0.01"],
+         "invalid [monitor]: cadence_steps must be >= 1"),
+        ("", ["certificate.p=2.0"], "invalid [certificate]: certificate p=2.0 is below the "
+                                    "minimal admissible exponent 3.0"),
     ])
     def test_single_section_errors_name_the_section(self, tmp_path, capsys, section,
                                                     overrides, line):
@@ -690,6 +694,18 @@ class TestConfigErrors:
         assert code == 1
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not out.exists()
+
+
+class TestUnwritableOutput:
+    def test_out_under_a_file_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["certify", "--config", write_config(tmp_path),
+                     "--out", str(blocker / "x")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output:")
+        assert captured.out == ""
 
 
 class TestTimeCadence:

@@ -178,7 +178,7 @@ class TestRunLevelInvariants:
                                     u0_mass=0.2, domain_volume=1.0)
         records = []
         result = run(SimState(0.0, u0, v0), params,
-                     SolverConfig(t_end=0.2, output_every_steps=100),
+                     SolverConfig(t_end=0.2, cadence_steps=100),
                      lambda s, dt: records.append(record(s, dt, cert)))
         assert result.status == "completed"
         assert all(r.violations == [] for r in records)

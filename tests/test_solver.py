@@ -333,7 +333,7 @@ class TestRun:
         v0 = field_from_function(g, lambda x: 0.5 + 0.5 * np.cos(np.pi * x))
         masses = []
         result = run(SimState(0.0, u0, v0), params,
-                     SolverConfig(t_end=0.2, output_every_steps=50),
+                     SolverConfig(t_end=0.2, cadence_steps=50),
                      lambda s, dt: masses.append(integrate(s.u)))
         assert result.status == COMPLETED
         masses = np.array(masses)
@@ -344,7 +344,7 @@ class TestRun:
         params = params_1d(chi0=0.0, k=0.0, mu=1.0)
         records = []
         result = run(SimState(0.0, constant_field(g, 1.0), constant_field(g, 1.0)),
-                     params, SolverConfig(t_end=1.0, output_every_steps=1),
+                     params, SolverConfig(t_end=1.0, cadence_steps=1),
                      lambda s, dt: records.append((s.t, float(s.u.values[0]))))
         assert result.status == COMPLETED
         err = max(abs(u - 1.0 / (1.0 + t)) for t, u in records)
@@ -357,7 +357,7 @@ class TestRun:
         params = params_1d(k=0.5, mu=1.0, chi0=1.0, a=1.0)
         trace = []
         run(SimState(0.0, constant_field(g, 1.0), constant_field(g, 1.0)), params,
-            SolverConfig(t_end=0.2, output_every_steps=1),
+            SolverConfig(t_end=0.2, cadence_steps=1),
             lambda s, dt: trace.append((dt, s.u.values.copy(), s.v.values.copy())))
         u, v = 1.0, 1.0
         for dt, u_arr, v_arr in trace[1:]:
@@ -375,7 +375,7 @@ class TestRun:
         v0 = constant_field(g, 1.0)
         sup_vs, min_us = [], []
         result = run(SimState(0.0, u0, v0), params,
-                     SolverConfig(t_end=0.5, output_every_steps=200),
+                     SolverConfig(t_end=0.5, cadence_steps=200),
                      lambda s, dt: (sup_vs.append(float(s.v.values.max())),
                                     min_us.append(float(s.u.values.min()))))
         assert result.status == COMPLETED
@@ -417,7 +417,7 @@ class TestRun:
         g = Grid.line(16, 1.0)
         u0 = field_from_function(g, lambda x: 0.2 + 0.5 * x)
         v0 = field_from_function(g, lambda x: 1.0 - 0.3 * x)
-        cfg = SolverConfig(t_end=1.0, output_every_steps=1)
+        cfg = SolverConfig(t_end=1.0, cadence_steps=1)
         hooked = []
 
         def hook(state, dt):
@@ -441,7 +441,7 @@ class TestRun:
         before = (u0.values.tobytes(), v0.values.tobytes())
         params = ModelParams(n=2, m=1.5, alpha=0.5, k=0.5, mu=1.5, chi0=1.2, a=0.7)
         held = []
-        result = run(initial, params, SolverConfig(t_end=1e-2, output_every_steps=2),
+        result = run(initial, params, SolverConfig(t_end=1e-2, cadence_steps=2),
                      lambda s, dt: held.append((s, s.u.values.tobytes(), s.v.values.tobytes())))
         assert result.status == COMPLETED and result.steps > 6
         assert (u0.values.tobytes(), v0.values.tobytes()) == before
@@ -458,19 +458,20 @@ class TestRun:
         g = Grid.line(16, 1.0)
         times = []
         result = run(SimState(0.0, constant_field(g, 0.0), constant_field(g, 1.0)),
-                     params_1d(), SolverConfig(t_end=0.01, output_every_steps=3),
+                     params_1d(), SolverConfig(t_end=0.01, cadence_steps=3),
                      lambda s, dt: times.append(s.t))
         assert result.status == COMPLETED
         assert times[0] == 0.0 and times[-1] == 0.01
         # hooks at t=0, every 3rd step, and the final step
         assert len(times) >= 3
 
-    def test_time_cadence_lands_exactly(self):
+    @pytest.mark.parametrize("cadence_steps", [None, 1])
+    def test_time_cadence_lands_exactly(self, cadence_steps):
         g = Grid.line(16, 1.0)
         times = []
+        cfg = SolverConfig(t_end=0.01, cadence_steps=cadence_steps, cadence_time=0.002)
         result = run(SimState(0.0, constant_field(g, 0.0), constant_field(g, 1.0)),
-                     params_1d(), SolverConfig(t_end=0.01, output_every_time=0.002),
-                     lambda s, dt: times.append(s.t))
+                     params_1d(), cfg, lambda s, dt: times.append(s.t))
         assert result.status == COMPLETED
         expected = [0.0] + [k * 0.002 for k in range(1, 6)]
         assert times == expected
@@ -493,7 +494,7 @@ class TestRunStepParity:
         v0 = ScalarField(g, rng.uniform(0.2, 1.0, g.shape))
         params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=0.7)
         dt0 = stable_dt(SimState(0.0, u0, v0), params, SolverConfig(t_end=1.0))
-        cfg = SolverConfig(t_end=40.5 * dt0, output_every_steps=1)
+        cfg = SolverConfig(t_end=40.5 * dt0, cadence_steps=1)
         hooked = []
         result = run(SimState(0.0, u0, v0), params, cfg,
                      lambda s, dt: hooked.append((s, dt)))
