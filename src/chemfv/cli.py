@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -55,6 +57,21 @@ def _write(out_dir: Path, filename: str, text: str) -> None:
     command that fails before writing leaves no directory behind."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / filename).write_text(text)
+
+
+def _check_writable(out_dir: Path) -> None:
+    """Raise the ``OSError`` that making ``out_dir`` would raise, creating
+    nothing: ``out_dir``, if it exists, and its nearest existing ancestor must
+    be writable directories.  ``run`` and ``sweep`` call this before they
+    march, so a bad ``--out`` costs no simulation."""
+    existing = out_dir
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == out_dir else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out_dir))
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(existing))
 
 
 def _emit(obj, out_dir: Path, filename: str) -> None:
@@ -120,6 +137,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path, dump_fields: bool) -> int:
+    _check_writable(out_dir)
     executed = _execute(cfg)
     result = executed.result
     _write(out_dir, "timeseries.csv", _csv_text(executed.records))
@@ -220,6 +238,7 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
+    _check_writable(out_dir)
     report = sweep_report(cfg)
     _emit(report, out_dir, "sweep.json")
     if report.get("all_runs_errored"):
@@ -285,10 +304,10 @@ def _keep_freed_heap() -> None:
     process.  Measured with ``main`` in-process, three runs each with this call
     kept and disabled (2-core VM, numpy 2.4, minor faults from
     ``getrusage(RUSAGE_SELF)``): the run-2d bench workload (128^2, a monitor
-    record every step) went from 650 to about 51,600 minor page faults and
-    from 0.53-0.59 s to 0.66-0.86 s, and verify-2d (64^2, 300 trials in
-    stacks of 4 fields) from about 880 to 38,300 faults and from 0.17-0.19 s
-    to 0.22-0.31 s.  The call can go once
+    record every step) went from about 630 to 51,600 minor page faults and
+    from 0.47-0.57 s to 0.63-0.67 s, and verify-2d (64^2, 300 trials in
+    stacks of 4 fields) from about 880 to 38,300 faults and from 0.20-0.22 s
+    to 0.22-0.29 s.  The call can go once
     ``monitors.record`` and the oracle pass stop freeing grid arrays per
     call.  Other C libraries are left alone.
     """

@@ -13,8 +13,15 @@ of the values read as one flat array, then write each axis's first and last
 cells, where the pairs that join one line of the axis to the next land, from
 the zero boundary face (never stored) or the one-sided difference that the
 mirror ghost gives.  An overflow on such a pair alone warns, as a line-by-line
-stencil would not; the results keep their bits.  ``extend_neumann`` builds
-the one padded copy, for the 2D cross derivative of ``hessian``.
+stencil would not; the results keep their bits.  One function fills the
+mirror ghosts: into the padded copy that ``extend_neumann`` returns, and into
+the one that ``hessian`` reads flat for its 2D cross derivative, which has a
+zero column on either side of each row.
+
+Every operator divides by a spacing through one rule, ``_spacing_divisor``: a
+power-of-two spacing with a finite reciprocal is multiplied by that
+reciprocal, which rounds the same exact value as the quotient, and any other
+spacing divides.
 
 The stencils, the integral and the cosine series act on the trailing
 ``grid.dim`` axes, so ``gradient_cells``, ``hessian``, ``extend_neumann`` and
@@ -175,22 +182,40 @@ def lp_norm(f: ScalarField, p: float) -> float:
     return float((f.grid.cell_volume * (np.abs(f.values) ** p).sum()) ** (1.0 / p))
 
 
+def _spacing_divisor(h: float):
+    """``(ufunc, c)`` with ``ufunc(x, c)`` equal to ``x / h`` bit for bit.
+
+    A power of two ``h`` whose reciprocal is finite gives ``(np.multiply,
+    1/h)``: 1/h is then exact, so the product and the quotient round the same
+    real number, for every x (signed zeros, subnormals, inf and NaN included).
+    Any other ``h``, a subnormal power of two among them, gives ``(np.divide, h)``.
+    """
+    if math.frexp(h)[0] == 0.5 and math.isfinite(1.0 / h):
+        return np.multiply, 1.0 / h
+    return np.divide, h
+
+
 def _along(axis: int, index) -> tuple:
     """Index ``index`` along the negative ``axis``, every other axis whole."""
     return (Ellipsis, index) + (slice(None),) * (-1 - axis)
 
 
-def extend_neumann(f: ScalarField | FieldStack) -> np.ndarray:
-    """Values with one mirror ghost layer on each grid axis, a ghost equal to
-    the adjacent interior cell: the one padded copy in this module, for the 2D
-    cross stencil of ``hessian``."""
-    dim = f.grid.dim
-    out = np.empty(f.values.shape[:-dim] + tuple(n + 2 for n in f.grid.shape))
-    out[(Ellipsis,) + (slice(1, -1),) * dim] = f.values
+def _fill_neumann(values: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
+    """Write ``values`` with one mirror ghost layer on each of the last ``dim``
+    axes into ``out``, a ghost equal to the adjacent interior cell."""
+    out[(Ellipsis,) + (slice(1, -1),) * dim] = values
     for axis in range(-dim, 0):
         out[_along(axis, 0)] = out[_along(axis, 1)]
         out[_along(axis, -1)] = out[_along(axis, -2)]
     return out
+
+
+def extend_neumann(f: ScalarField | FieldStack) -> np.ndarray:
+    """Values with one mirror ghost layer on each grid axis, a ghost equal to
+    the adjacent interior cell."""
+    dim = f.grid.dim
+    shape = f.values.shape[:-dim] + tuple(n + 2 for n in f.grid.shape)
+    return _fill_neumann(f.values, dim, np.empty(shape))
 
 
 def _second_difference(f: ScalarField | FieldStack, axis: int, out: np.ndarray) -> np.ndarray:
@@ -203,19 +228,19 @@ def _second_difference(f: ScalarField | FieldStack, axis: int, out: np.ndarray) 
     last cells, which are then written from the faces: the first takes
     g_R - 0 = g_R and the last 0 - g_L, a subtraction so that +0.0 stays +0.0.
     """
-    values, dim, h = f.values, f.grid.dim, f.grid.spacing[axis]
+    values, dim = f.values, f.grid.dim
+    scale, by = _spacing_divisor(f.grid.spacing[axis])
     st = math.prod(f.grid.shape[axis + 1:])
     flat = values.reshape(-1)
     g = np.empty(flat.shape)        # g[k] is the face from cell k to k + st
     faces = np.subtract(flat[st:], flat[:-st], out=g[:-st])
-    faces /= h
+    scale(faces, by, out=faces)
     np.subtract(faces[st:], faces[:-st], out=out.reshape(-1)[st:-st])
     g = g.reshape(values.shape)
     first, last = _along(axis - dim, 0), _along(axis - dim, -1)
     out[first] = g[first]
     np.subtract(0.0, g[_along(axis - dim, -2)], out=out[last])
-    out /= h
-    return out
+    return scale(out, by, out=out)
 
 
 def gradient_cells(f: ScalarField | FieldStack) -> np.ndarray:
@@ -239,7 +264,8 @@ def gradient_cells(f: ScalarField | FieldStack) -> np.ndarray:
         first, last = _along(axis - dim, 0), _along(axis - dim, -1)
         np.subtract(values[_along(axis - dim, 1)], values[first], out=grad[first])
         np.subtract(values[last], values[_along(axis - dim, -2)], out=grad[last])
-        grad /= 2.0 * h
+        scale, by = _spacing_divisor(2.0 * h)
+        scale(grad, by, out=grad)
     return out
 
 
@@ -261,18 +287,38 @@ def hessian(f: ScalarField | FieldStack) -> np.ndarray:
 
     Diagonal entries use the same per-axis second-difference stencil as
     ``laplacian`` (so the trace matches it to round-off); off-diagonal entries
-    use the centered cross stencil on mirror ghosts.
+    use the centered cross stencil on mirror ghosts,
+    ``((p[i+1, j+1] - p[i+1, j-1]) - p[i-1, j+1]) + p[i-1, j-1]`` over 4 h0 h1.
+
+    The two subtractions read the padded values flat, rows of width w = ny + 4
+    (a zero, a ghost, the cells, a ghost, a zero), as the offsets +-w +- 1 of
+    one contiguous range from the first cell to the last.  The range also
+    covers the ghosts and zeros between rows and the ghost rows between the
+    fields of a stack; their entries are computed and never read.  The zeros
+    keep a row's last cells from pairing with the next row's first ones.  The
+    addition runs row by row, as numpy's contiguous add picks which of two
+    NaN operands to return by the position in its run.
     """
     dim, h = f.grid.dim, f.grid.spacing
     out = np.empty((dim, dim) + f.values.shape)
     for axis in range(dim):
         _second_difference(f, axis, out[axis, axis])
     if dim == 2:
-        p = extend_neumann(f)
-        cross = (p[..., 2:, 2:] - p[..., 2:, :-2] - p[..., :-2, 2:] + p[..., :-2, :-2]) / (
-            4.0 * h[0] * h[1])
-        out[0, 1] = cross
-        out[1, 0] = cross
+        nx, ny = f.grid.shape
+        w = ny + 4
+        padded = np.zeros(f.values.shape[:-2] + (nx + 2, w))
+        _fill_neumann(f.values, 2, padded[..., 1:-1])
+        flat = padded.reshape(-1)
+        lo, hi = w + 2, flat.size - w - 2   # the first cell, one past the last
+        cross = np.empty(flat.size)
+        c = np.subtract(flat[lo + w + 1:hi + w + 1], flat[lo + w - 1:hi + w - 1],
+                        out=cross[lo:hi])
+        np.subtract(c, flat[lo - w + 1:hi - w + 1], out=c)
+        np.add(cross.reshape(padded.shape)[..., 1:-1, 2:-2], padded[..., :-2, 1:-3],
+               out=out[0, 1])
+        scale, by = _spacing_divisor(4.0 * h[0] * h[1])
+        scale(out[0, 1], by, out=out[0, 1])
+        out[1, 0] = out[0, 1]
     return out
 
 

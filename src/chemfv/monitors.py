@@ -58,7 +58,30 @@ class MonitorRecord:
 def _grad_sq(v: ScalarField) -> np.ndarray:
     """|grad v|^2 per cell, with the cell-centered gradient."""
     grads = gradient_cells(v)
-    return np.square(grads, out=grads).sum(axis=0)
+    gsq = np.square(grads[0], out=grads[0])
+    for g in grads[1:]:
+        gsq += np.square(g, out=g)
+    return gsq
+
+
+def _power(x: np.ndarray, p: float) -> np.ndarray:
+    """x^p per cell, x >= 0; ``x`` itself is never written.
+
+    An integral p goes by binary powering: one squaring per bit after the
+    leading one and one multiply by x per further set bit, in place.  The
+    result is x^p times at most p - 1 factors (1 + delta), |delta| <= u =
+    2^-53, so it lies within gamma_{p-1} = (p-1)u / (1 - (p-1)u) of x^p
+    (Higham 2002, ch. 3).  At p = 1 and 2 it has the bits of ``x**p``.  Any
+    other p takes ``x**p``.
+    """
+    if not float(p).is_integer():
+        return x**p
+    out = x
+    for bit in bin(int(p))[3:]:
+        out = np.multiply(out, out, out=None if out is x else out)
+        if bit == "1":
+            np.multiply(out, x, out=out)
+    return out
 
 
 def gradv_l2sq(v: ScalarField) -> float:
@@ -69,12 +92,14 @@ def gradv_l2sq(v: ScalarField) -> float:
 def phi(state: SimState, p: float, chi0: float, *, grad_sq: np.ndarray | None = None) -> float:
     """Composite energy int (u+1)^p + chi0^(2p) int |grad v|^(2p).
 
-    ``grad_sq`` is |grad v|^2 per cell if the caller already has it.
+    ``grad_sq`` is |grad v|^2 per cell if the caller already has it.  The
+    powers are ``_power``'s: ``**`` exactly at p = 1, 2 and non-integral p,
+    binary powering at any other integral p.
     """
     if not p >= 1.0:
         raise DomainError("phi requires p >= 1")
     with np.errstate(over="ignore"):  # overflow is detected and reported below
-        powered = (state.u.values + 1.0) ** p
+        powered = _power(state.u.values + 1.0, p)
         try:
             u_term = integrate(ScalarField(state.u.grid, powered))
             if chi0 == 0.0:
@@ -82,7 +107,8 @@ def phi(state: SimState, p: float, chi0: float, *, grad_sq: np.ndarray | None = 
             else:
                 gsq = _grad_sq(state.v) if grad_sq is None else grad_sq
                 # a Python float power raises OverflowError where numpy gives inf
-                grad_term = chi0 ** (2.0 * p) * integrate(ScalarField(state.v.grid, gsq**p))
+                grad_term = chi0 ** (2.0 * p) * integrate(ScalarField(state.v.grid,
+                                                                      _power(gsq, p)))
         except (CorruptionError, OverflowError):   # a power is not finite
             raise CorruptionError(PHI_OVERFLOW) from None
     value = u_term + grad_term

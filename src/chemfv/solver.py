@@ -31,7 +31,7 @@ import numpy as np
 
 from .certificates import ModelParams
 from .errors import CorruptionError, DomainError
-from .grid import Grid, ScalarField
+from .grid import Grid, ScalarField, _spacing_divisor
 
 # Tolerances for the scheme-level invariants: u may dip to -1e-12 from round-off;
 # v may exceed its initial sup by 1e-10 relative.  Anything worse is corrupted.
@@ -111,7 +111,12 @@ def _kernel(grid: Grid, params: ModelParams):
     diffusivity; advective on the speed |w| (u+1)^max(alpha, 0) over both
     cells of a face; reaction with sup u, the consumption rate of v, added so
     the v update stays convex.  Work arrays and face views are made here once,
-    and one call on a stacked face buffer serves u and v alike.
+    and one call on a stacked face buffer serves u and v alike.  The faces are
+    scaled by 1/h through ``grid``'s spacing rule, chosen once per axis here,
+    and alpha = m - 1 takes both powers from one buffer.  The first axis sets
+    each rate entry k < n - st to F + 0.0 (the bits of ``0.0 + F``) before
+    the rest of its divergence, so only the last st entries of each field
+    start from a fill with +0.0.
 
     Every array is read flat, cells in row-major order, so that each ufunc
     runs on one contiguous block per field.  The faces of an axis with flat
@@ -123,8 +128,8 @@ def _kernel(grid: Grid, params: ModelParams):
     Whatever the cells hold, overflow included, those entries are set to +0.0
     in the speed before its max and in the flux before the divergence.  That
     leaves the rates bit for bit as a row-by-row loop would: after the first
-    axis no rate entry is -0.0 (each starts at +0.0 and gets ``0.0 + x``,
-    which is never -0.0, then ``a - b``, which is -0.0 only where a is), so
+    axis no rate entry is -0.0 (each is +0.0 or ``x + 0.0``, which is never
+    -0.0, and then gets ``a - b``, which is -0.0 only where a is), so
     adding and subtracting a +0.0 joining face changes nothing.  The joining
     pairs are still computed before they are zeroed, so where one of them
     alone overflows (v ~ 1e154 on both sides, say) numpy prints a
@@ -145,8 +150,12 @@ def _kernel(grid: Grid, params: ModelParams):
     scratch = [np.empty(2 * n), np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)]
     c1, c2 = scratch[1], scratch[2]
     coef = None if m == 1.0 else np.empty(n)
-    trans = None if alpha == 0.0 or chi0 == 0.0 else np.empty(n)
-    powers = [(b, e) for b, e in ((coef, m - 1.0), (trans, alpha)) if b is not None]
+    trans = (None if alpha == 0.0 or chi0 == 0.0
+             else coef if alpha == m - 1.0 else np.empty(n))
+    powers = [] if coef is None else [(coef, m - 1.0)]
+    if trans is not None and trans is not coef:   # alpha = m - 1 shares coef's powers
+        powers.append((trans, alpha))
+    R_tail = R_flat[:, n - math.prod(shape[1:]):]   # no R_lo of the first axis reaches it
     faces = []
     for axis, hx in enumerate(h):
         st = math.prod(shape[axis + 1:])
@@ -158,21 +167,24 @@ def _kernel(grid: Grid, params: ModelParams):
         w, s1, s2, mask = (b[:n - st] for b in scratch[1:])
         c_lh = (None, None) if coef is None else (coef[lo], coef[hi])
         t_lh = (None, None) if trans is None else (trans[lo], trans[hi])
-        faces.append((hx, join, s_flat[:, lo], s_flat[:, hi], v[lo], v[hi], F, *F,
-                      R_flat[:, lo], R_flat[:, hi], *c_lh, *t_lh, w, s1, s2, mask))
+        R_lo = R_flat[:, lo]
+        gain = (F, 0.0) if axis == 0 else (R_lo, F)   # R_lo = gain[0] + gain[1]: sets, then adds
+        faces.append((*_spacing_divisor(hx), join, s_flat[:, lo], s_flat[:, hi], v[lo], v[hi],
+                      F, *F, gain, R_lo, R_flat[:, hi], *c_lh, *t_lh, w, s1, s2, mask))
 
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide   # bound once
+    add, subtract, multiply, divide, maximum = (   # bound once
+        np.add, np.subtract, np.multiply, np.divide, np.maximum)
 
     def rates(sup_u: float, sup_v: float):
         # Each ufunc call writes into its last argument and returns it.
         for buf, exponent in powers:   # (u+1)^(m-1), (u+1)^alpha
             add(u, 1.0, buf)
             buf **= exponent   # in place, ** keeps numpy's fast paths (sqrt, square)
-        R.fill(0.0)
+        R_tail.fill(0.0)
         speed_max = 0.0
-        for (hx, join, s_lo, s_hi, v_l, v_r, F, f_u, f_v, R_lo, R_hi, c_l, c_r, t_l, t_r,
-             w, s1, s2, mask) in faces:
-            divide(subtract(s_hi, s_lo, F), hx, F)   # F = [grad u; grad v]
+        for (scale, by, join, s_lo, s_hi, v_l, v_r, F, f_u, f_v, gain, R_lo, R_hi, c_l, c_r,
+             t_l, t_r, w, s1, s2, mask) in faces:
+            scale(subtract(s_hi, s_lo, F), by, F)   # F = [grad u; grad v], scale(x, by) = x / h
             if coef is not None:   # D_face grad u
                 multiply(multiply(add(c_l, c_r, s1), 0.5, s1), f_u, f_u)
             if chi0 != 0.0:   # w = chi0 / (1 + a v_face)^2 grad v
@@ -180,26 +192,25 @@ def _kernel(grid: Grid, params: ModelParams):
                 multiply(divide(chi0, np.square(w, w), w), f_v, w)
                 f_chem = w
                 if trans is not None:   # the donor cell's factor, by the sign of w
-                    np.copyto(s2, t_r)
-                    np.copyto(s2, t_l, where=np.greater(w, 0.0, mask))
-                    f_chem = multiply(s2, w, s2)
+                    f_chem = multiply(t_r, w, s2)
+                    multiply(t_l, w, s2, where=np.greater(w, 0.0, mask))
                 speed = np.abs(w, s1)
                 if trans is not None and alpha > 0.0:
-                    multiply(speed, np.maximum(t_l, t_r, out=w), speed)
+                    multiply(speed, maximum(t_l, t_r, out=w), speed)
                 if join is not None:
                     speed[join] = 0.0
-                speed_max = max(speed_max, float(speed.max()))
+                speed_max = max(speed_max, float(maximum.reduce(speed)))
                 subtract(f_u, f_chem, f_u)
-            divide(F, hx, F)          # F = [flux; dv/h]
+            scale(F, by, F)           # F = [flux; dv/h]
             if join is not None:
                 F[:, join] = 0.0
-            add(R_lo, F, R_lo)        # divergence: each cell gains its right face
+            add(*gain, R_lo)          # divergence: each cell gains its right face
             subtract(R_hi, F, R_hi)   # and loses its left one; boundary faces are 0
         subtract(multiply(u, k, c1), multiply(multiply(u, mu, c2), u, c2), c1)
         add(du_dt, c1, du_dt)                        # += k u - mu u^2
         subtract(dv_dt, multiply(u, v, c1), dv_dt)   # -= u v
         dt_diff = (dt_diff_linear if coef is None
-                   else 1.0 / (2.0 * max(1.0, float(coef.max())) * inv_h2))
+                   else 1.0 / (2.0 * max(1.0, float(maximum.reduce(coef))) * inv_h2))
         dt_adv = h_min / (two_dim * speed_max) if speed_max > 0.0 else math.inf
         dt_react = 1.0 / (abs_k + two_mu * sup_u + sup_u + sup_v + 1.0)
         return R, dt_diff, dt_adv, dt_react

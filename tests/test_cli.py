@@ -707,6 +707,29 @@ class TestUnwritableOutput:
         assert captured.err.startswith("error: cannot write output:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("under, expected", [
+        (("x",), "[Errno 20] Not a directory: '{out}'"),
+        (("x", "y"), "[Errno 20] Not a directory: '{out}'"),
+        ((), "[Errno 17] File exists: '{out}'"),
+    ], ids=["child", "grandchild", "the-file"])
+    def test_unwritable_out_fails_before_the_march(self, tmp_path, capsys, monkeypatch,
+                                                   command, under, expected):
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched before checking --out")
+
+        monkeypatch.setattr(chemfv.cli, "run", no_march)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker.joinpath(*under)
+        text = BASE_CONFIG + "\n[sweep]\nmu_lo = 0.5\nmu_hi = 4.0\nbisection_steps = 1\n"
+        code = main([command, "--config", write_config(tmp_path, text), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write output: {expected.format(out=out)}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.ini"]
+
 
 class TestTimeCadence:
     def test_config_time_cadence_rows(self, tmp_path):

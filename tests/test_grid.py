@@ -11,7 +11,7 @@ from chemfv import (CorruptionError, DomainError, Grid, ScalarField, constant_fi
                     cosine_field, extend_neumann, field_from_function, gradient_cells,
                     hessian, integrate, laplacian, lp_norm, random_smooth_field,
                     read_field, write_field)
-from chemfv.grid import FieldStack, random_smooth_stack
+from chemfv.grid import FieldStack, _spacing_divisor, random_smooth_stack
 
 
 def _mirror_face_gradients(f):
@@ -622,3 +622,26 @@ class TestStackedOperators:
         assert stack.values.shape == (6,) + grid.shape
         for values, seed in zip(stack.values, seeds):
             _assert_same_bytes(values, _ref_random_smooth_field(grid, seed, 8))
+
+
+class TestSpacingDivisor:
+    # x / h as a multiply by 1/h where h is a power of two with a finite
+    # reciprocal; the bits of np.divide in every case.
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, math.inf, -math.inf,
+               math.nan, -math.nan, 1e308, -1e308, 1.0, -3.0, 0.1]
+
+    @pytest.mark.parametrize("h", [1.0, 0.5, 2.0**-7, 2.0**1000, 2.0**1023, 2.0**-1023,
+                                   2.0**-1030, 0.1, 1.0 / 3.0, 3.0, 1.3, 5e-324])
+    def test_matches_divide(self, h):
+        rng = np.random.default_rng(47)
+        x = np.concatenate([np.array(self.SPECIAL),
+                            rng.standard_normal(2000) * 10.0 ** rng.integers(-323, 308, 2000)])
+        scale, by = _spacing_divisor(h)
+        assert (scale is np.multiply) == (math.frexp(h)[0] == 0.5 and 1.0 / h < math.inf)
+        with np.errstate(all="ignore"):
+            _assert_same_bytes(scale(x, by), np.divide(x, h))
+
+    @pytest.mark.parametrize("h", [2.0**-1030, 5e-324])
+    def test_subnormal_power_of_two_whose_reciprocal_overflows_divides(self, h):
+        assert math.frexp(h)[0] == 0.5 and 1.0 / h == math.inf
+        assert _spacing_divisor(h) == (np.divide, h)

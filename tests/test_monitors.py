@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from chemfv import (AuxiliaryExponents, CorruptionError, DomainError, Grid,
-                    ModelParams, MonitorRecord,
+                    ModelParams, MonitorRecord, ScalarField,
                     SimState, SolverConfig, constant_field, evaluate_certificate,
-                    field_from_function, phi, phi_trend, record, run)
+                    field_from_function, integrate, phi, phi_trend, record, run)
 import chemfv.monitors
 from chemfv.monitors import gradv_l2sq
 
@@ -59,6 +59,48 @@ class TestPhi:
         state = SimState(0.0, constant_field(g, 1e300), constant_field(g, 0.0))
         with pytest.raises(CorruptionError):
             phi(state, 4.0, 1.0)
+
+
+def _phi_by_pow(state, p, chi0):
+    """phi as it was written with ``**`` for every power."""
+    gsq = chemfv.monitors._grad_sq(state.v)
+    g = state.u.grid
+    return (integrate(ScalarField(g, (state.u.values + 1.0) ** p))
+            + chi0 ** (2.0 * p) * integrate(ScalarField(g, gsq**p)))
+
+
+class TestPhiPowers:
+    # Binary powering at integral p: the bits of ``**`` at p = 1 and 2 (and at
+    # any non-integral p, which keeps ``**``), else within gamma_{p-1} per cell
+    # and the two pairwise sums' rounding, (p - 1 + 2 ceil(log2 N)) 2^-53.
+    GRID = Grid.rect(12, 10, 1.0, 1.0)
+
+    def _state(self):
+        rng = np.random.default_rng(43)
+        u = rng.uniform(0.0, 2.0, self.GRID.shape)
+        v = field_from_function(self.GRID, lambda x, y: 1.0 + 0.1 * np.cos(np.pi * x)
+                                * np.cos(2.0 * np.pi * y))
+        return SimState(0.0, ScalarField(self.GRID, u), v)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 200.0, 4.5])
+    def test_matches_the_pow_form(self, p):
+        state = self._state()
+        gsq = chemfv.monitors._grad_sq(state.v)
+        kept = gsq.copy()
+        value = phi(state, p, 1.3, grad_sq=gsq)
+        assert gsq.tobytes() == kept.tobytes()   # the caller's array is only read
+        expected = _phi_by_pow(state, p, 1.3)
+        if p in (1.0, 2.0, 4.5):
+            assert value == expected
+        else:
+            n = math.prod(self.GRID.shape)
+            bound = (p - 1.0 + 2.0 * math.ceil(math.log2(n))) * 2.0**-53
+            assert abs(value - expected) <= bound * expected
+
+    def test_integral_p_overflow_is_phi_overflow(self):
+        state = SimState(0.0, constant_field(self.GRID, 1e3), constant_field(self.GRID, 1.0))
+        with pytest.raises(CorruptionError, match=r"^phi overflowed"):
+            phi(state, 200.0, 1.0)
 
 
 class TestRecord:

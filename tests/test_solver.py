@@ -708,6 +708,19 @@ class TestKernelByteParity:
             params = ModelParams(n=dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=0.7)
             self._assert_march_identical(g, params, *self._fields(rng, g, profile))
 
+    # Power-of-two spacings scale the faces by a multiply, any other spacing
+    # by a divide; alpha = m - 1 shares one power buffer for (u+1)^(m-1) and
+    # (u+1)^alpha.
+    @pytest.mark.parametrize("g", [Grid.line(32, 1.0), Grid.rect(16, 8, 1.0, 0.5),
+                                   Grid.rect(9, 11, 1.0, 1.3)], ids=str)
+    def test_power_of_two_spacings_and_shared_powers(self, g):
+        rng = np.random.default_rng(41)
+        for m, alpha, chi0 in ((1.0, 0.0, 1.2), (1.7, 0.6, 1.2), (1.5, 0.5, 1.2),
+                               (2.0, 1.0, 0.7), (0.5, -0.5, 1.2)):
+            params = ModelParams(n=g.dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=chi0, a=0.7)
+            for profile in ("random", "negative_zeros"):
+                self._assert_march_identical(g, params, *self._fields(rng, g, profile))
+
     # The kernel reads every axis's faces as offset views of the flattened
     # fields; on the last axis of a 2D grid the pairs that join one row's end
     # to the next row's start must leave no trace, on the smallest grids and
