@@ -13,10 +13,9 @@ of the values read as one flat array, then write each axis's first and last
 cells, where the pairs that join one line of the axis to the next land, from
 the zero boundary face (never stored) or the one-sided difference that the
 mirror ghost gives.  An overflow on such a pair alone warns, as a line-by-line
-stencil would not; the results keep their bits.  One function fills the
-mirror ghosts: into the padded copy that ``extend_neumann`` returns, and into
-the one that ``hessian`` reads flat for its 2D cross derivative, which has a
-zero column on either side of each row.
+stencil would not; the results keep their bits.  The 2D cross derivative of
+``hessian`` reads one padded copy, from ``extend_neumann``, the one function
+that fills the mirror ghosts.
 
 Every operator divides by a spacing through one rule, ``_spacing_divisor``: a
 power-of-two spacing with a finite reciprocal is multiplied by that
@@ -35,6 +34,7 @@ cell-centered finite volume scheme and is exact for cellwise-linear data.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -58,7 +58,11 @@ class Grid:
         if len(self.cells) not in (1, 2) or len(self.extents) != len(self.cells):
             raise DomainError("grid must be 1D or 2D with one extent per axis")
         for n in self.cells:
-            if int(n) != n or n < MIN_CELLS_PER_AXIS:
+            try:
+                operator.index(n)
+            except TypeError:
+                raise DomainError(f"cell count must be an integer, got {n!r}") from None
+            if n < MIN_CELLS_PER_AXIS:
                 raise DomainError(f"need at least {MIN_CELLS_PER_AXIS} cells per axis, got {n}")
         for length in self.extents:
             if not (length > 0.0) or not math.isfinite(length):
@@ -200,22 +204,16 @@ def _along(axis: int, index) -> tuple:
     return (Ellipsis, index) + (slice(None),) * (-1 - axis)
 
 
-def _fill_neumann(values: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
-    """Write ``values`` with one mirror ghost layer on each of the last ``dim``
-    axes into ``out``, a ghost equal to the adjacent interior cell."""
-    out[(Ellipsis,) + (slice(1, -1),) * dim] = values
-    for axis in range(-dim, 0):
-        out[_along(axis, 0)] = out[_along(axis, 1)]
-        out[_along(axis, -1)] = out[_along(axis, -2)]
-    return out
-
-
 def extend_neumann(f: ScalarField | FieldStack) -> np.ndarray:
     """Values with one mirror ghost layer on each grid axis, a ghost equal to
     the adjacent interior cell."""
     dim = f.grid.dim
-    shape = f.values.shape[:-dim] + tuple(n + 2 for n in f.grid.shape)
-    return _fill_neumann(f.values, dim, np.empty(shape))
+    out = np.empty(f.values.shape[:-dim] + tuple(n + 2 for n in f.grid.shape))
+    out[(Ellipsis,) + (slice(1, -1),) * dim] = f.values
+    for axis in range(-dim, 0):
+        out[_along(axis, 0)] = out[_along(axis, 1)]
+        out[_along(axis, -1)] = out[_along(axis, -2)]
+    return out
 
 
 def _second_difference(f: ScalarField | FieldStack, axis: int, out: np.ndarray) -> np.ndarray:
@@ -288,37 +286,21 @@ def hessian(f: ScalarField | FieldStack) -> np.ndarray:
     Diagonal entries use the same per-axis second-difference stencil as
     ``laplacian`` (so the trace matches it to round-off); off-diagonal entries
     use the centered cross stencil on mirror ghosts,
-    ``((p[i+1, j+1] - p[i+1, j-1]) - p[i-1, j+1]) + p[i-1, j-1]`` over 4 h0 h1.
-
-    The two subtractions read the padded values flat, rows of width w = ny + 4
-    (a zero, a ghost, the cells, a ghost, a zero), as the offsets +-w +- 1 of
-    one contiguous range from the first cell to the last.  The range also
-    covers the ghosts and zeros between rows and the ghost rows between the
-    fields of a stack; their entries are computed and never read.  The zeros
-    keep a row's last cells from pairing with the next row's first ones.  The
-    addition runs row by row, as numpy's contiguous add picks which of two
-    NaN operands to return by the position in its run.
+    ``((p[i+1, j+1] - p[i+1, j-1]) - p[i-1, j+1]) + p[i-1, j-1]`` over 4 h0 h1,
+    p the one padded copy, from ``extend_neumann``.
     """
     dim, h = f.grid.dim, f.grid.spacing
     out = np.empty((dim, dim) + f.values.shape)
     for axis in range(dim):
         _second_difference(f, axis, out[axis, axis])
     if dim == 2:
-        nx, ny = f.grid.shape
-        w = ny + 4
-        padded = np.zeros(f.values.shape[:-2] + (nx + 2, w))
-        _fill_neumann(f.values, 2, padded[..., 1:-1])
-        flat = padded.reshape(-1)
-        lo, hi = w + 2, flat.size - w - 2   # the first cell, one past the last
-        cross = np.empty(flat.size)
-        c = np.subtract(flat[lo + w + 1:hi + w + 1], flat[lo + w - 1:hi + w - 1],
-                        out=cross[lo:hi])
-        np.subtract(c, flat[lo - w + 1:hi - w + 1], out=c)
-        np.add(cross.reshape(padded.shape)[..., 1:-1, 2:-2], padded[..., :-2, 1:-3],
-               out=out[0, 1])
+        p = extend_neumann(f)
+        cross = np.subtract(p[..., 2:, 2:], p[..., 2:, :-2], out=out[0, 1])
+        cross -= p[..., :-2, 2:]
+        cross += p[..., :-2, :-2]
         scale, by = _spacing_divisor(4.0 * h[0] * h[1])
-        scale(out[0, 1], by, out=out[0, 1])
-        out[1, 0] = out[0, 1]
+        scale(cross, by, out=cross)
+        out[1, 0] = cross
     return out
 
 

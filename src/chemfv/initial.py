@@ -42,6 +42,7 @@ def parse_profile(text: str) -> tuple[str, dict[str, float]]:
     if name not in _PROFILE_DEFAULTS:
         raise ConfigError(f"unknown profile {name!r}; known: {sorted(_PROFILE_DEFAULTS)}")
     args = dict(_PROFILE_DEFAULTS[name])
+    given = set()
     body = arg_text[:-1].strip()
     if body:
         for part in body.split(","):
@@ -55,6 +56,9 @@ def parse_profile(text: str) -> tuple[str, dict[str, float]]:
                 raise ConfigError(f"profile argument {part!r} must be key=value")
             if key not in args:
                 raise ConfigError(f"profile {name!r} has no parameter {key!r}")
+            if key in given:
+                raise ConfigError(f"profile {name!r} repeats parameter {key!r}")
+            given.add(key)
             try:
                 args[key] = float(raw)
             except ValueError:

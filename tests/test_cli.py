@@ -203,6 +203,14 @@ class TestRun:
         masses = np.array([float(r.split(",")[1]) for r in rows])
         assert np.abs(masses - masses[0]).max() <= 1e-12 * masses[0]
 
+    def test_repeated_profile_parameter_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--config", write_config(tmp_path), "--out", str(out),
+                     "--set", "init.u0=constant(1.0, 2.0)"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: profile 'constant' repeats parameter 'value'\n"
+        assert not out.exists()
+
     def test_blowup_threshold_below_initial_sup_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)
         code = main(["run", "--config", cfg, "--out", str(tmp_path),

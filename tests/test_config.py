@@ -6,7 +6,7 @@ import pytest
 
 from chemfv import ConfigError, Grid, default_exponents
 from chemfv.config import parse_config
-from chemfv.initial import build_profile
+from chemfv.initial import build_profile, parse_profile
 from chemfv.oracle import OracleConfig
 
 
@@ -303,6 +303,18 @@ class TestProfiles:
         assert f.values.max() <= 1.0 + 1e-12
         cos = build_profile(g, "cosine(amplitude=0.5, mode=1, floor=0.5)")
         assert cos.values.min() >= 0.0
+
+    @pytest.mark.parametrize("text, key", [
+        ("constant(1.0, 2.0)", "value"),
+        ("constant(value=1, 2)", "value"),
+        ("constant(1, value=1)", "value"),
+        ("gaussian-bump(width=0.1, width=0.2)", "width"),
+        ("cosine(mode=1, amplitude=0.5, mode=2)", "mode"),
+    ])
+    def test_repeated_parameter_rejected(self, text, key):
+        # the last value would otherwise win silently
+        with pytest.raises(ConfigError, match=f"^profile '[a-z-]+' repeats parameter '{key}'$"):
+            parse_profile(text)
 
     def test_malformed_profiles(self):
         g = Grid.line(8, 1.0)

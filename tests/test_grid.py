@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import chemfv.grid
 from chemfv import (CorruptionError, DomainError, Grid, ScalarField, constant_field,
                     cosine_field, extend_neumann, field_from_function, gradient_cells,
                     hessian, integrate, laplacian, lp_norm, random_smooth_field,
@@ -33,6 +34,12 @@ class TestGrid:
             Grid.line(8, 0.0)
         with pytest.raises(DomainError):
             Grid((4, 4, 4), (1.0, 1.0, 1.0))
+        # a cell count must be an integer type, as constant_field's np.full needs
+        for cells in [(4.0,), (8, 8.0), (np.float64(8),)]:
+            with pytest.raises(DomainError, match="cell count must be an integer"):
+                Grid(cells, (1.0,) * len(cells))
+        g = Grid.line(np.int64(8), 1.0)
+        assert constant_field(g, 1.0).values.shape == (8,)
 
     @pytest.mark.parametrize("cells, extents", [
         ((8, 8), (1e200, 1e200)),      # both volumes overflow
@@ -219,6 +226,22 @@ class TestHessian:
         assert np.allclose(hess[0, 0][interior], 2.0, rtol=0, atol=1e-9)
         assert np.allclose(hess[1, 1][interior], 0.0, atol=1e-12)
         assert np.allclose(hess[0, 1][interior], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("grid, calls", [(Grid.rect(6, 5, 1.0, 0.5), 1),
+                                             (Grid.line(6, 1.0), 0)], ids=str)
+    def test_one_padded_copy_per_2d_call(self, monkeypatch, grid, calls):
+        # the 2D cross term reads the one padded copy that extend_neumann
+        # returns; the 1D Hessian pads nothing
+        seen = []
+        real = chemfv.grid.extend_neumann
+        monkeypatch.setattr(chemfv.grid, "extend_neumann",
+                            lambda f: seen.append(f) or real(f))
+        f = random_smooth_field(grid, 3, 4)
+        stack = FieldStack(grid, np.stack([f.values, -f.values, 2.0 * f.values]))
+        for field in (f, stack):
+            seen.clear()
+            hessian(field)
+            assert [g is field for g in seen] == [True] * calls
 
 
 class TestRandomSmoothField:
