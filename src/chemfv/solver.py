@@ -13,8 +13,11 @@ One kernel, ``_kernel``, computes every operator (face fluxes, divergence,
 lap v, the step limits) for ``step``, ``stable_dt`` and ``run``.  The march
 holds u and v stacked in one ``(2, *shape)`` state, updated in place by each
 step, and its rates in one more; like the work arrays, both are allocated once
-per run.  The kernel reads them flat, so each axis's faces are offset views of
-contiguous memory.  Only the hook and the result get ``SimState`` copies.
+per run.  The kernel reads each as one flat run of 2n entries, u's cells then
+v's, so each axis's faces are two offset views of one contiguous block and one
+ufunc call serves both fields; the pairs that join u's last line to v's first
+are zeroed right after the face difference.  Only the hook and the result get
+``SimState`` copies.
 
 Loss of boundedness is detected numerically: a run ends ``blowup_detected``
 when sup u exceeds a threshold, ``dt_underflow`` when the stable step
@@ -111,29 +114,34 @@ def _kernel(grid: Grid, params: ModelParams):
     diffusivity; advective on the speed |w| (u+1)^max(alpha, 0) over both
     cells of a face; reaction with sup u, the consumption rate of v, added so
     the v update stays convex.  Work arrays and face views are made here once,
-    and one call on a stacked face buffer serves u and v alike.  The faces are
+    and one call on the face buffer serves u and v alike.  The faces are
     scaled by 1/h through ``grid``'s spacing rule, chosen once per axis here,
-    and alpha = m - 1 takes both powers from one buffer.  The first axis sets
-    each rate entry k < n - st to F + 0.0 (the bits of ``0.0 + F``) before
-    the rest of its divergence, so only the last st entries of each field
-    start from a fill with +0.0.
+    and alpha = m - 1 takes both powers from one buffer.  Every per-step
+    constant operand but dt and the exponents is a 0-d float64 array built
+    here, which a ufunc takes faster than a Python float.  The first axis
+    sets each rate entry k < 2n - st to F + 0.0 (the bits of ``0.0 + F``), so
+    only v's last st entries start from a fill with +0.0.
 
-    Every array is read flat, cells in row-major order, so that each ufunc
-    runs on one contiguous block per field.  The faces of an axis with flat
-    stride ``st`` (``ny`` for the first axis of a 2D grid, 1 for the last axis
-    and in 1D) pair entry k with entry k + st: the face operands are the
-    offset views ``flat[..., :-st]`` and ``flat[..., st:]``.  On the last axis
-    of a 2D grid, the ``nx - 1`` pairs at k = ny-1 (mod ny) join one row's
-    last cell to the next row's first cell and are not faces of the grid.
-    Whatever the cells hold, overflow included, those entries are set to +0.0
-    in the speed before its max and in the flux before the divergence.  That
-    leaves the rates bit for bit as a row-by-row loop would: after the first
-    axis no rate entry is -0.0 (each is +0.0 or ``x + 0.0``, which is never
-    -0.0, and then gets ``a - b``, which is -0.0 only where a is), so
-    adding and subtracting a +0.0 joining face changes nothing.  The joining
-    pairs are still computed before they are zeroed, so where one of them
-    alone overflows (v ~ 1e154 on both sides, say) numpy prints a
-    RuntimeWarning that a row-by-row loop would not; the rates are unaffected.
+    ``s`` and ``R`` are read as one flat run of 2n entries, u's cells then
+    v's, each in row-major order, so that each ufunc runs on one contiguous
+    block for both fields.  The faces of an axis with flat stride ``st``
+    (``ny`` for the first axis of a 2D grid, 1 for the last axis and in 1D)
+    pair entry k with entry k + st: the offset views ``run[:-st]`` and
+    ``run[st:]``.  Two kinds of pair are not faces.  The junction, the st
+    pairs at k in [n - st, n), joins u's last line to v's first; it is set
+    to +0.0 in F right after the difference, which cannot overflow as u, v
+    >= 0, before any scaling.  On the last axis of a 2D grid, the pairs at
+    k = ny-1 (mod ny) join one row's last cell to the next row's first (the
+    junction among them); whatever the cells hold, overflow included, they
+    are set to +0.0 in the speed before its max and in the flux before the
+    divergence.  That leaves the rates bit for bit as a row-by-row loop
+    would: after the first axis no rate entry is -0.0 (each is +0.0 or
+    ``x + 0.0``, which is never -0.0, and then gets ``a - b``, which is -0.0
+    only where a is), so adding and subtracting a +0.0 pair changes nothing.
+    The row-joining pairs are still computed before they are zeroed, so
+    where one of them alone overflows (v ~ 1e154 on both sides, say) numpy
+    prints a RuntimeWarning that a row-by-row loop would not; the rates are
+    unaffected.
     """
     m, alpha, chi0, k, mu = params.m, params.alpha, params.chi0, params.k, params.mu
     h = grid.spacing
@@ -141,11 +149,13 @@ def _kernel(grid: Grid, params: ModelParams):
     # so the run ends dt_underflow
     inv_h2 = sum(1.0 / hx**2 if hx**2 else math.inf for hx in h)
     dt_diff_linear = 1.0 / (2.0 * inv_h2)
-    h_min, two_dim, a_half, abs_k, two_mu = min(h), 2.0 * grid.dim, params.a * 0.5, abs(k), 2.0 * mu
+    h_min, two_dim, abs_k, two_mu = min(h), 2.0 * grid.dim, abs(k), 2.0 * mu
+    zero, half, one, a_half, chi0_, k_, mu_ = (
+        np.array(x, float) for x in (0.0, 0.5, 1.0, params.a * 0.5, chi0, k, mu))
     shape, n = grid.shape, math.prod(grid.shape)
     s, R = np.empty((2, *shape)), np.empty((2, *shape))
-    s_flat, R_flat = s.reshape(2, n), R.reshape(2, n)
-    (u, v), (du_dt, dv_dt) = s_flat, R_flat
+    s_run, R_run = s.reshape(2 * n), R.reshape(2 * n)
+    u, v, du_dt, dv_dt = s_run[:n], s_run[n:], R_run[:n], R_run[n:]
     # Scratch that the axes, one after another, and then the reaction terms share.
     scratch = [np.empty(2 * n), np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)]
     c1, c2 = scratch[1], scratch[2]
@@ -155,58 +165,64 @@ def _kernel(grid: Grid, params: ModelParams):
     powers = [] if coef is None else [(coef, m - 1.0)]
     if trans is not None and trans is not coef:   # alpha = m - 1 shares coef's powers
         powers.append((trans, alpha))
-    R_tail = R_flat[:, n - math.prod(shape[1:]):]   # no R_lo of the first axis reaches it
+    R_tail = R_run[2 * n - math.prod(shape[1:]):]   # v's last line: no R_lo of the first axis
     faces = []
     for axis, hx in enumerate(h):
         st = math.prod(shape[axis + 1:])
         lo, hi = slice(0, n - st), slice(st, n)
+        F = scratch[0][:2 * n - st]   # [u's faces; junction; v's faces]
+        w, s1, s2, mask = (b[:n - st] for b in scratch[1:])
         # An axis with an outer axis is, on a grid of at most two axes, the
         # last axis of a 2D grid (st = 1): its joining pairs, else None.
         join = slice(shape[axis] - 1, None, shape[axis]) if st * shape[axis] < n else None
-        F = scratch[0][:2 * (n - st)].reshape(2, n - st)   # [u part; v part]
-        w, s1, s2, mask = (b[:n - st] for b in scratch[1:])
+        joins = (None, None) if join is None else (s1[join], F[join])   # in speed, in F
         c_lh = (None, None) if coef is None else (coef[lo], coef[hi])
         t_lh = (None, None) if trans is None else (trans[lo], trans[hi])
-        R_lo = R_flat[:, lo]
-        gain = (F, 0.0) if axis == 0 else (R_lo, F)   # R_lo = gain[0] + gain[1]: sets, then adds
-        faces.append((*_spacing_divisor(hx), join, s_flat[:, lo], s_flat[:, hi], v[lo], v[hi],
-                      F, *F, gain, R_lo, R_flat[:, hi], *c_lh, *t_lh, w, s1, s2, mask))
+        R_lo = R_run[:2 * n - st]
+        gain = (F, zero) if axis == 0 else (R_lo, F)   # R_lo = gain[0] + gain[1]: sets, then adds
+        scale, by = _spacing_divisor(hx)
+        faces.append((scale, np.array(by, float), F[n - st:n], *joins, s_run[:2 * n - st],
+                      s_run[st:], v[lo], v[hi], F, F[:n - st], F[n:], *gain, R_lo,
+                      R_run[st:], *c_lh, *t_lh, w, s1, s2, mask))
 
     add, subtract, multiply, divide, maximum = (   # bound once
         np.add, np.subtract, np.multiply, np.divide, np.maximum)
 
     def rates(sup_u: float, sup_v: float):
         # Each ufunc call writes into its last argument and returns it.
-        for buf, exponent in powers:   # (u+1)^(m-1), (u+1)^alpha
-            add(u, 1.0, buf)
-            buf **= exponent   # in place, ** keeps numpy's fast paths (sqrt, square)
+        if powers:
+            for buf, exponent in powers:   # (u+1)^(m-1), (u+1)^alpha
+                add(u, one, buf)
+                buf **= exponent   # in place, ** keeps numpy's fast paths (sqrt, square)
         R_tail.fill(0.0)
         speed_max = 0.0
-        for (scale, by, join, s_lo, s_hi, v_l, v_r, F, f_u, f_v, gain, R_lo, R_hi, c_l, c_r,
-             t_l, t_r, w, s1, s2, mask) in faces:
-            scale(subtract(s_hi, s_lo, F), by, F)   # F = [grad u; grad v], scale(x, by) = x / h
+        for (scale, by, junction, speed_join, F_join, s_lo, s_hi, v_l, v_r, F, f_u, f_v,
+             g0, g1, R_lo, R_hi, c_l, c_r, t_l, t_r, w, s1, s2, mask) in faces:
+            subtract(s_hi, s_lo, F)
+            junction.fill(0.0)
+            scale(F, by, F)   # F = [grad u; 0; grad v], scale(x, by) = x / h
             if coef is not None:   # D_face grad u
-                multiply(multiply(add(c_l, c_r, s1), 0.5, s1), f_u, f_u)
+                multiply(multiply(add(c_l, c_r, s1), half, s1), f_u, f_u)
             if chi0 != 0.0:   # w = chi0 / (1 + a v_face)^2 grad v
-                add(multiply(add(v_l, v_r, w), a_half, w), 1.0, w)
-                multiply(divide(chi0, np.square(w, w), w), f_v, w)
+                add(multiply(add(v_l, v_r, w), a_half, w), one, w)
+                multiply(divide(chi0_, np.square(w, w), w), f_v, w)
                 f_chem = w
                 if trans is not None:   # the donor cell's factor, by the sign of w
                     f_chem = multiply(t_r, w, s2)
-                    multiply(t_l, w, s2, where=np.greater(w, 0.0, mask))
+                    multiply(t_l, w, s2, where=np.greater(w, zero, mask))
                 speed = np.abs(w, s1)
                 if trans is not None and alpha > 0.0:
                     multiply(speed, maximum(t_l, t_r, out=w), speed)
-                if join is not None:
-                    speed[join] = 0.0
+                if speed_join is not None:
+                    speed_join.fill(0.0)
                 speed_max = max(speed_max, float(maximum.reduce(speed)))
                 subtract(f_u, f_chem, f_u)
-            scale(F, by, F)           # F = [flux; dv/h]
-            if join is not None:
-                F[:, join] = 0.0
-            add(*gain, R_lo)          # divergence: each cell gains its right face
+            scale(F, by, F)           # F = [flux; 0; dv/h]
+            if F_join is not None:
+                F_join.fill(0.0)
+            add(g0, g1, R_lo)         # divergence: each cell gains its right face
             subtract(R_hi, F, R_hi)   # and loses its left one; boundary faces are 0
-        subtract(multiply(u, k, c1), multiply(multiply(u, mu, c2), u, c2), c1)
+        subtract(multiply(u, k_, c1), multiply(multiply(u, mu_, c2), u, c2), c1)
         add(du_dt, c1, du_dt)                        # += k u - mu u^2
         subtract(dv_dt, multiply(u, v, c1), dv_dt)   # -= u v
         dt_diff = (dt_diff_linear if coef is None
@@ -218,11 +234,14 @@ def _kernel(grid: Grid, params: ModelParams):
     return s, rates
 
 
+_min, _max = np.minimum.reduce, np.maximum.reduce
+
+
 def _extrema(s: np.ndarray) -> tuple[float, float, float, float, bool]:
     """min u, max u, min v, max v of a stacked state, and whether all four are
     finite: NaN propagates into both extrema of its field, inf into one."""
     flat = s.reshape(2, -1)
-    (u_lo, v_lo), (u_hi, v_hi) = flat.min(axis=1).tolist(), flat.max(axis=1).tolist()
+    (u_lo, v_lo), (u_hi, v_hi) = _min(flat, 1).tolist(), _max(flat, 1).tolist()
     finite = -math.inf < u_lo and u_hi < math.inf and -math.inf < v_lo and v_hi < math.inf
     return u_lo, u_hi, v_lo, v_hi, finite
 
@@ -261,8 +280,7 @@ def _advance(rates, s: np.ndarray, sup_u: float, sup_v: float, t: float,
     t_new = t + dt
     if t_target is not None and t_new >= t_target:
         dt, t_new = t_target - t, t_target
-    np.multiply(R, dt, R)
-    s += R
+    np.add(s, np.multiply(R, dt, R), s)
     u_lo, u_hi, v_lo, v_hi, finite = _extrema(s)
     status = (CORRUPTED if not finite or u_lo < -U_NEG_TOL or v_lo < -U_NEG_TOL or v_hi > v_cap
               else BLOWUP if u_hi > config.u_max else ADVANCED)

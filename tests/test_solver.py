@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from hypothesis.extra.numpy import arrays
 from chemfv import (CorruptionError, DomainError, Grid, ModelParams, ScalarField,
                     SimState, SolverConfig, constant_field, field_from_function, integrate,
                     laplacian, run, stable_dt, step)
+from chemfv.config import parse_config
+from chemfv.initial import build_initial_data
 from chemfv.solver import (ADVANCED, BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW, STEP_BUDGET,
                            U_NEG_TOL, V_SUP_REL_TOL, _advance, _extrema, _kernel)
 
@@ -776,6 +779,37 @@ class TestKernelByteParity:
         assert du_dt.tobytes() == expected[0].tobytes()
         assert dv_dt.tobytes() == expected[1].tobytes()
         assert limits == list(expected[2:])
+
+    @pytest.mark.parametrize("m, alpha", [(1.0, 0.0), (1.7, 0.6)])
+    @pytest.mark.parametrize("g", [Grid.line(20, 1.0), Grid.rect(9, 11, 1.0, 1.3)], ids=str)
+    def test_junction_of_u_and_v_is_silent(self, g, m, alpha):
+        # The flat run pairs u's last line with v's first: v[0] - u[-1] = 1e307
+        # there, which overflows once scaled by 1/h (h = 1/20, 1/9).  That pair
+        # is no face; zeroed before any scaling, it warns nowhere (warnings are
+        # errors) and leaves every rate +0.0, as in the reference.
+        params = ModelParams(n=g.dim, m=m, alpha=alpha, k=0.5, mu=1.5, chi0=1.2, a=0.0)
+        u, v = np.zeros(g.shape), np.full(g.shape, 1e307)
+        _, sup_u, _, sup_v, _ = _ref_extrema(u, v)
+        expected = _ref_kernel(g, params)(u, v, sup_u, sup_v)
+        s, kernel = _kernel(g, params)
+        s[0], s[1] = u, v
+        (du_dt, dv_dt), *limits = kernel(sup_u, sup_v)
+        zeros = np.zeros(g.shape).tobytes()
+        assert du_dt.tobytes() == expected[0].tobytes() == zeros
+        assert dv_dt.tobytes() == expected[1].tobytes() == zeros
+        assert limits == list(expected[2:])
+
+    def test_run_1d_settings(self):
+        # The benchmarked 1D march: configs/example.ini's model and initial
+        # data on its 128 cells, where h = 2^-7 scales the faces by a multiply
+        # and the constant v0 starts every drift term from a zero gradient.
+        cfg = parse_config((Path(__file__).resolve().parents[1] / "configs"
+                            / "example.ini").read_text())
+        assert cfg.grid.shape == (128,) and cfg.model.mu == 2100.0
+        u0, v0 = build_initial_data(cfg.grid, cfg.u0_spec, cfg.v0_spec)
+        self.STEPS = 400
+        marched = self._assert_march_identical(cfg.grid, cfg.model, u0.values, v0.values)
+        assert marched == self.STEPS - 1
 
 
 @st.composite
