@@ -14,7 +14,6 @@ with bound violations, 4 oracle failure.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import errno
 import json
 import math
@@ -292,37 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_heap() -> None:
-    """Ask glibc malloc to keep freed grid arrays in the heap for reuse.
-
-    The solver's march allocates its buffers once per run, but each monitor
-    record and each stack of oracle trials still allocates and frees
-    grid-sized arrays.  Under glibc's adaptive defaults, freed memory at the
-    top of the heap goes back to the system and is faulted in again by the
-    next call, and arrays above the mmap threshold are mapped and unmapped
-    each time.  With fixed thresholds up to 64 MiB of freed heap stays in the
-    process.  Measured with ``main`` in-process, three runs each with this call
-    kept and disabled (2-core VM, numpy 2.4, minor faults from
-    ``getrusage(RUSAGE_SELF)``): the run-2d bench workload (128^2, a monitor
-    record every step) went from about 630 to 51,600 minor page faults and
-    from 0.47-0.57 s to 0.63-0.67 s, and verify-2d (64^2, 300 trials in
-    stacks of 4 fields) from about 880 to 38,300 faults and from 0.20-0.22 s
-    to 0.22-0.29 s.  The call can go once
-    ``monitors.record`` and the oracle pass stop freeing grid arrays per
-    call.  Other C libraries are left alone.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD: heap, not mmap, below 32 MiB
-    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
-
-
 def main(argv: list[str] | None = None) -> int:
-    _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
         text = Path(args.config).read_text()

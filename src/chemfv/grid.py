@@ -186,6 +186,17 @@ def lp_norm(f: ScalarField, p: float) -> float:
     return float((f.grid.cell_volume * (np.abs(f.values) ** p).sum()) ** (1.0 / p))
 
 
+_HELD: dict[str, np.ndarray] = {}
+
+
+def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The work array held for ``role``, replaced when ``shape`` changes: one
+    array per role, not for concurrent threads."""
+    if role not in _HELD or _HELD[role].shape != shape:
+        _HELD[role] = np.empty(shape)
+    return _HELD[role]
+
+
 def _spacing_divisor(h: float):
     """``(ufunc, c)`` with ``ufunc(x, c)`` equal to ``x / h`` bit for bit.
 

@@ -80,6 +80,10 @@ def parse_profile(text: str) -> tuple[str, dict[str, float]]:
     if name == "gaussian-bump":
         if not args["width"] > 0.0:
             raise ConfigError(f"gaussian-bump width must be positive, got {args['width']}")
+        if not 1e-150 <= args["width"] <= 1e150 and math.isfinite(args["width"]):
+            # 2 width^2 stays normal and finite: no 0/0 at the center, no float power overflow
+            raise ConfigError(f"gaussian-bump width must lie in [1e-150, 1e150], "
+                              f"got {args['width']}")
         if floor + min(amplitude, 0.0) < 0.0:
             raise ConfigError("gaussian-bump would go negative (floor + amplitude < 0)")
     elif floor - abs(amplitude) < 0.0:
@@ -96,10 +100,11 @@ def build_profile(grid: Grid, text: str) -> ScalarField:
     if name == "gaussian-bump":
         centers = grid.centers()
         r_sq = np.zeros(grid.shape)
-        for axis in range(grid.dim):
-            c = args["center"] * grid.extents[axis]
-            r_sq = r_sq + (centers[axis] - c) ** 2
-        values = floor + amplitude * np.exp(-r_sq / (2.0 * args["width"]**2))
+        with np.errstate(over="ignore"):   # an overflowing exponent is inf, exp(-inf) = 0
+            for axis in range(grid.dim):
+                c = args["center"] * grid.extents[axis]
+                r_sq = r_sq + (centers[axis] - c) ** 2
+            values = floor + amplitude * np.exp(-r_sq / (2.0 * args["width"]**2))
         return ScalarField(grid, np.broadcast_to(values, grid.shape).copy())
 
     # cosine: floor + amplitude * prod_a cos(mode pi x_a / L_a)

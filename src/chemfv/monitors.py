@@ -15,6 +15,11 @@ data, never exceptions.  The extrema of u and sup v are recorded but not
 checked here: the maximum principles u >= 0 and v <= sup v0 belong to the
 solver, which ends a run ``corrupted`` before any state that breaks them
 reaches the monitor hook.
+
+``phi`` writes u + 1 and the powers into two work arrays of the grid's shape,
+held from one call to the next, so a record frees no grid-sized power.  The
+two persist until a grid of another shape replaces them; ``phi`` is not for
+concurrent threads.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ import numpy as np
 
 from .certificates import CertificateReport
 from .errors import CorruptionError, DomainError
-from .grid import gradient_cells, integrate, ScalarField
+from .grid import _scratch, gradient_cells, integrate, ScalarField
 from .solver import SimState
 
 PHI_OVERFLOW = "phi overflowed (large p on a large state)"
@@ -56,32 +61,35 @@ class MonitorRecord:
 
 
 def _grad_sq(v: ScalarField) -> np.ndarray:
-    """|grad v|^2 per cell, with the cell-centered gradient."""
+    """|grad v|^2 per cell, with the cell-centered gradient; inf where a square overflows."""
     grads = gradient_cells(v)
-    gsq = np.square(grads[0], out=grads[0])
-    for g in grads[1:]:
-        gsq += np.square(g, out=g)
+    with np.errstate(over="ignore"):   # integrate and phi report a non-finite result
+        gsq = np.square(grads[0], out=grads[0])
+        for g in grads[1:]:
+            gsq += np.square(g, out=g)
     return gsq
 
 
-def _power(x: np.ndarray, p: float) -> np.ndarray:
-    """x^p per cell, x >= 0; ``x`` itself is never written.
+def _power(x: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """x^p per cell, x >= 0 and p >= 1, written into ``out`` and returned; at
+    p = 1 the result is ``x`` itself.  ``x`` is never written.
 
     An integral p goes by binary powering: one squaring per bit after the
     leading one and one multiply by x per further set bit, in place.  The
     result is x^p times at most p - 1 factors (1 + delta), |delta| <= u =
     2^-53, so it lies within gamma_{p-1} = (p-1)u / (1 - (p-1)u) of x^p
     (Higham 2002, ch. 3).  At p = 1 and 2 it has the bits of ``x**p``.  Any
-    other p takes ``x**p``.
+    other p takes ``np.power``, which is what ``x**p`` calls at a
+    non-integral p >= 1.
     """
     if not float(p).is_integer():
-        return x**p
-    out = x
+        return np.power(x, p, out=out)
+    result = x
     for bit in bin(int(p))[3:]:
-        out = np.multiply(out, out, out=None if out is x else out)
+        result = np.multiply(result, result, out=out)
         if bit == "1":
-            np.multiply(out, x, out=out)
-    return out
+            np.multiply(result, x, out=out)
+    return result
 
 
 def gradv_l2sq(v: ScalarField) -> float:
@@ -98,17 +106,19 @@ def phi(state: SimState, p: float, chi0: float, *, grad_sq: np.ndarray | None = 
     """
     if not p >= 1.0:
         raise DomainError("phi requires p >= 1")
+    shape = state.u.grid.shape
+    base, powered = _scratch("phi.base", shape), _scratch("phi.power", shape)
     with np.errstate(over="ignore"):  # overflow is detected and reported below
-        powered = _power(state.u.values + 1.0, p)
+        np.add(state.u.values, 1.0, out=base)
         try:
-            u_term = integrate(ScalarField(state.u.grid, powered))
+            u_term = integrate(ScalarField(state.u.grid, _power(base, p, powered)))
             if chi0 == 0.0:
                 grad_term = 0.0
             else:
                 gsq = _grad_sq(state.v) if grad_sq is None else grad_sq
                 # a Python float power raises OverflowError where numpy gives inf
                 grad_term = chi0 ** (2.0 * p) * integrate(ScalarField(state.v.grid,
-                                                                      _power(gsq, p)))
+                                                                      _power(gsq, p, base)))
         except (CorruptionError, OverflowError):   # a power is not finite
             raise CorruptionError(PHI_OVERFLOW) from None
     value = u_term + grad_term

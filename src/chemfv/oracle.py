@@ -28,6 +28,12 @@ trial's margins are the ones the field gives by itself.  The per-oracle function
 result from the pass.  A margin or ratio that evaluates to NaN (say, a cell
 volume that overflows) is never skipped: it makes the worst margin NaN, which
 fails the verdict, and makes the GN constant NaN.
+
+The arrays derived from a stack's operators (the squared gradients, |D2 f|^2,
+|grad f|^2, the margin sides and denominators, the powers, |f| and f^2) go
+through ufunc ``out=`` into five work arrays held from one stack to the next;
+a stack of another size or grid shape replaces them.  The pass is not for
+concurrent threads.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ import numpy as np
 
 from .certificates import compute_p_bar, d3_constant, pbar_relation_margins
 from .errors import CorruptionError, DomainError
-from .grid import (FieldStack, Grid, ScalarField, gradient_cells, hessian, integrate,
+from .grid import (FieldStack, Grid, ScalarField, _scratch, gradient_cells, hessian, integrate,
                    random_smooth_stack)
 
 POINTWISE_SLACK = 1e-12
@@ -96,7 +102,7 @@ class _StackOps(NamedTuple):
     values: np.ndarray    # f, shape (count, *grid.shape)
     hess: np.ndarray      # D2 f, shape (n, n, count, *grid.shape)
     grads: np.ndarray     # grad f, shape (n, count, *grid.shape)
-    grads_sq: np.ndarray  # grads**2, per component
+    grads_sq: np.ndarray  # grads**2, field by field: shape (count, n, *grid.shape)
     hsq: np.ndarray       # |D2 f|^2 per cell
     gsq: np.ndarray       # |grad f|^2 per cell
 
@@ -104,40 +110,66 @@ class _StackOps(NamedTuple):
 def _stack_ops(stack: FieldStack) -> _StackOps:
     hess = hessian(stack)
     grads = gradient_cells(stack)
-    grads_sq = grads**2
-    return _StackOps(stack.grid, stack.values, hess, grads, grads_sq,
-                     (hess**2).sum(axis=(0, 1)), grads_sq.sum(axis=0))
+    shape = stack.values.shape
+    grads_sq = _scratch("oracle.grads_sq", (shape[0], len(grads), *shape[1:]))
+    np.square(grads, out=np.moveaxis(grads_sq, 1, 0))
+    # |D2 f|^2 summed entry by entry in (i, j) order, as (hess**2).sum(axis=(0, 1))
+    entries = hess.reshape(-1, *shape)
+    hsq = np.square(entries[0], out=_scratch("oracle.hsq", shape))
+    for entry in entries[1:]:
+        hsq += np.square(entry, out=_scratch("oracle.work", shape))
+    return _StackOps(stack.grid, stack.values, hess, grads, grads_sq, hsq,
+                     grads_sq.sum(axis=1, out=_scratch("oracle.gsq", shape)))
 
 
-def _min_margins(lhs: np.ndarray, rhs: np.ndarray) -> list[float]:
-    return _rows((rhs - lhs) / (1.0 + lhs + rhs)).min(axis=1).tolist()
+def _min_margins(lhs: np.ndarray, rhs: np.ndarray, den: np.ndarray) -> list[float]:
+    """Row minima of (rhs - lhs) / (1 + lhs + rhs); ``rhs`` and ``den`` are overwritten."""
+    np.add(np.add(1.0, lhs, out=den), rhs, out=den)
+    num = np.subtract(rhs, lhs, out=rhs)
+    return _rows(np.divide(num, den, out=num)).min(axis=1).tolist()
 
 
 def _laplacian_hessian(ops: _StackOps) -> list[float]:
     dim = ops.grid.dim
     hess = _interior(ops.hess, dim)
+    lhs, rhs, den = _scratch("oracle.margins", (3, *hess.shape[2:]))
     lap = hess[0, 0]
     for axis in range(1, dim):
-        lap = lap + hess[axis, axis]
-    return _min_margins(lap**2, dim * _interior(ops.hsq, dim))
+        lap = np.add(lap, hess[axis, axis], out=lhs)
+    np.square(lap, out=lhs)
+    return _min_margins(lhs, np.multiply(dim, _interior(ops.hsq, dim), out=rhs), den)
 
 
 def _hessian_gradient(ops: _StackOps) -> list[float]:
     dim = ops.grid.dim
     hess = _interior(ops.hess, dim)
-    hg = np.einsum("ij...,j...->i...", hess, _interior(ops.grads, dim))
-    return _min_margins((hg**2).sum(axis=0), _interior(ops.hsq, dim) * _interior(ops.gsq, dim))
+    lhs, rhs, den = margins = _scratch("oracle.margins", (3, *hess.shape[2:]))
+    hg = np.einsum("ij...,j...->i...", hess, _interior(ops.grads, dim), out=margins[:dim])
+    np.square(hg, out=hg)
+    for component in hg[1:]:   # lhs is hg[0]: (hg**2).sum(axis=0) in place
+        lhs += component
+    return _min_margins(lhs, np.multiply(_interior(ops.hsq, dim), _interior(ops.gsq, dim),
+                                         out=rhs), den)
+
+
+def _power_into(x: np.ndarray, exponent: float, out: np.ndarray) -> np.ndarray:
+    """``x ** exponent`` in ``out``: the in-place ``**=`` takes the fast path
+    that ``x ** exponent`` takes (``square`` at 2), so the bits are its."""
+    np.copyto(out, x)
+    out **= exponent
+    return out
 
 
 def _gradient_power(ops: _StackOps, q: float) -> list[tuple[float, float]]:
-    grid = ops.grid
+    grid, work = ops.grid, _scratch("oracle.work", ops.values.shape)
     try:
-        lhs = integrate(FieldStack(grid, ops.gsq ** (q + 1.0)))
-        rhs = integrate(FieldStack(grid, ops.gsq ** (q - 1.0) * ops.hsq))
+        lhs = integrate(FieldStack(grid, _power_into(ops.gsq, q + 1.0, work)))
+        rhs = integrate(FieldStack(grid, np.multiply(_power_into(ops.gsq, q - 1.0, work),
+                                                     ops.hsq, out=work)))
     except CorruptionError:   # a cell's power is not finite
         raise DomainError(f"gradient_power_hessian: |grad f|^(2q+2) or |grad f|^(2q-2) |D2 f|^2 "
                           f"is not finite at q = {q} on grid spacing {grid.spacing}") from None
-    sups = _rows(np.abs(ops.values)).max(axis=1).tolist()
+    sups = _rows(np.abs(ops.values, out=work)).max(axis=1).tolist()
     factor = 2.0 * (4.0 * q**2 + grid.dim)
     return [(l, factor * sup_f**2 * r) for l, sup_f, r in zip(lhs, sups, rhs)]
 
@@ -145,13 +177,12 @@ def _gradient_power(ops: _StackOps, q: float) -> list[tuple[float, float]]:
 def _gn_ratios(ops: _StackOps, theta: float, count: int) -> list[float]:
     """||f||_2 / (||grad f||_2^theta ||f||_1^(1-theta) + ||f||_1) of the first
     ``count`` fields; 0 where the denominator is."""
-    values = ops.values[:count]
+    values, work = ops.values[:count], _scratch("oracle.work", ops.values.shape)[:count]
     vol = ops.grid.cell_volume
-    grads_sq = np.moveaxis(ops.grads_sq[:, :count], 0, 1)   # each field's components in a row
-    ratios = []
-    for sq, absolute, gsq in zip(_rows(values**2).sum(axis=1).tolist(),
-                                 _rows(np.abs(values)).sum(axis=1).tolist(),
-                                 _rows(grads_sq).sum(axis=1).tolist()):
+    ratios = []   # each sum is a list before the next one writes into work
+    for sq, absolute, gsq in zip(_rows(np.square(values, out=work)).sum(axis=1).tolist(),
+                                 _rows(np.abs(values, out=work)).sum(axis=1).tolist(),
+                                 _rows(ops.grads_sq[:count]).sum(axis=1).tolist()):
         l2 = math.sqrt(vol * sq)
         l1 = vol * absolute
         g2 = math.sqrt(vol * gsq)
@@ -199,7 +230,7 @@ def _stack_margins(cfg: OracleConfig, start: int, count: int,
     """Laplacian-Hessian, Hessian-gradient and gradient-power margins and the
     GN ratio (0 past ``GN_MAX_FIELDS``) of trials ``start`` to ``start + count - 1``.
 
-    The stack's arrays die on return, before the next stack is built.
+    The stack and its operators die on return, before the next stack is built.
     """
     seeds = [(cfg.seed, index) for index in range(start, start + count)]
     ops = _stack_ops(random_smooth_stack(cfg.grid, seeds, cfg.num_modes))

@@ -146,9 +146,14 @@ def _kernel(grid: Grid, params: ModelParams):
     m, alpha, chi0, k, mu = params.m, params.alpha, params.chi0, params.k, params.mu
     h = grid.spacing
     # hx**2 underflows to 0 on a tiny domain; inf makes the diffusive limit 0,
-    # so the run ends dt_underflow
-    inv_h2 = sum(1.0 / hx**2 if hx**2 else math.inf for hx in h)
-    dt_diff_linear = 1.0 / (2.0 * inv_h2)
+    # so the run ends dt_underflow.  An axis whose hx**2 overflows bounds nothing.
+    inv_h2 = 0.0
+    for hx in h:
+        try:
+            inv_h2 += 1.0 / hx**2 if hx**2 else math.inf
+        except OverflowError:   # a Python float power raises where numpy gives inf
+            pass
+    dt_diff_linear = 1.0 / (2.0 * inv_h2) if inv_h2 else math.inf
     h_min, two_dim, abs_k, two_mu = min(h), 2.0 * grid.dim, abs(k), 2.0 * mu
     zero, half, one, a_half, chi0_, k_, mu_ = (
         np.array(x, float) for x in (0.0, 0.5, 1.0, params.a * 0.5, chi0, k, mu))
@@ -225,7 +230,7 @@ def _kernel(grid: Grid, params: ModelParams):
         subtract(multiply(u, k_, c1), multiply(multiply(u, mu_, c2), u, c2), c1)
         add(du_dt, c1, du_dt)                        # += k u - mu u^2
         subtract(dv_dt, multiply(u, v, c1), dv_dt)   # -= u v
-        dt_diff = (dt_diff_linear if coef is None
+        dt_diff = (dt_diff_linear if coef is None or not inv_h2
                    else 1.0 / (2.0 * max(1.0, float(maximum.reduce(coef))) * inv_h2))
         dt_adv = h_min / (two_dim * speed_max) if speed_max > 0.0 else math.inf
         dt_react = 1.0 / (abs_k + two_mu * sup_u + sup_u + sup_v + 1.0)

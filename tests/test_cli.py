@@ -103,6 +103,30 @@ class TestCertify:
         assert code == 1
         assert "error: cosine mode" in capsys.readouterr().err
 
+    def test_overflowing_signal_gradient_is_one_error_line(self, tmp_path, capsys):
+        # |grad v|^2 overflows to inf, which the finiteness check reports
+        code = main(["certify", "--config", write_config(tmp_path), "--out", str(tmp_path),
+                     "--set", "init.v0=cosine(amplitude=1e160, floor=1e160)"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: field contains non-finite values\n"
+
+    def test_bump_far_out_on_a_huge_domain_is_its_floor(self, tmp_path):
+        # each squared distance to the center overflows; exp(-inf) = 0
+        code = main(["certify", "--config", write_config(tmp_path), "--out", str(tmp_path),
+                     "--set", "grid.Lx=1e300"])
+        assert code == 0
+
+    @pytest.mark.parametrize("width", ["1e-200", "1e200"])
+    def test_bump_width_out_of_range_exits_1(self, tmp_path, capsys, width):
+        # 2 width^2 underflows to 0 (the exponent divided by 0) or overflows
+        out = tmp_path / "out"
+        code = main(["certify", "--config", write_config(tmp_path), "--out", str(out),
+                     "--set", f"init.u0=gaussian-bump(width={width})"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: gaussian-bump width must lie in [1e-150, 1e150], got {float(width)}\n")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_domain_volume_exits_1(self, tmp_path, capsys):
         text = BASE_CONFIG.replace("n = 1", "n = 2").replace("dim = 1", "dim = 2")
@@ -285,6 +309,29 @@ class TestRun:
         assert code == 2
         summary = read_json(tmp_path, "summary.json")
         assert (summary["status"], summary["t_end_reached"]) == ("dt_underflow", False)
+
+    @pytest.mark.parametrize("overrides", [
+        ["grid.Lx=1e160"],
+        ["grid.Lx=1e160", "model.m=2.0"],
+        ["grid.dim=2", "model.n=2", "grid.nx=16", "grid.ny=16", "grid.Lx=1e160"],
+    ])
+    def test_huge_domain_has_no_diffusive_limit(self, tmp_path, overrides):
+        # h^2 overflows on the long axis, which then puts no bound on dt
+        sets = overrides + ["init.u0=constant(0.5)"]
+        code = main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path)]
+                    + [arg for item in sets for arg in ("--set", item)])
+        assert code == 0
+        assert read_json(tmp_path, "summary.json")["status"] == "completed"
+
+    def test_bump_centered_on_a_cell_with_too_narrow_a_width_exits_1(self, tmp_path, capsys):
+        # 129 cells put a cell center on the bump's center, where the exponent was 0/0
+        out = tmp_path / "out"
+        code = main(["run", "--config", write_config(tmp_path), "--out", str(out),
+                     "--set", "grid.nx=129", "--set", "init.u0=gaussian-bump(width=1e-200)"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: gaussian-bump width must lie in [1e-150, 1e150], got 1e-200\n")
+        assert not out.exists()
 
     def test_corruption_in_the_monitors_keeps_the_earlier_records(self, tmp_path, monkeypatch):
         real_phi, calls = chemfv.monitors.phi, []
@@ -777,11 +824,6 @@ class TestConsoleEntry:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert '"satisfied"' in proc.stdout
-
-    def test_runs_where_libc_has_no_mallopt(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(chemfv.cli.ctypes, "CDLL", lambda name: object())
-        assert main(["certify", "--config", write_config(tmp_path),
-                     "--out", str(tmp_path)]) == 0
 
 
 def test_bench_traced_attributes_resolve():

@@ -316,6 +316,13 @@ class TestProfiles:
         with pytest.raises(ConfigError, match=f"^profile '[a-z-]+' repeats parameter '{key}'$"):
             parse_profile(text)
 
+    def test_narrow_bump_is_its_floor_off_the_center_cell(self):
+        # r^2 / (2 width^2) overflows off the center, and exp(-inf) = 0
+        f = build_profile(Grid.line(129, 1e10),
+                          "gaussian-bump(width=1e-150, amplitude=2.0, floor=0.5)")
+        assert f.values[64] == 2.5
+        assert np.all(np.delete(f.values, 64) == 0.5)
+
     def test_malformed_profiles(self):
         g = Grid.line(8, 1.0)
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,32 @@ class TestPhiPowers:
         state = SimState(0.0, constant_field(self.GRID, 1e3), constant_field(self.GRID, 1.0))
         with pytest.raises(CorruptionError, match=r"^phi overflowed"):
             phi(state, 200.0, 1.0)
+
+
+class TestPhiScratch:
+    def test_a_second_call_allocates_no_grid_array(self):
+        # u + 1 and both powers go into two arrays held from the first call on
+        # this grid shape; before, each call allocated three of 32 KB.
+        grid = Grid.rect(64, 64, 1.0, 1.0)
+        u = np.random.default_rng(5).uniform(0.0, 2.0, grid.shape)
+        v = field_from_function(grid, lambda x, y: 1.0 + 0.1 * np.cos(np.pi * x)
+                                * np.cos(2.0 * np.pi * y))
+        state = SimState(0.0, ScalarField(grid, u), v)
+        gsq = chemfv.monitors._grad_sq(v)
+        first = phi(state, 6.0, 1.3, grad_sq=gsq)
+        tracemalloc.start()
+        try:
+            second = phi(state, 6.0, 1.3, grad_sq=gsq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second == first
+        assert peak < u.nbytes
+
+    def test_grids_of_other_shapes_keep_their_values(self):
+        states = [SimState(0.0, constant_field(g, 1.0), constant_field(g, 0.0))
+                  for g in (Grid.line(16, 2.0), Grid.rect(8, 8, 1.0, 1.0), Grid.line(16, 2.0))]
+        assert [phi(s, 3.0, 1.0) for s in states] == pytest.approx([16.0, 8.0, 16.0], rel=1e-14)
 
 
 class TestRecord:

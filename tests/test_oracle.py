@@ -435,3 +435,27 @@ class TestStackMemory:
         finally:
             tracemalloc.stop()
         assert peak < 32 * TRIAL_BATCH_CELLS * 8   # 4 MiB
+
+    def test_a_second_stack_allocates_only_the_operators(self):
+        # The squared gradients, |D2 f|^2, |grad f|^2, the powers and the
+        # margin arrays go into scratch held from the first stack.  What a
+        # stack still allocates is what the pinned calls return (the stack,
+        # its Hessian and its gradients), the Hessian's padded copy, and
+        # numpy's buffers for two strided ufunc operands.  Building all the
+        # derived arrays afresh, as before, peaked at about 2.2 MB here.
+        grid = Grid.rect(64, 64, 1.0, 1.0)
+        cfg = OracleConfig(grid=grid, trials=8, seed=0)
+        assert _stack_size(cfg) == 4
+        theta = _theta(grid)
+        first = _stack_margins(cfg, 4, 4, theta)
+        tracemalloc.start()
+        try:
+            second = _stack_margins(cfg, 4, 4, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second == first
+        stack = 4 * 64 * 64 * 8
+        padded = 4 * 66 * 66 * 8
+        buffers = 2 * np.getbufsize() * 8
+        assert peak < stack + 4 * stack + 2 * stack + padded + buffers   # 1.13 MiB
