@@ -97,19 +97,19 @@ def build_profile(grid: Grid, text: str) -> ScalarField:
         return constant_field(grid, args["value"])
 
     floor, amplitude = args["floor"], args["amplitude"]
-    if name == "gaussian-bump":
-        centers = grid.centers()
-        r_sq = np.zeros(grid.shape)
-        with np.errstate(over="ignore"):   # an overflowing exponent is inf, exp(-inf) = 0
+    with np.errstate(over="ignore"):   # overflow is inf: exp(-inf) = 0, else reported non-finite
+        if name == "gaussian-bump":
+            centers = grid.centers()
+            r_sq = np.zeros(grid.shape)
             for axis in range(grid.dim):
                 c = args["center"] * grid.extents[axis]
                 r_sq = r_sq + (centers[axis] - c) ** 2
             values = floor + amplitude * np.exp(-r_sq / (2.0 * args["width"]**2))
-        return ScalarField(grid, np.broadcast_to(values, grid.shape).copy())
+            return ScalarField(grid, np.broadcast_to(values, grid.shape).copy())
 
-    # cosine: floor + amplitude * prod_a cos(mode pi x_a / L_a)
-    mode = int(args["mode"])
-    return ScalarField(grid, floor + cosine_field(grid, [[mode] * grid.dim], [amplitude]).values)
+        # cosine: floor + amplitude * prod_a cos(mode pi x_a / L_a)
+        mode = int(args["mode"])
+        return ScalarField(grid, floor + cosine_field(grid, [[mode] * grid.dim], [amplitude]).values)
 
 
 def build_initial_data(grid: Grid, u0_spec: str, v0_spec: str) -> tuple[ScalarField, ScalarField]:

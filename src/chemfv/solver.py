@@ -16,8 +16,8 @@ step, and its rates in one more; like the work arrays, both are allocated once
 per run.  The kernel reads each as one flat run of 2n entries, u's cells then
 v's, so each axis's faces are two offset views of one contiguous block and one
 ufunc call serves both fields; the pairs that join u's last line to v's first
-are zeroed right after the face difference.  Only the hook and the result get
-``SimState`` copies.
+are zeroed right after the face difference.  The hook and the result get a
+``SimState`` over read-only views of the march state, never a copy.
 
 Loss of boundedness is detected numerically: a run ends ``blowup_detected``
 when sup u exceeds a threshold, ``dt_underflow`` when the stable step
@@ -258,12 +258,6 @@ def _load(state: SimState, params: ModelParams):
     return s, rates, _extrema(s)
 
 
-def _snapshot(t: float, grid: Grid, s: np.ndarray) -> SimState:
-    """A ``SimState`` holding a copy of the stacked state ``s``."""
-    u, v = s.copy()
-    return SimState(t, ScalarField(grid, u), ScalarField(grid, v))
-
-
 def stable_dt(state: SimState, params: ModelParams, config: SolverConfig) -> float:
     """Largest stable step at the current state, already scaled by ``safety``."""
     _, rates, (_, sup_u, _, sup_v, finite) = _load(state, params)
@@ -307,9 +301,11 @@ def step(state: SimState, params: ModelParams, config: SolverConfig, *,
                                            v0_sup * (1.0 + V_SUP_REL_TOL))
     if status == DT_UNDERFLOW:
         return state, StepOutcome(status, dt, sup_u)
-    return _snapshot(t, state.u.grid, s), StepOutcome(status, dt, sup_u_new)
+    u, v = (ScalarField(state.u.grid, f) for f in s)   # the fields of _load's fresh buffer
+    return SimState(t, u, v), StepOutcome(status, dt, sup_u_new)
 
 
+# A hook's state is read-only and valid during the call only: to keep it, copy it.
 MonitorHook = Callable[[SimState, float], None]
 
 
@@ -331,16 +327,19 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     and on a blow-up state.  A ``CorruptionError`` from the hook (say, phi
     overflowing) ends the run ``corrupted`` on the hooked state, with the
     error's message as the result's ``reason``.  Initial data must be
-    nonnegative and finite; the march never writes into it and hands out
-    copies of its own state.  Each step's sup u and sup v carry over from its
-    post-update check.
+    nonnegative and finite; the march never writes into it.  Past the initial
+    state, the hook and the result get one ``SimState`` of read-only views of
+    the march's own state: valid during a hook call only, fixed once ``run``
+    returns.  Each step's sup u and sup v carry over from its post-update check.
     """
-    grid = initial.u.grid
     s, rates, (u_lo, sup_u, v_lo, sup_v, finite) = _load(initial, params)
     if not finite:
         raise CorruptionError("non-finite initial data")
     if u_lo < 0.0 or v_lo < 0.0:
         raise DomainError("initial data must be nonnegative")
+    frozen = s.view()
+    frozen.flags.writeable = False
+    march = SimState(initial.t, *(ScalarField(initial.u.grid, f) for f in frozen))
     v_cap = sup_v * (1.0 + V_SUP_REL_TOL)
     t, t_end = initial.t, config.t_end
     every_time = config.cadence_time
@@ -353,7 +352,7 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     if sup_u_max > config.u_max:
         return RunResult(BLOWUP, initial, 0, sup_u_max)
 
-    state, status, steps, out_index = initial, COMPLETED, 0, 1
+    status, steps, out_index = COMPLETED, 0, 1
     while t < t_end:
         if steps >= config.max_steps:
             status = STEP_BUDGET
@@ -365,7 +364,6 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
             break
         steps += 1
         sup_u_max = max(sup_u_max, sup_u)
-        state = None
         if status == CORRUPTED:
             break
         on_time = every_time is not None and t == out_index * every_time
@@ -374,14 +372,13 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
         if monitor_hook is not None and t != hooked_t and (
                 status == BLOWUP or on_time or t == t_end
                 or (every_steps is not None and steps % every_steps == 0)):
-            state, hooked_t = _snapshot(t, grid, s), t
-            reason = _call_hook(monitor_hook, state, dt)
+            march.t = hooked_t = t
+            reason = _call_hook(monitor_hook, march, dt)
             if reason is not None:
                 status = CORRUPTED
                 break
         if status == BLOWUP:
             break
-    if state is None:
-        state = _snapshot(t, grid, s)
-    return RunResult(COMPLETED if status == ADVANCED else status, state, steps, sup_u_max,
-                     reason)
+    march.t = t
+    return RunResult(COMPLETED if status == ADVANCED else status, march if steps else initial,
+                     steps, sup_u_max, reason)

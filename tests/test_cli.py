@@ -110,6 +110,23 @@ class TestCertify:
         assert code == 1
         assert capsys.readouterr().err == "error: field contains non-finite values\n"
 
+    def test_overflowing_cosine_is_one_error_line(self, tmp_path, capsys):
+        # floor + amplitude cos overflows to inf, which the finiteness check reports
+        code = main(["certify", "--config", write_config(tmp_path), "--out", str(tmp_path),
+                     "--set", "init.v0=cosine(amplitude=1e308, floor=1e308)"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: field contains non-finite values\n"
+
+    @pytest.mark.parametrize("profile,name", [("u0=constant(1e308)", "u0_mass"),
+                                              ("v0=cosine(amplitude=1e153, floor=1e153)",
+                                               "gradv0_l2sq")])
+    def test_overflowing_integral_is_one_error_line(self, tmp_path, capsys, profile, name):
+        # the row sum of finite values passes the float range: the integral is inf
+        code = main(["certify", "--config", write_config(tmp_path), "--out", str(tmp_path),
+                     "--set", f"init.{profile}"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {name} must be finite, got inf\n"
+
     def test_bump_far_out_on_a_huge_domain_is_its_floor(self, tmp_path):
         # each squared distance to the center overflows; exp(-inf) = 0
         code = main(["certify", "--config", write_config(tmp_path), "--out", str(tmp_path),

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -199,6 +200,19 @@ class TestStep:
         assert out.status == ADVANCED
         assert np.array_equal(new.u.values, state.u.values)
         assert np.array_equal(new.v.values, state.v.values)
+
+    def test_new_state_shares_no_memory_with_its_input(self):
+        g = Grid.rect(8, 6, 1.0, 0.8)
+        rng = np.random.default_rng(17)
+        state = SimState(0.0, ScalarField(g, rng.uniform(0.5, 2.0, g.shape)),
+                         ScalarField(g, rng.uniform(0.2, 1.0, g.shape)))
+        before = (state.u.values.tobytes(), state.v.values.tobytes())
+        params = ModelParams(n=2, m=1.5, alpha=0.5, k=0.5, mu=1.5, chi0=1.2, a=0.7)
+        new, out = step(state, params, SolverConfig(t_end=1.0), v0_sup=1.0)
+        assert out.status == ADVANCED
+        for a, b in itertools.product((new.u, new.v), (state.u, state.v)):
+            assert not np.shares_memory(a.values, b.values)
+        assert (state.u.values.tobytes(), state.v.values.tobytes()) == before
 
     def test_zero_u_constant_v(self):
         g = Grid.line(16, 1.0)
@@ -434,8 +448,9 @@ class TestRun:
         assert result.sup_u_max >= float(result.state.u.values.max())
 
     def test_never_aliases_the_caller_or_its_own_buffers(self):
-        # the march overwrites two ping-pong buffers; the initial arrays, the
-        # hook's states and the result must keep their bytes as it goes on
+        # the march updates its one buffer in place: the initial arrays keep
+        # their bytes, the hook reads the buffer through read-only views, and
+        # the result keeps its bytes through a later march
         g = Grid.rect(8, 6, 1.0, 0.8)
         rng = np.random.default_rng(29)
         u0 = ScalarField(g, rng.uniform(0.5, 2.0, g.shape))
@@ -444,18 +459,45 @@ class TestRun:
         before = (u0.values.tobytes(), v0.values.tobytes())
         params = ModelParams(n=2, m=1.5, alpha=0.5, k=0.5, mu=1.5, chi0=1.2, a=0.7)
         held = []
-        result = run(initial, params, SolverConfig(t_end=1e-2, cadence_steps=2),
-                     lambda s, dt: held.append((s, s.u.values.tobytes(), s.v.values.tobytes())))
+
+        def hook(s, dt):
+            held.append((s, dt))
+            if s is not initial:
+                for values in (s.u.values, s.v.values):
+                    with pytest.raises(ValueError, match="read-only"):
+                        values[0, 0] = 0.0
+        result = run(initial, params, SolverConfig(t_end=1e-2, cadence_steps=2), hook)
         assert result.status == COMPLETED and result.steps > 6
         assert (u0.values.tobytes(), v0.values.tobytes()) == before
         assert held[0][0] is initial
-        for state, u_bytes, v_bytes in held:
-            assert (state.u.values.tobytes(), state.v.values.tobytes()) == (u_bytes, v_bytes)
         assert result.state is held[-1][0]
         final = (result.state.u.values.tobytes(), result.state.v.values.tobytes())
         run(initial, params, SolverConfig(t_end=2e-2))   # a second march changes nothing held
         assert (result.state.u.values.tobytes(), result.state.v.values.tobytes()) == final
-        assert len({id(s.u.values.base) for s, _, _ in held[1:]}) == len(held) - 1
+
+    def test_hook_call_holds_no_state_sized_array(self):
+        # the hook reads the march's own buffer: while it runs, nothing the
+        # size of a state is live beyond the kernel's arrays
+        g = Grid.rect(64, 64, 1.0, 1.0)
+        rng = np.random.default_rng(7)
+        initial = SimState(0.0, ScalarField(g, rng.uniform(0.5, 2.0, g.shape)),
+                           ScalarField(g, rng.uniform(0.2, 1.0, g.shape)))
+        params = ModelParams(n=2, m=1.5, alpha=0.5, k=0.5, mu=1.5, chi0=1.2, a=0.7)
+        state_bytes = 2 * initial.u.values.nbytes
+        live = []
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kernel = _kernel(g, params)
+            kernel_bytes = tracemalloc.get_traced_memory()[0] - base
+            del kernel
+            base = tracemalloc.get_traced_memory()[0]
+            result = run(initial, params, SolverConfig(t_end=1.0, max_steps=5, cadence_steps=1),
+                         lambda s, dt: live.append(tracemalloc.get_traced_memory()[0] - base))
+        finally:
+            tracemalloc.stop()
+        assert result.status == STEP_BUDGET and len(live) == 6
+        assert max(live) < kernel_bytes + state_bytes // 2
 
     def test_step_cadence_hook_count(self):
         g = Grid.line(16, 1.0)
@@ -499,8 +541,11 @@ class TestRunStepParity:
         dt0 = stable_dt(SimState(0.0, u0, v0), params, SolverConfig(t_end=1.0))
         cfg = SolverConfig(t_end=40.5 * dt0, cadence_steps=1)
         hooked = []
-        result = run(SimState(0.0, u0, v0), params, cfg,
-                     lambda s, dt: hooked.append((s, dt)))
+
+        def keep(s, dt):   # a hooked state is valid during the call only
+            hooked.append((SimState(s.t, ScalarField(g, s.u.values.copy()),
+                                    ScalarField(g, s.v.values.copy())), dt))
+        result = run(SimState(0.0, u0, v0), params, cfg, keep)
         assert result.status == COMPLETED
         assert len(hooked) == result.steps + 1 > 5
         # the monitors leave the maximum principles to the solver: every state
