@@ -66,23 +66,18 @@ class ModelParams:
 class AuxiliaryExponents:
     """Free integrability exponents: q1 > n+2, q2 > (n+2)/2, p >= p_bar.
 
-    The q constraints involve the dimension, so validation happens in
-    :func:`validate_exponents` against a parameter set.
+    p > 1 is checked on construction.  The q constraints involve the
+    dimension, so :func:`compute_p_bar` checks them, which both
+    :func:`default_exponents` and :func:`evaluate_certificate` call.
     """
 
     q1: float
     q2: float
     p: float
 
-
-def validate_exponents(params: ModelParams, exps: AuxiliaryExponents) -> None:
-    n = params.n
-    if not exps.q1 > n + 2:
-        raise DomainError(f"q1 must exceed n+2 = {n + 2}, got {exps.q1}")
-    if not exps.q2 > (n + 2) / 2.0:
-        raise DomainError(f"q2 must exceed (n+2)/2 = {(n + 2) / 2}, got {exps.q2}")
-    if not exps.p > 1.0:
-        raise DomainError(f"p must exceed 1, got {exps.p}")
+    def __post_init__(self):
+        if not self.p > 1.0:
+            raise DomainError(f"p must exceed 1, got {self.p}")
 
 
 def default_exponents(params: ModelParams, q1: float | None = None,
@@ -95,7 +90,6 @@ def default_exponents(params: ModelParams, q1: float | None = None,
     q2 = (n + 3) / 2.0 if q2 is None else float(q2)
     p_bar = compute_p_bar(n, params.m, params.alpha, q1, q2)
     exps = AuxiliaryExponents(q1, q2, float(math.ceil(p_bar) if p is None else p))
-    validate_exponents(params, exps)
     if exps.p < p_bar:
         raise DomainError(
             f"certificate p={exps.p} is below the minimal admissible exponent {p_bar}")
@@ -206,8 +200,6 @@ def mu_threshold(p: float, n: int, chi0_v0_sup: float, k1_literal: bool = True) 
     Zero signal gives a zero threshold (any positive damping suffices).
     """
     s = float(chi0_v0_sup)
-    if s < 0.0:
-        raise DomainError("chi0_v0_sup must be nonnegative")
     if s == 0.0:
         return 0.0
     return (k1_coeff(p, n, s, literal=k1_literal) * s ** (2.0 / p)
@@ -232,11 +224,11 @@ def gradv_bound(k: float, mu: float, domain_volume: float, v0_sup: float,
         max{ ||v0||^2 (|Omega| + 2 m_mass + ((k_+ + 1)/mu) m_mass),
              int |grad v0|^2 + (||v0||^2 / mu) int u0 }
     """
-    if not mu > 0.0:
-        raise DomainError("mu must be positive")
     m_mass = mass_bound(k, mu, domain_volume, u0_mass)
     k_plus = max(k, 0.0)
-    first = v0_sup**2 * (domain_volume + 2.0 * m_mass + ((k_plus + 1.0) / mu) * m_mass)
+    # v0 = 0 keeps v = 0, so the first term is 0 even where its bracket overflows.
+    first = 0.0 if v0_sup == 0.0 else (
+        v0_sup**2 * (domain_volume + 2.0 * m_mass + ((k_plus + 1.0) / mu) * m_mass))
     second = gradv0_l2sq + (v0_sup**2 / mu) * u0_mass
     return max(first, second)
 
@@ -306,14 +298,13 @@ def evaluate_certificate(params: ModelParams, exps: AuxiliaryExponents, v0_sup: 
     strict inequality mu > mu_min.  An unsatisfied condition is a result, not
     an error; constants that overflow 64-bit floats raise ``DomainError``.
     """
-    validate_exponents(params, exps)
+    p_bar = compute_p_bar(params.n, params.m, params.alpha, exps.q1, exps.q2)
     for name, value in (("domain_volume", domain_volume), ("u0_mass", u0_mass),
                         ("v0_sup", v0_sup), ("gradv0_l2sq", gradv0_l2sq)):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
     if v0_sup < 0.0:
         raise DomainError("v0_sup must be nonnegative")
-    p_bar = compute_p_bar(params.n, params.m, params.alpha, exps.q1, exps.q2)
     p_used = max(exps.p, p_bar)
     s = params.chi0 * v0_sup
     inputs = f"p={p_used}, chi0 ||v0|| = {s}, mu = {params.mu}"

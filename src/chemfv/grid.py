@@ -316,8 +316,18 @@ def hessian(f: ScalarField | FieldStack) -> np.ndarray:
 
 
 def _cosine_rows(grid: Grid, axis: int, ks: np.ndarray) -> np.ndarray:
-    """cos(k pi x / L) at the cell centers of ``axis``, one row per mode index in ``ks``."""
-    return np.cos(ks[:, None] * math.pi * grid.axis_centers(axis) / grid.extents[axis])
+    """cos(k pi x / L) at the cell centers of ``axis``, one row per mode index in ``ks``.
+
+    Where k pi x overflows (a domain near the float range), the phase is
+    k pi (x / L), which stays finite; every other phase keeps its bits."""
+    x, length = grid.axis_centers(axis), grid.extents[axis]
+    k_pi = ks[:, None] * math.pi
+    # The largest |k pi x| is the product of the largest factors, as Python floats (no warning).
+    if math.isfinite(float(np.abs(k_pi).max()) * float(x[-1])):
+        return np.cos(k_pi * x / length)
+    with np.errstate(over="ignore"):
+        phase = k_pi * x / length
+    return np.cos(np.where(np.isinf(phase), k_pi * (x / length), phase))
 
 
 def _cosine_series(grid: Grid, tables: list[np.ndarray], rows: np.ndarray,

@@ -33,7 +33,9 @@ The arrays derived from a stack's operators (the squared gradients, |D2 f|^2,
 |grad f|^2, the margin sides and denominators, the powers, |f| and f^2) go
 through ufunc ``out=`` into five work arrays held from one stack to the next;
 a stack of another size or grid shape replaces them.  The pass is not for
-concurrent threads.
+concurrent threads.  The two pointwise margins run on every cell of the
+stack's contiguous arrays; ``_min_margins`` alone picks the interior cells,
+for each field's minimum.
 """
 from __future__ import annotations
 
@@ -122,34 +124,33 @@ def _stack_ops(stack: FieldStack) -> _StackOps:
                      grads_sq.sum(axis=1, out=_scratch("oracle.gsq", shape)))
 
 
-def _min_margins(lhs: np.ndarray, rhs: np.ndarray, den: np.ndarray) -> list[float]:
-    """Row minima of (rhs - lhs) / (1 + lhs + rhs); ``rhs`` and ``den`` are overwritten."""
+def _min_margins(lhs: np.ndarray, rhs: np.ndarray, den: np.ndarray, dim: int) -> list[float]:
+    """Per-field minima over the interior cells of (rhs - lhs) / (1 + lhs + rhs),
+    from whole-stack sides; ``rhs`` and ``den`` are overwritten."""
     np.add(np.add(1.0, lhs, out=den), rhs, out=den)
     num = np.subtract(rhs, lhs, out=rhs)
-    return _rows(np.divide(num, den, out=num)).min(axis=1).tolist()
+    margin = _interior(np.divide(num, den, out=num), dim)
+    return margin.min(axis=tuple(range(1, dim + 1))).tolist()
 
 
 def _laplacian_hessian(ops: _StackOps) -> list[float]:
-    dim = ops.grid.dim
-    hess = _interior(ops.hess, dim)
-    lhs, rhs, den = _scratch("oracle.margins", (3, *hess.shape[2:]))
+    dim, hess = ops.grid.dim, ops.hess
+    lhs, rhs, den = _scratch("oracle.margins", (3, *ops.hsq.shape))
     lap = hess[0, 0]
     for axis in range(1, dim):
         lap = np.add(lap, hess[axis, axis], out=lhs)
     np.square(lap, out=lhs)
-    return _min_margins(lhs, np.multiply(dim, _interior(ops.hsq, dim), out=rhs), den)
+    return _min_margins(lhs, np.multiply(dim, ops.hsq, out=rhs), den, dim)
 
 
 def _hessian_gradient(ops: _StackOps) -> list[float]:
     dim = ops.grid.dim
-    hess = _interior(ops.hess, dim)
-    lhs, rhs, den = margins = _scratch("oracle.margins", (3, *hess.shape[2:]))
-    hg = np.einsum("ij...,j...->i...", hess, _interior(ops.grads, dim), out=margins[:dim])
+    lhs, rhs, den = margins = _scratch("oracle.margins", (3, *ops.hsq.shape))
+    hg = np.einsum("ij...,j...->i...", ops.hess, ops.grads, out=margins[:dim])
     np.square(hg, out=hg)
     for component in hg[1:]:   # lhs is hg[0]: (hg**2).sum(axis=0) in place
         lhs += component
-    return _min_margins(lhs, np.multiply(_interior(ops.hsq, dim), _interior(ops.gsq, dim),
-                                         out=rhs), den)
+    return _min_margins(lhs, np.multiply(ops.hsq, ops.gsq, out=rhs), den, dim)
 
 
 def _power_into(x: np.ndarray, exponent: float, out: np.ndarray) -> np.ndarray:
@@ -314,17 +315,14 @@ def verify_young_combination(cfg: OracleConfig, poison_d3: float = 0.0) -> Oracl
     """
     rng = np.random.default_rng(cfg.seed)
     worst = math.inf
-    count = 0
     for A, B, d1, d2 in _YOUNG_EDGE_CASES:
-        worst = min(worst, _young_margin(A, B, d1, d2, poison_d3))
-        count += 1
+        worst = _worse(worst, _young_margin(A, B, d1, d2, poison_d3))
     for _ in range(cfg.trials):
         A, B = rng.uniform(0.0, 100.0, size=2)
         d1, d2 = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
-        worst = min(worst, _young_margin(A, B, d1, d2, poison_d3))
-        count += 1
-    return OracleVerdict("young_combination", count, worst,
-                         worst >= -ADDITIVE_SLACK, ADDITIVE_SLACK)
+        worst = _worse(worst, _young_margin(A, B, d1, d2, poison_d3))
+    return _verdict("young_combination", len(_YOUNG_EDGE_CASES) + cfg.trials, worst,
+                    ADDITIVE_SLACK)
 
 
 def _young_margin(A: float, B: float, d1: float, d2: float, poison_d3: float) -> float:

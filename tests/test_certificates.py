@@ -164,6 +164,10 @@ class TestUniformBounds:
         with pytest.raises(DomainError):
             gradv_bound(1.0, -1.0, 1.0, 1.0, 0.0, 1.0)
 
+    def test_zero_signal_ignores_an_overflowing_bracket(self):
+        # (k_+ + 1)/mu m_mass overflows at mu = 1e-300; v0 = 0 keeps v = 0
+        assert gradv_bound(1.0, 1e-300, 1.0, 0.0, 0.25, 0.1) == 0.25
+
     @given(mu1=st.floats(1e-3, 1e3), factor=st.floats(1.001, 100.0),
            k=st.floats(-5.0, 5.0), vol=st.floats(0.1, 10.0),
            u0=st.floats(0.0, 10.0), v0=st.floats(0.0, 5.0), g0=st.floats(0.0, 10.0))
@@ -274,6 +278,16 @@ class TestCertificate:
         with pytest.raises(DomainError, match=message):
             evaluate_certificate(params, AuxiliaryExponents(4.0, 2.0, p), v0_sup=v0_sup,
                                  u0_mass=0.1, domain_volume=1.0)
+
+    @pytest.mark.parametrize("p", [1.0, math.nan])
+    def test_p_at_most_1_rejected_at_construction(self, p):
+        with pytest.raises(DomainError, match="p must exceed 1"):
+            AuxiliaryExponents(4.0, 2.0, p)
+
+    def test_bad_q1_reported_before_a_non_finite_input(self):
+        with pytest.raises(DomainError, match=r"q1 must exceed n\+2 = 3, got 3.0"):
+            evaluate_certificate(self._params(1.0), AuxiliaryExponents(3.0, 2.0, 3.0),
+                                 v0_sup=math.inf)
 
     def test_default_exponents(self):
         params = self._params(1.0)

@@ -117,6 +117,23 @@ class TestCertify:
         assert code == 1
         assert capsys.readouterr().err == "error: field contains non-finite values\n"
 
+    def test_cosine_on_a_huge_domain_has_finite_phases(self, tmp_path, capsys):
+        # k pi x overflows at Lx = 1e308; the field is finite, and the bound
+        # |Omega| ||v0||^2 is the one thing that overflows
+        code = main(["certify", "--config", write_config(tmp_path), "--out", str(tmp_path),
+                     "--set", "grid.Lx=1e308",
+                     "--set", "init.v0=cosine(amplitude=1, mode=1, floor=2)"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: certificate constant M_grad is inf (")
+
+    def test_zero_signal_with_tiny_damping(self, tmp_path):
+        # the first term of M_grad is 0 * inf when v0 = 0; it is 0
+        code = main(["certify", "--config", write_config(tmp_path), "--out", str(tmp_path),
+                     "--set", "init.v0=constant(0)", "--set", "model.mu=1e-300"])
+        assert code == 0
+        cert = read_json(tmp_path, "certificate.json")
+        assert cert["M_grad"] == cert["inputs"]["gradv0_l2sq"]
+
     @pytest.mark.parametrize("profile,name", [("u0=constant(1e308)", "u0_mass"),
                                               ("v0=cosine(amplitude=1e153, floor=1e153)",
                                                "gradv0_l2sq")])

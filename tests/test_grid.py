@@ -275,6 +275,13 @@ class TestRandomSmoothField:
         # discrete boundary face value
         assert gx[0] == 0.0 and gx[-1] == 0.0
 
+    def test_phases_on_a_huge_domain_are_finite(self):
+        # k pi x overflows on the far cells of Lx = 1e308; there the phase is k pi (x / L)
+        x = (np.arange(8) + 0.5) / 8
+        for k in (1, 3, -4):
+            f = cosine_field(Grid.line(8, 1e308), [(k,)], [1.0])
+            np.testing.assert_allclose(f.values, np.cos(k * math.pi * x), rtol=0, atol=1e-12)
+
     def test_random_field_boundary_faces(self):
         g = Grid.rect(32, 32, 1.0, 2.0)
         f = random_smooth_field(g, 5, 6)

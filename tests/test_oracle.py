@@ -132,6 +132,19 @@ class TestYoungCombination:
         verdict = verify_young_combination(cfg, poison_d3=1.0)
         assert not verdict.passed
 
+    def test_nan_margin_sticks_and_fails(self, monkeypatch):
+        # the third margin (an edge case) is NaN: a later finite margin must not replace it
+        real, calls = chemfv.oracle._young_margin, []
+
+        def nan_third(*args):
+            calls.append(args)
+            return math.nan if len(calls) == 3 else real(*args)
+
+        monkeypatch.setattr(chemfv.oracle, "_young_margin", nan_third)
+        verdict = verify_young_combination(OracleConfig(grid=Grid.line(8, 1.0), trials=10))
+        assert math.isnan(verdict.worst_margin) and verdict.passed is False
+        assert verdict.trials_run == len(calls) == 16
+
 
 class TestPBarRelations:
     def test_reference_case_passes(self):
@@ -405,6 +418,15 @@ class TestStackedTrialParity:
         (lap, hg, power), gn = verify_fields(cfg)
         assert [lap.worst_margin, hg.worst_margin, power.worst_margin] == worst
         assert gn == max(r[3] for r in refs)
+
+    @pytest.mark.parametrize("grid", [Grid.line(4, 1.0), Grid.rect(4, 4, 1.0, 0.5)], ids=str)
+    def test_four_cells_per_axis(self, grid):
+        # an interior of 2 cells per axis: the margins run on the whole stack
+        # and only their minima read the interior
+        cfg = OracleConfig(grid=grid, trials=6, seed=5, num_modes=3)
+        theta = _theta(grid)
+        refs = [_ref_trial_margins(cfg, i, theta) for i in range(cfg.trials)]
+        assert _stack_margins(cfg, 0, cfg.trials, theta) == refs
 
     @pytest.mark.parametrize("grid", [case[0] for case in STACK_CASES], ids=str)
     def test_per_field_functions_match_the_per_field_pass(self, grid):
