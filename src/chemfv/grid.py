@@ -322,9 +322,6 @@ def _cosine_rows(grid: Grid, axis: int, ks: np.ndarray) -> np.ndarray:
     k pi (x / L), which stays finite; every other phase keeps its bits."""
     x, length = grid.axis_centers(axis), grid.extents[axis]
     k_pi = ks[:, None] * math.pi
-    # The largest |k pi x| is the product of the largest factors, as Python floats (no warning).
-    if math.isfinite(float(np.abs(k_pi).max()) * float(x[-1])):
-        return np.cos(k_pi * x / length)
     with np.errstate(over="ignore"):
         phase = k_pi * x / length
     return np.cos(np.where(np.isinf(phase), k_pi * (x / length), phase))

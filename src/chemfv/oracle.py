@@ -197,12 +197,14 @@ def _single(f: ScalarField) -> _StackOps:
 
 
 def laplacian_hessian_margin(f: ScalarField) -> float:
-    """Min over interior cells of the normalized margin of (lap f)^2 <= n |D2 f|^2."""
+    """Min over interior cells of the normalized margin of (lap f)^2 <= n |D2 f|^2;
+    every cell is evaluated, so an overflow in a boundary cell can warn."""
     return _laplacian_hessian(_single(f))[0]
 
 
 def hessian_gradient_margin(f: ScalarField) -> float:
-    """Min normalized margin of |D2 f grad f|^2 <= |D2 f|^2 |grad f|^2 (interior)."""
+    """Min normalized margin of |D2 f grad f|^2 <= |D2 f|^2 |grad f|^2 (interior);
+    every cell is evaluated, so an overflow in a boundary cell can warn."""
     return _hessian_gradient(_single(f))[0]
 
 

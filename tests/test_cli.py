@@ -723,6 +723,21 @@ class TestVerify:
         assert math.isnan(power["worst_margin"]) and power["passed"] is False
         assert math.isnan(report["gn_empirical_constant"])
 
+    def test_huge_domain_fields_are_finite_and_the_gn_constant_is_not(self, tmp_path, capsys):
+        # k pi x overflows at Lx = 1e308; the trial fields take finite phases,
+        # so every verdict passes with no warning.  The GN ratio forms
+        # |Omega|-scaled norms before their square roots, which overflow:
+        # the constant is NaN and the run exits 4.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--config", write_config(tmp_path), "--out", str(tmp_path),
+                         "--set", "grid.Lx=1e308", "--set", "oracle.trials=50"])
+        assert code == 4
+        assert capsys.readouterr().err == ""
+        report = read_json(tmp_path, "verify.json")
+        assert all(v["passed"] for v in report["verdicts"])
+        assert math.isnan(report["gn_empirical_constant"])
+
 
 class TestOutputKeys:
     def test_key_sets_of_certificate_verdicts_and_violations(self, tmp_path, monkeypatch):
