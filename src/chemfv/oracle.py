@@ -20,7 +20,9 @@ at the first ``GN_MAX_FIELDS`` trial fields only.
 
 ``verify_fields`` is the one pass over the trial fields.  It builds them in
 stacks of ``max(1, TRIAL_BATCH_CELLS // max(cells, num_modes * dim))`` fields,
-each drawn from its own generator; each stack's Hessians and gradients come
+each drawn from its own generator, all from the one basis of mode products
+that ``random_smooth_stack`` holds for the grid, so a pass calls ``np.cos``
+once per grid axis; each stack's Hessians and gradients come
 from one call per grid operator, and the three field checks and the GN
 ratios are read from those shared arrays.  Every per-field reduction is one
 contiguous row of the stack, summed in the order of the field alone, so each
@@ -319,9 +321,10 @@ def verify_young_combination(cfg: OracleConfig, poison_d3: float = 0.0) -> Oracl
     worst = math.inf
     for A, B, d1, d2 in _YOUNG_EDGE_CASES:
         worst = _worse(worst, _young_margin(A, B, d1, d2, poison_d3))
-    for _ in range(cfg.trials):
-        A, B = rng.uniform(0.0, 100.0, size=2)
-        d1, d2 = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
+    # each row is one trial's (A, B, log10 d1, log10 d2), in the order of
+    # per-trial draws of (A, B) then (log10 d1, log10 d2)
+    draws = rng.uniform((0.0, 0.0, -1.0, -1.0), (100.0, 100.0, 1.0, 1.0), size=(cfg.trials, 4))
+    for (A, B), (d1, d2) in zip(draws[:, :2], 10.0 ** draws[:, 2:]):
         worst = _worse(worst, _young_margin(A, B, d1, d2, poison_d3))
     return _verdict("young_combination", len(_YOUNG_EDGE_CASES) + cfg.trials, worst,
                     ADDITIVE_SLACK)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -652,6 +653,39 @@ class TestStackedOperators:
         assert stack.values.shape == (6,) + grid.shape
         for values, seed in zip(stack.values, seeds):
             _assert_same_bytes(values, _ref_random_smooth_field(grid, seed, 8))
+
+
+class TestHeldBasis:
+    # random_smooth_stack reads the held basis of its grid's mode products,
+    # built once per grid value: same-shaped grids of other extents need
+    # their own basis.
+    def test_interleaved_grids_keep_their_bytes(self):
+        # cos(k pi x / L) depends on L only through round-off, and not at all
+        # for a power-of-two ratio of extents, so b's extents are not one
+        a, b = Grid.rect(64, 64, 1.0, 1.0), Grid.rect(64, 64, 0.3, 1.0)
+        seeds = [(9, seed) for seed in range(4)]
+        assert not np.array_equal(_ref_random_smooth_field(a, seeds[0], 8),
+                                  _ref_random_smooth_field(b, seeds[0], 8))
+        for grid in (a, b, a, Grid.line(64, 1.0), b):
+            stack = random_smooth_stack(grid, seeds, 8)
+            for values, seed in zip(stack.values, seeds, strict=True):
+                _assert_same_bytes(values, _ref_random_smooth_field(grid, seed, 8))
+
+    def test_a_second_stack_allocates_no_basis(self):
+        # The basis at 64^2 is 25 x 4096 doubles (800 KB).  A stack of 4 fields
+        # takes 128 KB for its values, 128 KB for the term it builds them in
+        # and numpy's buffer for the coefficients broadcast over the cells.
+        grid, seeds = Grid.rect(64, 64, 1.0, 1.0), [(3, seed) for seed in range(4)]
+        first = random_smooth_stack(grid, seeds, 8)
+        tracemalloc.start()
+        try:
+            second = random_smooth_stack(grid, seeds, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _assert_same_bytes(second.values, first.values)
+        stack = 4 * 64 * 64 * 8
+        assert peak < 2 * stack + np.getbufsize() * 8 + 16 * 1024   # 336 KiB
 
 
 class TestSpacingDivisor:

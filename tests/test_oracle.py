@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import chemfv.grid
 import chemfv.oracle
 from chemfv import (DomainError, Grid, ScalarField, compute_p_bar, field_from_function,
                     gradient_cells, hessian, integrate, random_smooth_field)
@@ -144,6 +145,36 @@ class TestYoungCombination:
         verdict = verify_young_combination(OracleConfig(grid=Grid.line(8, 1.0), trials=10))
         assert math.isnan(verdict.worst_margin) and verdict.passed is False
         assert verdict.trials_run == len(calls) == 16
+
+
+def _ref_young_args(cfg):
+    # the per-trial draws: (A, B) then (log10 d1, log10 d2), two values per call
+    rng = np.random.default_rng(cfg.seed)
+    args = [(A, B, d1, d2, 0.0) for A, B, d1, d2 in chemfv.oracle._YOUNG_EDGE_CASES]
+    for _ in range(cfg.trials):
+        A, B = rng.uniform(0.0, 100.0, size=2)
+        d1, d2 = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
+        args.append((A, B, d1, d2, 0.0))
+    return args
+
+
+class TestYoungDraws:
+    @pytest.mark.parametrize("trials", [1, 7, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40])
+    def test_one_draw_call_matches_per_trial_draws(self, monkeypatch, seed, trials):
+        # The edge cases alone make the worst margin 0, so every tuple drawn
+        # is compared as well as the worst margin.
+        cfg = OracleConfig(grid=Grid.line(8, 1.0), trials=trials, seed=seed)
+        real, calls = chemfv.oracle._young_margin, []
+        ref_args = _ref_young_args(cfg)
+        ref_worst = min(real(*args) for args in ref_args)
+
+        def recorded(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(chemfv.oracle, "_young_margin", recorded)
+        assert verify_young_combination(cfg).worst_margin == ref_worst
+        assert calls == ref_args
 
 
 class TestPBarRelations:
@@ -438,6 +469,26 @@ class TestStackedTrialParity:
                 assert hessian_gradient_margin(f) == _ref_hessian_gradient(ops)
                 for q in (1.0, 2.5):
                     assert gradient_power_sides(f, q) == _ref_gradient_power(ops, q)
+
+
+class TestHeldBasisBuilds:
+    @pytest.mark.parametrize("grid, trials", [(Grid.line(96, 1.5), 250),
+                                              (Grid.rect(64, 64, 1.0, 2.0), 13)], ids=str)
+    def test_cosine_rows_once_per_axis_per_pass(self, monkeypatch, grid, trials):
+        # every stack of the pass reads one basis, built by one _cosine_rows
+        # call per axis, not two per stack
+        random_smooth_field(Grid.line(8, 1.0), 0, 1)   # another grid's basis is held
+        calls = []
+        real = chemfv.grid._cosine_rows
+
+        def counted(g, axis, ks):
+            calls.append(axis)
+            return real(g, axis, ks)
+        monkeypatch.setattr(chemfv.grid, "_cosine_rows", counted)
+        cfg = OracleConfig(grid=grid, trials=trials, seed=3)
+        assert _stack_size(cfg) < trials
+        verify_fields(cfg)
+        assert calls == list(range(grid.dim))
 
 
 class TestStackMemory:
