@@ -19,8 +19,7 @@ from .certificates import (AuxiliaryExponents, CertificateReport, ModelParams,
 from .errors import ChemfvError, ConfigError, CorruptionError, DomainError
 from .grid import (FieldStack, Grid, ScalarField, constant_field, cosine_field, extend_neumann,
                    field_from_function, gradient_cells, hessian,
-                   integrate, laplacian, lp_norm, random_smooth_field, read_field,
-                   write_field)
+                   integrate, laplacian, lp_norm, random_smooth_field, write_field)
 from .monitors import MonitorRecord, PhiTrend, phi, phi_trend, record
 from .solver import (RunResult, SimState, SolverConfig, StepOutcome, run, stable_dt,
                      step)
@@ -36,6 +35,6 @@ __all__ = [
     "evaluate_certificate", "extend_neumann", "field_from_function",
     "gradient_cells", "gradv_bound", "hessian", "integrate", "k1_coeff",
     "k2_coeff", "laplacian", "lp_norm", "mass_bound", "mu_threshold", "phi",
-    "phi_trend", "random_smooth_field", "read_field", "record", "run",
+    "phi_trend", "random_smooth_field", "record", "run",
     "stable_dt", "step", "write_field",
 ]

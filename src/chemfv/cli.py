@@ -248,10 +248,10 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path, poison_d3: bool) -> int:
+def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     verdicts, gn_constant = verify_fields(cfg.oracle)
     verdicts += [
-        verify_young_combination(cfg.oracle, poison_d3=1.0 if poison_d3 else 0.0),
+        verify_young_combination(cfg.oracle),
         verify_pbar_relations(cfg.oracle, cfg.model.n, cfg.model.m, cfg.model.alpha,
                               cfg.exponents.q1, cfg.exponents.q2),
     ]
@@ -288,9 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "run":
             p.add_argument("--dump-fields", action="store_true",
                            help="write final u and v fields")
-        if name == "verify":
-            p.add_argument("--poison-d3", action="store_true",
-                           help="negative-control hook: corrupt the Young defect constant")
     return parser
 
 
@@ -311,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(cfg, out_dir, args.dump_fields)
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir)
-        return cmd_verify(cfg, out_dir, args.poison_d3)
+        return cmd_verify(cfg, out_dir)
     except ChemfvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -3,11 +3,13 @@
 Every key has a documented default, so an empty file is a valid config.
 Each value, from the file or from a ``--set section.key=value`` override,
 passes one check that rejects unknown sections and keys with the same message
-(experiment files must not contain silent typos) and converts it to its kind;
-overrides then replace file values before validation.  This module only
-translates values into the library types, which own every rule: the
-``[model]``, ``[time]``, ``[monitor]``, ``[oracle]`` and ``[sweep]`` keys are
-their field names, and a type's error is reported as ``invalid [section]: ...``.
+(experiment files must not contain silent typos) and converts it with its
+kind's entry in one table: ``bool`` takes configparser's eight words, and
+``opt_float`` reads ``none`` as None.  Overrides then replace file values
+before validation.  This module only translates values into the library
+types, which own every rule: the ``[model]``, ``[time]``, ``[monitor]``,
+``[oracle]`` and ``[sweep]`` keys are their field names, and a type's error
+is reported as ``invalid [section]: ...``.
 ``auto`` reads as None, for which ``certificates.default_exponents`` chooses
 q1, q2 and the certificate p (n+3, (n+3)/2, ceil(p_bar)); it also rejects a
 given p below p_bar.  The monitors have no exponent of their own: they
@@ -82,8 +84,21 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
 }
 
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
+
+def _float_or_none(word: str):
+    """``float``, except that ``word`` in any case reads as None."""
+    return lambda raw: None if raw.lower() == word else float(raw)
+
+
+# kind -> converter; a ValueError or KeyError rejects the value
+_CONVERTERS = {
+    _INT: int,
+    _FLOAT: float,
+    _STR: str,
+    _BOOL: lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
+    _AUTO_FLOAT: _float_or_none("auto"),
+    _OPT_FLOAT: _float_or_none("none"),
+}
 
 
 @dataclass
@@ -129,28 +144,11 @@ def _convert(section: str, key: str, raw: str):
     if key not in _keys(section):
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
     kind = _SCHEMA[section][key][0]
-    raw = raw.strip()
+    convert, raw = _CONVERTERS[kind], raw.strip()
     try:
-        if kind == _INT:
-            return int(raw)
-        if kind == _FLOAT:
-            return float(raw)
-        if kind == _STR:
-            return raw
-        if kind == _BOOL:
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(raw)
-        if kind == _AUTO_FLOAT:
-            return None if raw.lower() == "auto" else float(raw)
-        if kind == _OPT_FLOAT:
-            return None if raw.lower() == "none" else float(raw)
-    except ValueError:
-        pass
-    raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {kind}")
+        return convert(raw)
+    except (ValueError, KeyError):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {kind}") from None
 
 
 def _read_values(text: str, overrides: tuple[str, ...]) -> dict[str, dict[str, object]]:
@@ -159,9 +157,6 @@ def _read_values(text: str, overrides: tuple[str, ...]) -> dict[str, dict[str, o
     parser.optionxform = str  # keys are case-sensitive
     try:
         parser.read_string(text)
-    except configparser.ParsingError as exc:
-        line = exc.errors[0][0] if exc.errors else None
-        raise ConfigError(f"config parse error: {exc}", line=line)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}")
 

@@ -16,9 +16,5 @@ class CorruptionError(ChemfvError):
 class ConfigError(ChemfvError):
     """A configuration file failed to parse or violates a semantic constraint.
 
-    ``line`` carries the 1-based line number for parse errors when known.
+    A parse error's message names the offending line, as ``[line  3]: '...'``.
     """
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line

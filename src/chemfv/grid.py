@@ -158,9 +158,13 @@ def constant_field(grid: Grid, value: float) -> ScalarField:
 
 
 def field_from_function(grid: Grid, fn: Callable[..., np.ndarray]) -> ScalarField:
-    """Sample ``fn(x)`` (1D) or ``fn(x, y)`` (2D) at cell centers."""
-    values = np.broadcast_to(fn(*grid.centers()), grid.shape).astype(float)
-    return ScalarField(grid, values.copy())
+    """Sample ``fn(x)`` (1D) or ``fn(x, y)`` (2D) at cell centers.
+
+    The values are a fresh C-ordered array: without ``order="C"`` a result
+    broadcast along the first axis would be copied in Fortran order.
+    """
+    return ScalarField(grid, np.broadcast_to(fn(*grid.centers()), grid.shape)
+                       .astype(float, order="C"))
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -432,15 +436,3 @@ def write_field(f: ScalarField, path: str | Path) -> None:
     )
     lines = [header] + [repr(float(x)) for x in f.values.ravel(order="C")]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_field(path: str | Path) -> ScalarField:
-    """Inverse of :func:`write_field`."""
-    lines = Path(path).read_text().splitlines()
-    parts = lines[0].split(",")
-    dim = int(parts[0])
-    cells = tuple(int(x) for x in parts[1 : 1 + dim])
-    extents = tuple(float(x) for x in parts[1 + dim : 1 + 2 * dim])
-    grid = Grid(cells, extents)
-    values = np.array([float(x) for x in lines[1:]]).reshape(grid.shape, order="C")
-    return ScalarField(grid, values)

@@ -5,7 +5,8 @@ Profiles are specified as strings such as ``constant(1.0)``,
 ``cosine(amplitude=1.0, mode=1, floor=1.0)``.  ``center`` is a fraction of
 each axis extent.  ``parse_profile`` owns every rule, so a profile with a
 non-finite parameter, or whose minimum would be negative, is rejected before
-any grid exists.
+any grid exists.  ``build_profile`` samples a bump at the cell centres through
+``grid.field_from_function`` and a cosine through ``grid.cosine_field``.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid, ScalarField, constant_field, cosine_field
+from .grid import Grid, ScalarField, constant_field, cosine_field, field_from_function
 
 _PROFILE_DEFAULTS = {
     "constant": {"value": None},
@@ -99,13 +100,11 @@ def build_profile(grid: Grid, text: str) -> ScalarField:
     floor, amplitude = args["floor"], args["amplitude"]
     with np.errstate(over="ignore"):   # overflow is inf: exp(-inf) = 0, else reported non-finite
         if name == "gaussian-bump":
-            centers = grid.centers()
-            r_sq = np.zeros(grid.shape)
-            for axis in range(grid.dim):
-                c = args["center"] * grid.extents[axis]
-                r_sq = r_sq + (centers[axis] - c) ** 2
-            values = floor + amplitude * np.exp(-r_sq / (2.0 * args["width"]**2))
-            return ScalarField(grid, np.broadcast_to(values, grid.shape).copy())
+            def bump(*centers):
+                r_sq = sum((x - args["center"] * length) ** 2
+                           for x, length in zip(centers, grid.extents))
+                return floor + amplitude * np.exp(-r_sq / (2.0 * args["width"]**2))
+            return field_from_function(grid, bump)
 
         # cosine: floor + amplitude * prod_a cos(mode pi x_a / L_a)
         mode = int(args["mode"])

@@ -310,29 +310,27 @@ _YOUNG_EDGE_CASES = [
 ]
 
 
-def verify_young_combination(cfg: OracleConfig, poison_d3: float = 0.0) -> OracleVerdict:
+def verify_young_combination(cfg: OracleConfig) -> OracleVerdict:
     """A^d1 + B^d2 >= 2^(-k) (A+B)^k - d3 on random (A, B, d1, d2) tuples.
 
-    A, B are uniform on [0, 100]; d1, d2 log-uniform on [0.1, 10].  The
-    ``poison_d3`` hook subtracts from d3 to force a detectable failure in
-    negative-control tests.
+    A, B are uniform on [0, 100]; d1, d2 log-uniform on [0.1, 10].  (k, d3)
+    is ``d3_constant(d1, d2)``.
     """
     rng = np.random.default_rng(cfg.seed)
     worst = math.inf
     for A, B, d1, d2 in _YOUNG_EDGE_CASES:
-        worst = _worse(worst, _young_margin(A, B, d1, d2, poison_d3))
+        worst = _worse(worst, _young_margin(A, B, d1, d2))
     # each row is one trial's (A, B, log10 d1, log10 d2), in the order of
     # per-trial draws of (A, B) then (log10 d1, log10 d2)
     draws = rng.uniform((0.0, 0.0, -1.0, -1.0), (100.0, 100.0, 1.0, 1.0), size=(cfg.trials, 4))
     for (A, B), (d1, d2) in zip(draws[:, :2], 10.0 ** draws[:, 2:]):
-        worst = _worse(worst, _young_margin(A, B, d1, d2, poison_d3))
+        worst = _worse(worst, _young_margin(A, B, d1, d2))
     return _verdict("young_combination", len(_YOUNG_EDGE_CASES) + cfg.trials, worst,
                     ADDITIVE_SLACK)
 
 
-def _young_margin(A: float, B: float, d1: float, d2: float, poison_d3: float) -> float:
+def _young_margin(A: float, B: float, d1: float, d2: float) -> float:
     k, d3 = d3_constant(d1, d2)
-    d3 -= poison_d3
     lhs = A**d1 + B**d2
     rhs = 2.0 ** (-k) * (A + B) ** k - d3
     return (lhs - rhs) / (1.0 + abs(lhs))

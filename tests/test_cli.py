@@ -560,7 +560,7 @@ class TestVerify:
     def test_seed_flag_applies_after_every_set(self, tmp_path, monkeypatch):
         seen = []
         monkeypatch.setattr(chemfv.cli, "cmd_verify",
-                            lambda cfg, out_dir, poison_d3: seen.append(cfg.oracle.seed) or 0)
+                            lambda cfg, out_dir: seen.append(cfg.oracle.seed) or 0)
         cfg = write_config(tmp_path)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--seed", "5",
                      "--set", "oracle.seed=9", "--set", "oracle.seed=11"]) == 0
@@ -598,10 +598,18 @@ class TestVerify:
         assert "negative" in capsys.readouterr().err
         assert not (tmp_path / "verify.json").exists()
 
-    def test_poisoned_d3_exits_4(self, tmp_path):
+    def test_poisoned_d3_exits_4(self, tmp_path, monkeypatch):
+        # negative control: a Young defect constant 1.0 too small must fail the verdict
+        real = chemfv.oracle.d3_constant
+
+        def poisoned(d1, d2):
+            k, d3 = real(d1, d2)
+            return k, d3 - 1.0
+
+        monkeypatch.setattr(chemfv.oracle, "d3_constant", poisoned)
         cfg = write_config(tmp_path)
         code = main(["verify", "--config", cfg, "--out", str(tmp_path),
-                     "--set", "oracle.trials=10", "--poison-d3"])
+                     "--set", "oracle.trials=10"])
         assert code == 4
         report = read_json(tmp_path, "verify.json")
         assert report["all_passed"] is False
@@ -630,7 +638,7 @@ class TestVerify:
     def test_seed_flag_keeps_other_oracle_settings(self, tmp_path, monkeypatch):
         seen = []
         monkeypatch.setattr(chemfv.cli, "cmd_verify",
-                            lambda cfg, out_dir, poison_d3: seen.append(cfg.oracle) or 0)
+                            lambda cfg, out_dir: seen.append(cfg.oracle) or 0)
         cfg = write_config(tmp_path)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path),
                      *self.ORACLE_SETTINGS, "--seed", "5"]) == 0
@@ -700,8 +708,9 @@ class TestVerify:
     def test_nan_margin_exits_4(self, tmp_path, monkeypatch):
         # Both sides of the gradient-power inequality overflow to inf on a
         # long, thin domain of finite volume 1e300; the NaN margin must fail
-        # rather than be skipped.  No finite grid makes a GN ratio NaN, so one
-        # is injected: it must reach verify.json as a NaN GN constant.
+        # rather than be skipped.  A GN ratio is injected as NaN here, and must
+        # reach verify.json as a NaN GN constant; grid.Lx=1e308 makes one NaN
+        # unaided (test_huge_domain_fields_are_finite_and_the_gn_constant_is_not).
         real = chemfv.oracle._gn_ratios
 
         def with_a_nan(ops, theta, count):

@@ -1,6 +1,8 @@
 """Strict config parsing: defaults, auto resolution, overrides, rejection paths."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -77,16 +79,34 @@ class TestSemanticErrors:
             parse_config("[modle]\nmu = 1\n")
 
     def test_parse_error_carries_line_number(self):
-        try:
+        with pytest.raises(ConfigError, match=r"\[line  3\]"):
             parse_config("[model]\nmu = 1\nthis line has no equals sign\n")
-        except ConfigError as exc:
-            assert exc.line == 3
-        else:
-            pytest.fail("expected ConfigError")
 
     def test_bad_value_type(self):
         with pytest.raises(ConfigError, match="not a valid float"):
             parse_config("[model]\nmu = soon\n")
+
+    @pytest.mark.parametrize("override, message", [
+        ("grid.nx=12.5", "[grid] nx = '12.5' is not a valid int"),
+        ("model.mu= soon ", "[model] mu = 'soon' is not a valid float"),
+        ("certificate.k1-literal=maybe", "[certificate] k1-literal = 'maybe' is not a valid bool"),
+        ("certificate.p=automatic", "[certificate] p = 'automatic' is not a valid auto_float"),
+        ("monitor.cadence_time=never", "[monitor] cadence_time = 'never' is not a valid opt_float"),
+    ])
+    def test_bad_value_names_its_kind(self, override, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config("", overrides=(override,))
+
+    @pytest.mark.parametrize("word, value", [("1", True), ("Yes", True), ("TRUE", True),
+                                             ("on", True), ("0", False), ("no", False),
+                                             ("False", False), ("OFF", False)])
+    def test_bool_words(self, word, value):
+        assert parse_config("", overrides=(f"certificate.k1-literal={word}",)).k1_literal is value
+
+    def test_auto_and_none_ignore_case(self):
+        assert (parse_config("", overrides=("certificate.p=AUTO",)).exponents
+                == parse_config("").exponents)
+        assert parse_config("", overrides=("monitor.cadence_time=None",)).solver.cadence_time is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError, match="must match grid dim"):
@@ -250,6 +270,17 @@ class TestOverrides:
         assert cfg.k1_literal is False
 
 
+def _ref_gaussian_bump(grid, center, width, amplitude, floor):
+    # the bump as build_profile sampled it before it went through field_from_function
+    centers = grid.centers()
+    r_sq = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        c = center * grid.extents[axis]
+        r_sq = r_sq + (centers[axis] - c) ** 2
+    values = floor + amplitude * np.exp(-r_sq / (2.0 * width**2))
+    return np.broadcast_to(values, grid.shape).copy()
+
+
 class TestProfiles:
     def test_constant_zero(self):
         g = Grid.line(16, 1.0)
@@ -282,6 +313,12 @@ class TestProfiles:
             values = values * np.cos(mode * np.pi * centers / grid.extents[axis])
         f = build_profile(grid, f"cosine(amplitude={amplitude}, mode={mode}, floor={floor})")
         assert f.values.tobytes() == (floor + amplitude * values).tobytes()
+
+    @pytest.mark.parametrize("grid", [Grid.line(37, 2.5), Grid.rect(13, 9, 1.7, 0.6)], ids=str)
+    def test_gaussian_bump_keeps_its_bits(self, grid):
+        text = "gaussian-bump(center=0.3, width=0.17, amplitude=0.9, floor=0.05)"
+        f = build_profile(grid, text)
+        assert f.values.tobytes() == _ref_gaussian_bump(grid, 0.3, 0.17, 0.9, 0.05).tobytes()
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigError, match="unknown profile"):

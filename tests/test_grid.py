@@ -12,7 +12,7 @@ import chemfv.grid
 from chemfv import (CorruptionError, DomainError, Grid, ScalarField, constant_field,
                     cosine_field, extend_neumann, field_from_function, gradient_cells,
                     hessian, integrate, laplacian, lp_norm, random_smooth_field,
-                    read_field, write_field)
+                    write_field)
 from chemfv.grid import FieldStack, _spacing_divisor, random_smooth_stack
 
 
@@ -321,6 +321,7 @@ class TestOperatorIdentities:
 
 
 class TestFieldDump:
+    # A dump loads as np.loadtxt(path, skiprows=1) reshaped to the header's cells.
     def test_roundtrip_1d(self, tmp_path):
         g = Grid.line(8, 2.0)
         f = random_smooth_field(g, 1, 4)
@@ -328,9 +329,8 @@ class TestFieldDump:
         write_field(f, path)
         header = path.read_text().splitlines()[0]
         assert header == "1,8,2.0"
-        back = read_field(path)
-        assert back.grid == g
-        assert np.array_equal(back.values, f.values)
+        back = np.loadtxt(path, skiprows=1).reshape(g.cells)
+        assert np.array_equal(back, f.values)
 
     def test_roundtrip_2d(self, tmp_path):
         g = Grid.rect(6, 4, 1.0, 0.5)
@@ -338,9 +338,8 @@ class TestFieldDump:
         path = tmp_path / "field.csv"
         write_field(f, path)
         assert path.read_text().splitlines()[0] == "2,6,4,1.0,0.5"
-        back = read_field(path)
-        assert back.grid == g
-        assert np.array_equal(back.values, f.values)
+        back = np.loadtxt(path, skiprows=1).reshape(g.cells)
+        assert np.array_equal(back, f.values)
 
 
 # Reference stencils built on np.pad, as the operators were first written.  The

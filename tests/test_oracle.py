@@ -128,9 +128,17 @@ class TestYoungCombination:
         assert verdict.worst_margin >= -1e-9
         assert verdict.trials_run >= 10_000
 
-    def test_poisoned_d3_fails(self):
+    def test_poisoned_d3_fails(self, monkeypatch):
+        # negative control: a defect constant 1.0 too small must be caught
+        real = chemfv.oracle.d3_constant
+
+        def poisoned(d1, d2):
+            k, d3 = real(d1, d2)
+            return k, d3 - 1.0
+
+        monkeypatch.setattr(chemfv.oracle, "d3_constant", poisoned)
         cfg = OracleConfig(grid=Grid.line(8, 1.0), trials=10, seed=0)
-        verdict = verify_young_combination(cfg, poison_d3=1.0)
+        verdict = verify_young_combination(cfg)
         assert not verdict.passed
 
     def test_nan_margin_sticks_and_fails(self, monkeypatch):
@@ -150,11 +158,11 @@ class TestYoungCombination:
 def _ref_young_args(cfg):
     # the per-trial draws: (A, B) then (log10 d1, log10 d2), two values per call
     rng = np.random.default_rng(cfg.seed)
-    args = [(A, B, d1, d2, 0.0) for A, B, d1, d2 in chemfv.oracle._YOUNG_EDGE_CASES]
+    args = list(chemfv.oracle._YOUNG_EDGE_CASES)
     for _ in range(cfg.trials):
         A, B = rng.uniform(0.0, 100.0, size=2)
         d1, d2 = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
-        args.append((A, B, d1, d2, 0.0))
+        args.append((A, B, d1, d2))
     return args
 
 
