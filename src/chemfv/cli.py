@@ -300,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     try:
         seed = () if args.seed is None else (f"oracle.seed={args.seed}",)
-        cfg = parse_config(text, tuple(args.set) + seed)
+        cfg = parse_config(text, tuple(args.set) + seed, source=args.config)
         out_dir = Path(args.out if args.out is not None else cfg.out_dir)
         if args.command == "certify":
             return cmd_certify(cfg, out_dir)

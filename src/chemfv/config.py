@@ -151,12 +151,13 @@ def _convert(section: str, key: str, raw: str):
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {kind}") from None
 
 
-def _read_values(text: str, overrides: tuple[str, ...]) -> dict[str, dict[str, object]]:
+def _read_values(text: str, overrides: tuple[str, ...],
+                 source: str) -> dict[str, dict[str, object]]:
     # No header can name a section "\n", so [DEFAULT] is an ordinary, unknown section.
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str  # keys are case-sensitive
     try:
-        parser.read_string(text)
+        parser.read_string(text, source)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}")
 
@@ -184,9 +185,12 @@ def _build(section: str, make, *args, **kwargs):
         raise ConfigError(f"invalid [{section}]: {exc}")
 
 
-def parse_config(text: str, overrides: tuple[str, ...] = ()) -> RunConfig:
-    """Parse, apply overrides, fill defaults, and validate semantically."""
-    v = _read_values(text, tuple(overrides))
+def parse_config(text: str, overrides: tuple[str, ...] = (),
+                 source: str = "<string>") -> RunConfig:
+    """Parse, apply overrides, fill defaults, and validate semantically.
+
+    ``source`` names the text in a parse error, the config file's path for the CLI."""
+    v = _read_values(text, tuple(overrides), source)
     model = _build("model", ModelParams, **v["model"])
 
     g = v["grid"]

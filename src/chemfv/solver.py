@@ -19,6 +19,13 @@ ufunc call serves both fields; the pairs that join u's last line to v's first
 are zeroed right after the face difference.  The hook and the result get a
 ``SimState`` over read-only views of the march state, never a copy.
 
+The advective limit needs a speed pass over every face, but the march
+carries each state's sup u, sup v and least v, and from these alone a
+bound on every face speed follows, as chi(v) <= chi0 for v >= 0.  When that
+bound already puts the advective limit above the diffusive or reaction one,
+the kernel skips the speed pass; the step size and every output stay bit
+for bit those of the exact pass (see ``_kernel``).
+
 Loss of boundedness is detected numerically: a run ends ``blowup_detected``
 when sup u exceeds a threshold, ``dt_underflow`` when the stable step
 underflows, and ``corrupted`` when the update violates positivity or the
@@ -40,6 +47,9 @@ from .grid import Grid, ScalarField, _spacing_divisor
 # v may exceed its initial sup by 1e-10 relative.  Anything worse is corrupted.
 U_NEG_TOL = 1e-12
 V_SUP_REL_TOL = 1e-10
+# Relative slack on (sup u + 1)^alpha in the advective bound: well above the
+# few-ulp error of any libm or numpy pow, so no cell's power exceeds it.
+POW_SLACK = 1.0 + 1e-9
 
 ADVANCED = "advanced"
 BLOWUP = "blowup_detected"
@@ -104,8 +114,8 @@ class RunResult:
 def _kernel(grid: Grid, params: ModelParams):
     """Build the march state and the rates-and-limits kernel for ``grid`` and ``params``.
 
-    Returns the stacked ``[u; v]`` state ``s`` and ``rates(sup_u, sup_v) ->
-    (R, dt_diff, dt_adv, dt_react)`` at ``s``, which writes ``R = [du_dt; dv_dt]``
+    Returns the stacked ``[u; v]`` state ``s`` and ``rates(sup_u, sup_v, inf_v)
+    -> (R, dt_diff, dt_adv, dt_react)`` at ``s``, which writes ``R = [du_dt; dv_dt]``
     into the kernel's one rates buffer.  du_dt is the divergence of the face flux D_face
     grad u - (u+1)^alpha w, zero on boundary faces, plus k u - mu u^2: D_face
     is the face mean of (u+1)^(m-1), w = chi(v_face) grad v, and (u+1)^alpha
@@ -142,6 +152,38 @@ def _kernel(grid: Grid, params: ModelParams):
     where one of them alone overflows (v ~ 1e154 on both sides, say) numpy
     prints a RuntimeWarning that a row-by-row loop would not; the rates are
     unaffected.
+
+    ``inf_v``, the least v of ``s`` (``-inf``, the default, for "not known"),
+    lets ``rates`` skip the speed pass (abs, the donor-factor max and multiply,
+    and a max-reduce per axis) when the extrema prove that the advective limit
+    cannot set the step.  With inf_v >= 0, chi0 > 0 and h_min > 0, it takes
+
+        B = chi0 * ((sup_v - inf_v) / h_min), times
+            ((sup_u + 1) ** alpha) * POW_SLACK when alpha > 0,
+
+    in Python floats, and skips when h_min / (2 dim B) > min(dt_diff,
+    dt_react), both computed first; a tie computes the exact limit.  A
+    skipped pass returns dt_adv as that bound, or inf when B = 0; R and the
+    min of the three limits are bit for bit those of the exact pass.  The
+    proof: every operation rounds monotonically.  A face's v difference is
+    at most sup_v - inf_v in size, so rounded it is at most fl(sup_v -
+    inf_v), and after the scaling by 1/h, which gives the quotient's bits, at
+    most fl(fl(sup_v - inf_v) / h_min).  The chi factor is chi0 divided by
+    the square of fl(fl(v_l + v_r) a/2) + 1, which is at least 1 as v >= 0 and
+    a >= 0, so it is at most chi0, and |w| is at most chi0 times the scaled
+    difference: at most B.  When alpha > 0 each cell's (u+1)^alpha is a pow
+    of fl(u + 1) <= fl(sup_u + 1), off the exact power by a few ulps, and
+    POW_SLACK covers that and the bound's own roundings, so the speed |w|
+    max(t_l, t_r) is at most B too.  The computed speed max is then at most
+    B, the computed dt_adv at least the bound, and the bound above the min
+    leaves the min unchanged.  B = 0 makes every speed 0 and dt_adv inf
+    either way.  A bound that overflows gives 0 and a NaN bound fails the
+    test, so both compute the exact limit; so does a negative inf_v (down to
+    -U_NEG_TOL after a step), where the chi factor may exceed chi0.  On a
+    uniform grid where diffusion binds, the skip fires when chi0 (sup v - inf
+    v) (sup u + 1)^max(alpha, 0) < max(1, max (u+1)^(m-1)): on every step of
+    ``configs/example.ini``, whose constant v0 is only slowly consumed, and
+    on none once chi0 = 5 and v0 = cosine(amplitude=0.5, mode=1, floor=1).
     """
     m, alpha, chi0, k, mu = params.m, params.alpha, params.chi0, params.k, params.mu
     h = grid.spacing
@@ -155,6 +197,8 @@ def _kernel(grid: Grid, params: ModelParams):
             pass
     dt_diff_linear = 1.0 / (2.0 * inv_h2) if inv_h2 else math.inf
     h_min, two_dim, abs_k, two_mu = min(h), 2.0 * grid.dim, abs(k), 2.0 * mu
+    bounded = chi0 != 0.0 and h_min > 0.0   # a spacing can underflow to 0
+    pow_alpha = alpha if alpha > 0.0 and chi0 != 0.0 else None   # speed carries (u+1)^alpha
     zero, half, one, a_half, chi0_, k_, mu_ = (
         np.array(x, float) for x in (0.0, 0.5, 1.0, params.a * 0.5, chi0, k, mu))
     shape, n = grid.shape, math.prod(grid.shape)
@@ -193,12 +237,25 @@ def _kernel(grid: Grid, params: ModelParams):
     add, subtract, multiply, divide, maximum = (   # bound once
         np.add, np.subtract, np.multiply, np.divide, np.maximum)
 
-    def rates(sup_u: float, sup_v: float):
+    def rates(sup_u: float, sup_v: float, inf_v: float = -math.inf):
         # Each ufunc call writes into its last argument and returns it.
         if powers:
             for buf, exponent in powers:   # (u+1)^(m-1), (u+1)^alpha
                 add(u, one, buf)
                 buf **= exponent   # in place, ** keeps numpy's fast paths (sqrt, square)
+        dt_diff = (dt_diff_linear if coef is None or not inv_h2
+                   else 1.0 / (2.0 * max(1.0, float(maximum.reduce(coef))) * inv_h2))
+        dt_react = 1.0 / (abs_k + two_mu * sup_u + sup_u + sup_v + 1.0)
+        exact = True   # the speed pass runs unless the extrema prove it cannot bind
+        if bounded and inf_v >= 0.0:
+            speed_bound = chi0 * ((sup_v - inf_v) / h_min)
+            if pow_alpha is not None:
+                try:
+                    speed_bound *= (sup_u + 1.0) ** pow_alpha * POW_SLACK
+                except OverflowError:
+                    speed_bound = math.inf
+            dt_adv = math.inf if speed_bound == 0.0 else h_min / (two_dim * speed_bound)
+            exact = not dt_adv > min(dt_diff, dt_react)
         R_tail.fill(0.0)
         speed_max = 0.0
         for (scale, by, junction, speed_join, F_join, s_lo, s_hi, v_l, v_r, F, f_u, f_v,
@@ -215,12 +272,13 @@ def _kernel(grid: Grid, params: ModelParams):
                 if trans is not None:   # the donor cell's factor, by the sign of w
                     f_chem = multiply(t_r, w, s2)
                     multiply(t_l, w, s2, where=np.greater(w, zero, mask))
-                speed = np.abs(w, s1)
-                if trans is not None and alpha > 0.0:
-                    multiply(speed, maximum(t_l, t_r, out=w), speed)
-                if speed_join is not None:
-                    speed_join.fill(0.0)
-                speed_max = max(speed_max, float(maximum.reduce(speed)))
+                if exact:
+                    speed = np.abs(w, s1)
+                    if pow_alpha is not None:
+                        multiply(speed, maximum(t_l, t_r, out=w), speed)
+                    if speed_join is not None:
+                        speed_join.fill(0.0)
+                    speed_max = max(speed_max, float(maximum.reduce(speed)))
                 subtract(f_u, f_chem, f_u)
             scale(F, by, F)           # F = [flux; 0; dv/h]
             if F_join is not None:
@@ -230,10 +288,8 @@ def _kernel(grid: Grid, params: ModelParams):
         subtract(multiply(u, k_, c1), multiply(multiply(u, mu_, c2), u, c2), c1)
         add(du_dt, c1, du_dt)                        # += k u - mu u^2
         subtract(dv_dt, multiply(u, v, c1), dv_dt)   # -= u v
-        dt_diff = (dt_diff_linear if coef is None or not inv_h2
-                   else 1.0 / (2.0 * max(1.0, float(maximum.reduce(coef))) * inv_h2))
-        dt_adv = h_min / (two_dim * speed_max) if speed_max > 0.0 else math.inf
-        dt_react = 1.0 / (abs_k + two_mu * sup_u + sup_u + sup_v + 1.0)
+        if exact:
+            dt_adv = h_min / (two_dim * speed_max) if speed_max > 0.0 else math.inf
         return R, dt_diff, dt_adv, dt_react
 
     return s, rates
@@ -260,22 +316,23 @@ def _load(state: SimState, params: ModelParams):
 
 def stable_dt(state: SimState, params: ModelParams, config: SolverConfig) -> float:
     """Largest stable step at the current state, already scaled by ``safety``."""
-    _, rates, (_, sup_u, _, sup_v, finite) = _load(state, params)
+    _, rates, (_, sup_u, inf_v, sup_v, finite) = _load(state, params)
     if not finite:
         raise CorruptionError("non-finite state")
-    return config.safety * min(rates(sup_u, sup_v)[1:])
+    return config.safety * min(rates(sup_u, sup_v, inf_v)[1:])
 
 
-def _advance(rates, s: np.ndarray, sup_u: float, sup_v: float, t: float,
+def _advance(rates, s: np.ndarray, sup_u: float, sup_v: float, inf_v: float, t: float,
              t_target: float | None, config: SolverConfig, v_cap: float):
     """One forward-Euler step of the finite state ``s``, with maxima ``sup_u`` and
-    ``sup_v``, in place: returns ``(status, dt, t_new, sup_u_new, sup_v_new)``.
-    On DT_UNDERFLOW, dt is the stability bound, ``s`` is untouched and the rest
-    comes back unchanged; otherwise ``s`` holds the update, even a rejected one."""
-    R, dt_diff, dt_adv, dt_react = rates(sup_u, sup_v)
+    ``sup_v`` and least v ``inf_v``, in place: returns ``(status, dt, t_new,
+    sup_u_new, sup_v_new, inf_v_new)``.  On DT_UNDERFLOW, dt is the stability
+    bound, ``s`` is untouched and the rest comes back unchanged; otherwise ``s``
+    holds the update, even a rejected one."""
+    R, dt_diff, dt_adv, dt_react = rates(sup_u, sup_v, inf_v)
     dt = config.safety * min(dt_diff, dt_adv, dt_react)
     if dt < config.dt_min:
-        return DT_UNDERFLOW, dt, t, sup_u, sup_v
+        return DT_UNDERFLOW, dt, t, sup_u, sup_v, inf_v
     t_new = t + dt
     if t_target is not None and t_new >= t_target:
         dt, t_new = t_target - t, t_target
@@ -283,7 +340,7 @@ def _advance(rates, s: np.ndarray, sup_u: float, sup_v: float, t: float,
     u_lo, u_hi, v_lo, v_hi, finite = _extrema(s)
     status = (CORRUPTED if not finite or u_lo < -U_NEG_TOL or v_lo < -U_NEG_TOL or v_hi > v_cap
               else BLOWUP if u_hi > config.u_max else ADVANCED)
-    return status, dt, t_new, u_hi, v_hi
+    return status, dt, t_new, u_hi, v_hi, v_lo
 
 
 def step(state: SimState, params: ModelParams, config: SolverConfig, *,
@@ -294,11 +351,11 @@ def step(state: SimState, params: ModelParams, config: SolverConfig, *,
     ``t_target`` (end time or next output time) when one is given.  Underflow
     is judged on the unclipped stability bound.
     """
-    s, rates, (_, sup_u, _, sup_v, finite) = _load(state, params)
+    s, rates, (_, sup_u, inf_v, sup_v, finite) = _load(state, params)
     if not finite:
         return state, StepOutcome(CORRUPTED, 0.0, sup_u)
-    status, dt, t, sup_u_new, _ = _advance(rates, s, sup_u, sup_v, state.t, t_target, config,
-                                           v0_sup * (1.0 + V_SUP_REL_TOL))
+    status, dt, t, sup_u_new, *_ = _advance(rates, s, sup_u, sup_v, inf_v, state.t, t_target,
+                                            config, v0_sup * (1.0 + V_SUP_REL_TOL))
     if status == DT_UNDERFLOW:
         return state, StepOutcome(status, dt, sup_u)
     u, v = (ScalarField(state.u.grid, f) for f in s)   # the fields of _load's fresh buffer
@@ -330,7 +387,8 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     nonnegative and finite; the march never writes into it.  Past the initial
     state, the hook and the result get one ``SimState`` of read-only views of
     the march's own state: valid during a hook call only, fixed once ``run``
-    returns.  Each step's sup u and sup v carry over from its post-update check.
+    returns.  Each step's sup u, sup v and least v carry over from its
+    post-update check.
     """
     s, rates, (u_lo, sup_u, v_lo, sup_v, finite) = _load(initial, params)
     if not finite:
@@ -358,8 +416,8 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
             status = STEP_BUDGET
             break
         t_target = t_end if every_time is None else min(t_end, out_index * every_time)
-        status, dt, t, sup_u, sup_v = _advance(rates, s, sup_u, sup_v, t, t_target, config,
-                                               v_cap)
+        status, dt, t, sup_u, sup_v, v_lo = _advance(rates, s, sup_u, sup_v, v_lo, t, t_target,
+                                                     config, v_cap)
         if status == DT_UNDERFLOW:
             break
         steps += 1

@@ -17,6 +17,7 @@ import chemfv.certificates
 import chemfv.cli
 import chemfv.monitors
 import chemfv.oracle
+import chemfv.solver
 from chemfv import ChemfvError, CorruptionError
 from chemfv.cli import CSV_HEADER, main, sweep_report
 from chemfv.config import parse_config
@@ -807,6 +808,72 @@ class TestConfigErrors:
         assert code == 1
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not out.exists()
+
+    def test_parse_error_names_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "broken.ini"
+        cfg.write_text("[model]\nmu = 1\nthis line has no equals sign\n")
+        code = main(["certify", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first == f"error: config parse error: Source contains parsing errors: {str(cfg)!r}"
+        assert rest == ["\t[line  3]: 'this line has no equals sign\\n'"]
+
+
+class TestAdvectiveSkip:
+    """The kernel skips its advective speed pass when the march's extrema prove
+    that limit cannot set the step; every output must be as if it never did."""
+
+    EXAMPLE = str(Path(__file__).resolve().parents[1] / "configs" / "example.ini")
+    COSINE_V0 = "init.v0=cosine(amplitude=0.5, mode=1, floor=1)"
+    _2D = ["grid.dim=2", "model.n=2"]
+
+    @staticmethod
+    def _outputs(out):
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("sets", [
+        ["time.t_end=0.02"],   # run-1d, shortened
+        _2D + ["grid.ny=128", "model.m=1.5", "model.alpha=0.5", "monitor.cadence_steps=1",
+               "time.t_end=0.0003"],   # run-2d, shortened
+        ["model.mu=0.01", COSINE_V0, "grid.nx=64", "time.t_end=0.2"],
+        # the bound fires on 3267 of 4096 steps; the other 829 take the exact pass
+        ["model.mu=0.01", "model.chi0=1.5", COSINE_V0, "grid.nx=64", "time.t_end=0.2"],
+        _2D + ["grid.nx=32", "grid.ny=24", "model.mu=0.01", "model.m=1.5", "model.alpha=0.5",
+               COSINE_V0, "time.t_end=0.02", "monitor.cadence_steps=20"],
+    ], ids=["run-1d", "run-2d", "cosine-v0-1d", "cosine-v0-1d-chi0-1.5", "cosine-v0-2d"])
+    def test_outputs_match_the_exact_pass(self, tmp_path, monkeypatch, sets):
+        argv = ["run", "--config", self.EXAMPLE, "--dump-fields",
+                *(arg for item in sets for arg in ("--set", item))]
+        assert main(argv + ["--out", str(tmp_path / "skip")]) == 0
+        kernel = chemfv.solver._kernel
+
+        def exact_kernel(grid, params):   # inf v "not known": the bound never fires
+            s, rates = kernel(grid, params)
+            return s, lambda sup_u, sup_v, inf_v: rates(sup_u, sup_v, -math.inf)
+        monkeypatch.setattr(chemfv.solver, "_kernel", exact_kernel)
+        assert main(argv + ["--out", str(tmp_path / "exact")]) == 0
+        skip, exact = self._outputs(tmp_path / "skip"), self._outputs(tmp_path / "exact")
+        assert sorted(skip) == ["summary.json", "timeseries.csv", "u_final.csv", "v_final.csv"]
+        assert skip == exact
+
+    def test_the_example_march_skips_every_step(self, tmp_path, monkeypatch):
+        # Every step reports the bound, below the exact limit, but the first:
+        # there the constant v0 makes the bound 0 and both limits inf.
+        kernel, limits = chemfv.solver._kernel, []
+
+        def recording_kernel(grid, params):
+            s, rates = kernel(grid, params)
+
+            def recorded(sup_u, sup_v, inf_v):
+                result = rates(sup_u, sup_v, inf_v)
+                limits.append((result[2], rates(sup_u, sup_v)[2]))
+                return result
+            return s, recorded
+        monkeypatch.setattr(chemfv.solver, "_kernel", recording_kernel)
+        assert main(["run", "--config", self.EXAMPLE, "--out", str(tmp_path),
+                     "--set", "time.t_end=0.02"]) == 0
+        assert len(limits) == 1639 and limits[0] == (math.inf, math.inf)
+        assert all(bound < exact for bound, exact in limits[1:])
 
 
 class TestUnwritableOutput:

@@ -82,6 +82,13 @@ class TestSemanticErrors:
         with pytest.raises(ConfigError, match=r"\[line  3\]"):
             parse_config("[model]\nmu = 1\nthis line has no equals sign\n")
 
+    def test_parse_error_names_its_source(self):
+        text = "[model]\nmu = 1\nthis line has no equals sign\n"
+        with pytest.raises(ConfigError, match="parsing errors: '<string>'"):
+            parse_config(text)
+        with pytest.raises(ConfigError, match="parsing errors: 'conf/run.ini'"):
+            parse_config(text, source="conf/run.ini")
+
     def test_bad_value_type(self):
         with pytest.raises(ConfigError, match="not a valid float"):
             parse_config("[model]\nmu = soon\n")

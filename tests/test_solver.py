@@ -724,12 +724,13 @@ class TestKernelByteParity:
         assert limits == list(expected[2:])
 
         t = t_ref = 0.0
-        su, sv = sup_u, sup_v
+        su, sv, lv = sup_u, sup_v, ref[2]   # the march carries inf v into the kernel
         for n in range(self.STEPS):
             status_ref, dt_ref, t_ref, u, v, sup_u, sup_v = _ref_advance(
                 ref_rates, u, v, sup_u, sup_v, t_ref, None, cfg, v_cap)
-            status, dt, t, su, sv = _advance(kernel, s, su, sv, t, None, cfg, v_cap)
-            assert (status, dt, t, su, sv) == (status_ref, dt_ref, t_ref, sup_u, sup_v), n
+            status, dt, t, su, sv, lv = _advance(kernel, s, su, sv, lv, t, None, cfg, v_cap)
+            assert (status, dt, t, su, sv, lv) == (
+                status_ref, dt_ref, t_ref, sup_u, sup_v, _ref_extrema(u, v)[2]), n
             assert s[0].tobytes() == u.tobytes(), n
             assert s[1].tobytes() == v.tobytes(), n
             if status != ADVANCED:
@@ -786,17 +787,18 @@ class TestKernelByteParity:
     @pytest.mark.parametrize("cells", [(9, 11), (4, 4), (4, 13), (13, 4)], ids=str)
     def test_overflowing_powers_at_row_ends(self, cells):
         # (u+1)^(m-1) and (u+1)^alpha overflow at a row's last cell alone and
-        # on both sides of a joining pair; NaN limits count as equal.
+        # on both sides of a joining pair; NaN limits count as equal.  So does
+        # the advective bound's (sup u + 1)^alpha: the exact pass runs.
         g = Grid.rect(*cells, 1.0, 1.3)
         params = ModelParams(n=2, m=3.2, alpha=2.0, k=0.5, mu=1.5, chi0=1.2, a=0.7)
         u, v = self._fields(np.random.default_rng(31), g, "random")
         u[0, -1] = u[1, -1] = u[2, 0] = 1e200
         s, kernel = _kernel(g, params)
         s[0], s[1] = u, v
-        _, sup_u, _, sup_v, _ = _ref_extrema(u, v)
+        _, sup_u, inf_v, sup_v, _ = _ref_extrema(u, v)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = _ref_kernel(g, params)(u, v, sup_u, sup_v)
-            (du_dt, dv_dt), *limits = kernel(sup_u, sup_v)
+            (du_dt, dv_dt), *limits = kernel(sup_u, sup_v, inf_v)
         assert not np.isfinite(expected[0]).all()
         assert du_dt.tobytes() == expected[0].tobytes()
         assert dv_dt.tobytes() == expected[1].tobytes()
@@ -855,6 +857,47 @@ class TestKernelByteParity:
         self.STEPS = 400
         marched = self._assert_march_identical(cfg.grid, cfg.model, u0.values, v0.values)
         assert marched == self.STEPS - 1
+
+
+@st.composite
+def bound_cases(draw):
+    """A model with drift and a nonnegative (u, v) whose spread in v ranges from
+    none to wide, on power-of-two and other spacings in 1D and 2D."""
+    dim = draw(st.sampled_from([1, 2]))
+    cells = tuple(draw(st.integers(4, 12)) for _ in range(dim))
+    extents = tuple(n * 2.0 ** draw(st.integers(-6, 1)) if draw(st.booleans())
+                    else draw(st.floats(0.1, 4.0)) for n in cells)
+    m = draw(st.floats(0.2, 2.9))
+    params = ModelParams(n=dim, m=m, alpha=draw(st.sampled_from([-0.5, 0.0, 0.5, m - 1.0])),
+                         k=draw(st.floats(-5.0, 5.0)), mu=draw(st.floats(1e-6, 50.0)),
+                         chi0=draw(st.floats(1e-3, 5.0)), a=draw(st.floats(0.0, 3.0)))
+    u = draw(arrays(float, cells, elements=st.floats(0.0, 10.0)))
+    spread = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 3.0]))
+    v = draw(st.floats(0.0, 2.0)) + spread * draw(arrays(float, cells,
+                                                         elements=st.floats(0.0, 1.0)))
+    return Grid(cells, extents), params, u, v
+
+
+class TestAdvectiveBound:
+    """A kernel given inf v may report a lower advective limit than the exact
+    one, but only where that limit cannot set the step."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=bound_cases())
+    def test_skip_keeps_the_step_and_bounds_the_limit(self, case):
+        g, params, u, v = case
+        s, kernel = _kernel(g, params)
+        s[0], s[1] = u, v
+        _, sup_u, inf_v, sup_v, _ = _extrema(s)
+        (du_dt, dv_dt), dt_diff, dt_adv, dt_react = kernel(sup_u, sup_v, inf_v)
+        expected = _ref_kernel(g, params)(u, v, sup_u, sup_v)
+        assert du_dt.tobytes() == expected[0].tobytes()
+        assert dv_dt.tobytes() == expected[1].tobytes()
+        assert (dt_diff, dt_react) == (expected[2], expected[4])
+        assert min(dt_diff, dt_adv, dt_react) == min(expected[2:])
+        exact = expected[3]
+        if dt_adv != exact:
+            assert min(dt_diff, dt_react) < dt_adv <= exact
 
 
 @st.composite
