@@ -36,8 +36,8 @@ from .oracle import verify_fields, verify_pbar_relations, verify_young_combinati
 # this module, so they stay bound.
 from .oracle import (estimate_gn_constant, verify_gradient_power_hessian,  # noqa: F401
                      verify_hessian_gradient, verify_laplacian_vs_hessian)
-from .solver import (BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW, STEP_BUDGET, RunResult,
-                     SimState, run)
+from .solver import (BLOWUP, COMPLETED, CORRUPTED, DT_UNDERFLOW, STEP_BUDGET, Extrema,
+                     RunResult, SimState, run)
 
 CSV_COLUMNS = tuple(f.name for f in fields(MonitorRecord) if f.name != "violations")
 CSV_HEADER = ",".join(CSV_COLUMNS)
@@ -114,8 +114,8 @@ def _execute(cfg: RunConfig) -> ExecutedRun:
     cert, initial = _certificate_for(cfg)
     records: list[MonitorRecord] = []
 
-    def hook(state: SimState, dt: float) -> None:
-        records.append(monitors.record(state, dt, cert))
+    def hook(state: SimState, dt: float, extrema: Extrema) -> None:
+        records.append(monitors.record(state, dt, cert, extrema))
 
     result = run(initial, cfg.model, cfg.solver, hook)
     violations = [{"t": r.t, **asdict(viol)} for r in records for viol in r.violations]

@@ -11,10 +11,11 @@ Everything a record checks against comes from one
 mu_min, with the certificate's chi0, and the mass and gradient-energy bounds
 are its ``m_mass`` and ``M_grad``.  Exceeding a bound by more than the
 relative slack ``BOUND_SLACK`` appends a violation entry.  Violations are
-data, never exceptions.  The extrema of u and sup v are recorded but not
-checked here: the maximum principles u >= 0 and v <= sup v0 belong to the
-solver, which ends a run ``corrupted`` before any state that breaks them
-reaches the monitor hook.
+data, never exceptions.  ``min_u``, ``sup_u`` and ``sup_v`` are read from the
+extrema the march hands its hook, ``solver._extrema`` of the state, and are
+recorded but not checked here: the maximum principles u >= 0 and v <= sup v0
+belong to the solver, which ends a run ``corrupted`` before any state that
+breaks them reaches the monitor hook.
 
 ``phi`` writes u + 1 and the powers into two work arrays of the grid's shape,
 held from one call to the next, so a record frees no grid-sized power.  The
@@ -31,7 +32,7 @@ import numpy as np
 from .certificates import CertificateReport
 from .errors import CorruptionError, DomainError
 from .grid import _scratch, gradient_cells, integrate, ScalarField
-from .solver import SimState
+from .solver import Extrema, SimState
 
 PHI_OVERFLOW = "phi overflowed (large p on a large state)"
 # Relative slack of the mass and gradient-energy checks.  The certified bounds
@@ -127,18 +128,17 @@ def phi(state: SimState, p: float, chi0: float, *, grad_sq: np.ndarray | None = 
     return value
 
 
-def record(state: SimState, dt: float, cert: CertificateReport) -> MonitorRecord:
+def record(state: SimState, dt: float, cert: CertificateReport,
+           extrema: Extrema) -> MonitorRecord:
     """Evaluate all monitored quantities and flag mass and gradient-energy violations.
 
-    phi_p is taken at the certificate's ``p_used``.
+    ``extrema`` is ``solver._extrema`` of ``state``, as the march's hook gets
+    it.  phi_p is taken at the certificate's ``p_used``.
     """
-    u, v = state.u, state.v
-    mass_u = integrate(u)
-    sup_u = float(u.values.max())
-    min_u = float(u.values.min())
-    sup_v = float(v.values.max())
-    gsq = _grad_sq(v)
-    grad_energy = integrate(ScalarField(v.grid, gsq))
+    min_u, sup_u, _, sup_v, _ = extrema
+    mass_u = integrate(state.u)
+    gsq = _grad_sq(state.v)
+    grad_energy = integrate(ScalarField(state.v.grid, gsq))
     phi_p = phi(state, cert.p_used, cert.params.chi0, grad_sq=gsq)
 
     violations: list[Violation] = []

@@ -17,14 +17,9 @@ per run.  The kernel reads each as one flat run of 2n entries, u's cells then
 v's, so each axis's faces are two offset views of one contiguous block and one
 ufunc call serves both fields; the pairs that join u's last line to v's first
 are zeroed right after the face difference.  The hook and the result get a
-``SimState`` over read-only views of the march state, never a copy.
-
-The advective limit needs a speed pass over every face, but the march
-carries each state's sup u, sup v and least v, and from these alone a
-bound on every face speed follows, as chi(v) <= chi0 for v >= 0.  When that
-bound already puts the advective limit above the diffusive or reaction one,
-the kernel skips the speed pass; the step size and every output stay bit
-for bit those of the exact pass (see ``_kernel``).
+``SimState`` over read-only views of the march state, never a copy.  One
+min/max reduction per step, ``_extrema``, gives the extrema that the
+invariant checks, the kernel's step limits and the hook all read.
 
 Loss of boundedness is detected numerically: a run ends ``blowup_detected``
 when sup u exceeds a threshold, ``dt_underflow`` when the stable step
@@ -296,9 +291,10 @@ def _kernel(grid: Grid, params: ModelParams):
 
 
 _min, _max = np.minimum.reduce, np.maximum.reduce
+Extrema = tuple[float, float, float, float, bool]   # min u, max u, min v, max v, finite
 
 
-def _extrema(s: np.ndarray) -> tuple[float, float, float, float, bool]:
+def _extrema(s: np.ndarray) -> Extrema:
     """min u, max u, min v, max v of a stacked state, and whether all four are
     finite: NaN propagates into both extrema of its field, inf into one."""
     flat = s.reshape(2, -1)
@@ -322,25 +318,25 @@ def stable_dt(state: SimState, params: ModelParams, config: SolverConfig) -> flo
     return config.safety * min(rates(sup_u, sup_v, inf_v)[1:])
 
 
-def _advance(rates, s: np.ndarray, sup_u: float, sup_v: float, inf_v: float, t: float,
-             t_target: float | None, config: SolverConfig, v_cap: float):
-    """One forward-Euler step of the finite state ``s``, with maxima ``sup_u`` and
-    ``sup_v`` and least v ``inf_v``, in place: returns ``(status, dt, t_new,
-    sup_u_new, sup_v_new, inf_v_new)``.  On DT_UNDERFLOW, dt is the stability
-    bound, ``s`` is untouched and the rest comes back unchanged; otherwise ``s``
-    holds the update, even a rejected one."""
+def _advance(rates, s: np.ndarray, extrema: Extrema, t: float, t_target: float | None,
+             config: SolverConfig, v_cap: float):
+    """One forward-Euler step of the finite state ``s``, whose ``_extrema`` are
+    ``extrema``, in place: returns ``(status, dt, t_new, extrema_new)``.  On
+    DT_UNDERFLOW, dt is the stability bound, ``s`` is untouched and the rest
+    comes back unchanged; otherwise ``s`` holds the update, even a rejected one."""
+    _, sup_u, inf_v, sup_v, _ = extrema
     R, dt_diff, dt_adv, dt_react = rates(sup_u, sup_v, inf_v)
     dt = config.safety * min(dt_diff, dt_adv, dt_react)
     if dt < config.dt_min:
-        return DT_UNDERFLOW, dt, t, sup_u, sup_v, inf_v
+        return DT_UNDERFLOW, dt, t, extrema
     t_new = t + dt
     if t_target is not None and t_new >= t_target:
         dt, t_new = t_target - t, t_target
     np.add(s, np.multiply(R, dt, R), s)
-    u_lo, u_hi, v_lo, v_hi, finite = _extrema(s)
+    extrema = u_lo, u_hi, v_lo, v_hi, finite = _extrema(s)
     status = (CORRUPTED if not finite or u_lo < -U_NEG_TOL or v_lo < -U_NEG_TOL or v_hi > v_cap
               else BLOWUP if u_hi > config.u_max else ADVANCED)
-    return status, dt, t_new, u_hi, v_hi, v_lo
+    return status, dt, t_new, extrema
 
 
 def step(state: SimState, params: ModelParams, config: SolverConfig, *,
@@ -351,25 +347,26 @@ def step(state: SimState, params: ModelParams, config: SolverConfig, *,
     ``t_target`` (end time or next output time) when one is given.  Underflow
     is judged on the unclipped stability bound.
     """
-    s, rates, (_, sup_u, inf_v, sup_v, finite) = _load(state, params)
-    if not finite:
-        return state, StepOutcome(CORRUPTED, 0.0, sup_u)
-    status, dt, t, sup_u_new, *_ = _advance(rates, s, sup_u, sup_v, inf_v, state.t, t_target,
-                                            config, v0_sup * (1.0 + V_SUP_REL_TOL))
+    s, rates, extrema = _load(state, params)
+    if not extrema[4]:
+        return state, StepOutcome(CORRUPTED, 0.0, extrema[1])
+    status, dt, t, (_, sup_u, *_) = _advance(rates, s, extrema, state.t, t_target, config,
+                                             v0_sup * (1.0 + V_SUP_REL_TOL))
     if status == DT_UNDERFLOW:
         return state, StepOutcome(status, dt, sup_u)
     u, v = (ScalarField(state.u.grid, f) for f in s)   # the fields of _load's fresh buffer
-    return SimState(t, u, v), StepOutcome(status, dt, sup_u_new)
+    return SimState(t, u, v), StepOutcome(status, dt, sup_u)
 
 
-# A hook's state is read-only and valid during the call only: to keep it, copy it.
-MonitorHook = Callable[[SimState, float], None]
+# A hook gets a state, the step that reached it and the state's ``_extrema``.
+# The state is read-only and valid during the call only: to keep it, copy it.
+MonitorHook = Callable[[SimState, float, Extrema], None]
 
 
-def _call_hook(hook: MonitorHook, state: SimState, dt: float) -> str | None:
+def _call_hook(hook: MonitorHook, state: SimState, dt: float, extrema: Extrema) -> str | None:
     """Run the hook; the message of a ``CorruptionError`` it raises, else None."""
     try:
-        hook(state, dt)
+        hook(state, dt, extrema)
     except CorruptionError as exc:
         return str(exc)
     return None
@@ -387,10 +384,12 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     nonnegative and finite; the march never writes into it.  Past the initial
     state, the hook and the result get one ``SimState`` of read-only views of
     the march's own state: valid during a hook call only, fixed once ``run``
-    returns.  Each step's sup u, sup v and least v carry over from its
-    post-update check.
+    returns.  With each state the hook gets its ``_extrema``, ``(min u, max
+    u, min v, max v, finite)``, which also carry over from a step's
+    post-update check into the next step's limits.
     """
-    s, rates, (u_lo, sup_u, v_lo, sup_v, finite) = _load(initial, params)
+    s, rates, extrema = _load(initial, params)
+    u_lo, sup_u, v_lo, sup_v, finite = extrema
     if not finite:
         raise CorruptionError("non-finite initial data")
     if u_lo < 0.0 or v_lo < 0.0:
@@ -404,7 +403,7 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     every_steps = config.cadence_steps if every_time is None else None
     sup_u_max, hooked_t, reason = sup_u, initial.t, None
     if monitor_hook is not None:
-        reason = _call_hook(monitor_hook, initial, 0.0)
+        reason = _call_hook(monitor_hook, initial, 0.0, extrema)
         if reason is not None:
             return RunResult(CORRUPTED, initial, 0, sup_u_max, reason)
     if sup_u_max > config.u_max:
@@ -416,12 +415,11 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
             status = STEP_BUDGET
             break
         t_target = t_end if every_time is None else min(t_end, out_index * every_time)
-        status, dt, t, sup_u, sup_v, v_lo = _advance(rates, s, sup_u, sup_v, v_lo, t, t_target,
-                                                     config, v_cap)
+        status, dt, t, extrema = _advance(rates, s, extrema, t, t_target, config, v_cap)
         if status == DT_UNDERFLOW:
             break
         steps += 1
-        sup_u_max = max(sup_u_max, sup_u)
+        sup_u_max = max(sup_u_max, extrema[1])
         if status == CORRUPTED:
             break
         on_time = every_time is not None and t == out_index * every_time
@@ -431,7 +429,7 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
                 status == BLOWUP or on_time or t == t_end
                 or (every_steps is not None and steps % every_steps == 0)):
             march.t = hooked_t = t
-            reason = _call_hook(monitor_hook, march, dt)
+            reason = _call_hook(monitor_hook, march, dt, extrema)
             if reason is not None:
                 status = CORRUPTED
                 break

@@ -876,6 +876,33 @@ class TestAdvectiveSkip:
         assert all(bound < exact for bound, exact in limits[1:])
 
 
+class TestRecordedExtrema:
+    """A record takes min_u, sup_u and sup_v from the extrema the march hands
+    its hook; each must be that of the state the hook saw."""
+
+    @pytest.mark.parametrize("sets", [
+        ["init.u0=constant(0.0)", "monitor.cadence_steps=20"],
+        ["grid.dim=2", "model.n=2", "grid.nx=16", "grid.ny=12", "model.chi0=1.5",
+         "init.v0=cosine(amplitude=0.5, mode=1, floor=1)", "time.t_end=0.01",
+         "monitor.cadence_steps=2"],
+    ], ids=["u0-zero-1d", "cosine-v0-2d"])
+    def test_csv_extrema_are_the_hooked_states(self, tmp_path, monkeypatch, sets):
+        record, hooked = chemfv.monitors.record, []
+
+        def keeping(state, dt, cert, extrema):   # a hooked state is valid during the call only
+            hooked.append((state.u.values.copy(), state.v.values.copy()))
+            return record(state, dt, cert, extrema)
+        monkeypatch.setattr(chemfv.monitors, "record", keeping)
+        assert main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path),
+                     *(arg for item in sets for arg in ("--set", item))]) == 0
+        rows = [dict(zip(CSV_HEADER.split(","), map(float, line.split(","))))
+                for line in (tmp_path / "timeseries.csv").read_text().splitlines()[1:]]
+        assert len(rows) == len(hooked) > 5
+        for row, (u, v) in zip(rows, hooked):
+            assert (row["min_u"], row["sup_u"], row["sup_v"]) == (
+                float(u.min()), float(u.max()), float(v.max()))
+
+
 class TestUnwritableOutput:
     def test_out_under_a_file_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"

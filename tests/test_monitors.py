@@ -13,6 +13,12 @@ from chemfv import (AuxiliaryExponents, CorruptionError, DomainError, Grid,
                     field_from_function, integrate, phi, phi_trend, record, run)
 import chemfv.monitors
 from chemfv.monitors import gradv_l2sq
+from chemfv.solver import _extrema
+
+
+def extrema_of(state):
+    """The extrema a march hands its hook with ``state``."""
+    return _extrema(np.stack((state.u.values, state.v.values)))
 
 
 def make_cert(mu=2.0, k=1.0, chi0=1.0, v0_sup=1.0, u0_mass=0.1,
@@ -135,7 +141,7 @@ class TestRecord:
         g = Grid.line(16, 1.0)
         cert = make_cert()
         state = SimState(0.0, constant_field(g, 0.0), constant_field(g, 1.0))
-        rec = record(state, 0.0, cert)
+        rec = record(state, 0.0, cert, extrema_of(state))
         assert rec.violations == []
         assert rec.mass_u == 0.0
         assert rec.sup_v == 1.0
@@ -145,7 +151,7 @@ class TestRecord:
         g = Grid.line(16, 1.0)
         cert = make_cert(mu=2.0, k=0.0, u0_mass=0.1)  # m_mass = 0.1
         state = SimState(0.0, constant_field(g, 0.5), constant_field(g, 1.0))
-        rec = record(state, 1e-3, cert)
+        rec = record(state, 1e-3, cert, extrema_of(state))
         names = [v.bound_name for v in rec.violations]
         assert names == ["mass"]
         assert rec.violations[0].observed == pytest.approx(0.5)
@@ -158,7 +164,7 @@ class TestRecord:
         cert = make_cert(gradv0_l2sq=0.1)
         v = field_from_function(g, lambda x: 1.0 + np.cos(np.pi * x))
         state = SimState(0.0, constant_field(g, 0.05), v)
-        rec = record(state, 1e-3, cert)
+        rec = record(state, 1e-3, cert, extrema_of(state))
         assert [viol.bound_name for viol in rec.violations] == ["gradv_l2"]
         assert rec.violations[0].bound_value == cert.M_grad
         assert rec.violations[0].observed == rec.gradv_l2sq == gradv_l2sq(v)
@@ -168,7 +174,7 @@ class TestRecord:
         g = Grid.line(16, 1.0)
         cert = make_cert(mu=2.0, k=0.0, u0_mass=1.0)  # m_mass = 1.0
         state = SimState(0.0, constant_field(g, 1.04), constant_field(g, 1.0))
-        rec = record(state, 0.0, cert)
+        rec = record(state, 0.0, cert, extrema_of(state))
         assert rec.violations == []  # 1.04 <= 1.0 * 1.05
 
 
@@ -182,7 +188,7 @@ class TestRecord:
         real = chemfv.monitors.gradient_cells
         monkeypatch.setattr(chemfv.monitors, "gradient_cells",
                             lambda f: calls.append(f) or real(f))
-        rec = record(state, 1e-3, cert)
+        rec = record(state, 1e-3, cert, extrema_of(state))
         assert len(calls) == 1
         monkeypatch.undo()
         assert rec.gradv_l2sq == gradv_l2sq(v)
@@ -197,7 +203,7 @@ class TestRecord:
         state = SimState(0.0, u, v)
         cert = make_cert(p=1.5)
         assert (cert.exps.p, cert.p_bar, cert.p_used) == (1.5, 3.0, 3.0)
-        rec = record(state, 0.0, cert)
+        rec = record(state, 0.0, cert, extrema_of(state))
         assert rec.phi_p == phi(state, 3.0, cert.params.chi0)
         assert rec.phi_p != phi(state, 1.5, cert.params.chi0)
 
@@ -248,7 +254,7 @@ class TestRunLevelInvariants:
         records = []
         result = run(SimState(0.0, u0, v0), params,
                      SolverConfig(t_end=0.2, cadence_steps=100),
-                     lambda s, dt: records.append(record(s, dt, cert)))
+                     lambda s, dt, extrema: records.append(record(s, dt, cert, extrema)))
         assert result.status == "completed"
         assert all(r.violations == [] for r in records)
         masses = np.array([r.mass_u for r in records])

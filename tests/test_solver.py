@@ -351,7 +351,7 @@ class TestRun:
         masses = []
         result = run(SimState(0.0, u0, v0), params,
                      SolverConfig(t_end=0.2, cadence_steps=50),
-                     lambda s, dt: masses.append(integrate(s.u)))
+                     lambda s, dt, _: masses.append(integrate(s.u)))
         assert result.status == COMPLETED
         masses = np.array(masses)
         assert np.abs(masses - masses[0]).max() <= 1e-12 * masses[0]
@@ -362,7 +362,7 @@ class TestRun:
         records = []
         result = run(SimState(0.0, constant_field(g, 1.0), constant_field(g, 1.0)),
                      params, SolverConfig(t_end=1.0, cadence_steps=1),
-                     lambda s, dt: records.append((s.t, float(s.u.values[0]))))
+                     lambda s, dt, _: records.append((s.t, float(s.u.values[0]))))
         assert result.status == COMPLETED
         err = max(abs(u - 1.0 / (1.0 + t)) for t, u in records)
         assert err < 0.02
@@ -375,7 +375,7 @@ class TestRun:
         trace = []
         run(SimState(0.0, constant_field(g, 1.0), constant_field(g, 1.0)), params,
             SolverConfig(t_end=0.2, cadence_steps=1),
-            lambda s, dt: trace.append((dt, s.u.values.copy(), s.v.values.copy())))
+            lambda s, dt, _: trace.append((dt, s.u.values.copy(), s.v.values.copy())))
         u, v = 1.0, 1.0
         for dt, u_arr, v_arr in trace[1:]:
             v = v * (1.0 - dt * u)  # consumption uses the pre-step u
@@ -393,7 +393,7 @@ class TestRun:
         sup_vs, min_us = [], []
         result = run(SimState(0.0, u0, v0), params,
                      SolverConfig(t_end=0.5, cadence_steps=200),
-                     lambda s, dt: (sup_vs.append(float(s.v.values.max())),
+                     lambda s, dt, _: (sup_vs.append(float(s.v.values.max())),
                                     min_us.append(float(s.u.values.min()))))
         assert result.status == COMPLETED
         assert min(min_us) >= -1e-12
@@ -437,7 +437,7 @@ class TestRun:
         cfg = SolverConfig(t_end=1.0, cadence_steps=1)
         hooked = []
 
-        def hook(state, dt):
+        def hook(state, dt, _):
             hooked.append(state)
             if len(hooked) > fail_at:
                 raise CorruptionError("monitor says no")
@@ -460,7 +460,7 @@ class TestRun:
         params = ModelParams(n=2, m=1.5, alpha=0.5, k=0.5, mu=1.5, chi0=1.2, a=0.7)
         held = []
 
-        def hook(s, dt):
+        def hook(s, dt, _):
             held.append((s, dt))
             if s is not initial:
                 for values in (s.u.values, s.v.values):
@@ -493,18 +493,34 @@ class TestRun:
             del kernel
             base = tracemalloc.get_traced_memory()[0]
             result = run(initial, params, SolverConfig(t_end=1.0, max_steps=5, cadence_steps=1),
-                         lambda s, dt: live.append(tracemalloc.get_traced_memory()[0] - base))
+                         lambda s, dt, _: live.append(tracemalloc.get_traced_memory()[0] - base))
         finally:
             tracemalloc.stop()
         assert result.status == STEP_BUDGET and len(live) == 6
         assert max(live) < kernel_bytes + state_bytes // 2
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_hook_gets_the_extrema_of_its_state(self, dim):
+        rng = np.random.default_rng(5)
+        g = Grid.line(24, 1.0) if dim == 1 else Grid.rect(12, 10, 1.0, 0.8)
+        u0 = ScalarField(g, rng.uniform(0.0, 2.0, g.shape))
+        v0 = ScalarField(g, rng.uniform(0.2, 1.0, g.shape))
+        params = ModelParams(n=dim, m=1.5, alpha=0.5, k=0.5, mu=1.5, chi0=1.2, a=0.7)
+        matches = []
+
+        def hook(s, dt, extrema):
+            matches.append(extrema == _extrema(np.stack((s.u.values, s.v.values))))
+        result = run(SimState(0.0, u0, v0), params,
+                     SolverConfig(t_end=1e-2, cadence_steps=1), hook)
+        assert result.status == COMPLETED
+        assert len(matches) == result.steps + 1 > 5 and all(matches)
 
     def test_step_cadence_hook_count(self):
         g = Grid.line(16, 1.0)
         times = []
         result = run(SimState(0.0, constant_field(g, 0.0), constant_field(g, 1.0)),
                      params_1d(), SolverConfig(t_end=0.01, cadence_steps=3),
-                     lambda s, dt: times.append(s.t))
+                     lambda s, dt, _: times.append(s.t))
         assert result.status == COMPLETED
         assert times[0] == 0.0 and times[-1] == 0.01
         # hooks at t=0, every 3rd step, and the final step
@@ -516,7 +532,7 @@ class TestRun:
         times = []
         cfg = SolverConfig(t_end=0.01, cadence_steps=cadence_steps, cadence_time=0.002)
         result = run(SimState(0.0, constant_field(g, 0.0), constant_field(g, 1.0)),
-                     params_1d(), cfg, lambda s, dt: times.append(s.t))
+                     params_1d(), cfg, lambda s, dt, _: times.append(s.t))
         assert result.status == COMPLETED
         expected = [0.0] + [k * 0.002 for k in range(1, 6)]
         assert times == expected
@@ -542,7 +558,7 @@ class TestRunStepParity:
         cfg = SolverConfig(t_end=40.5 * dt0, cadence_steps=1)
         hooked = []
 
-        def keep(s, dt):   # a hooked state is valid during the call only
+        def keep(s, dt, _):   # a hooked state is valid during the call only
             hooked.append((SimState(s.t, ScalarField(g, s.u.values.copy()),
                                     ScalarField(g, s.v.values.copy())), dt))
         result = run(SimState(0.0, u0, v0), params, cfg, keep)
@@ -724,11 +740,12 @@ class TestKernelByteParity:
         assert limits == list(expected[2:])
 
         t = t_ref = 0.0
-        su, sv, lv = sup_u, sup_v, ref[2]   # the march carries inf v into the kernel
+        extrema = ref   # the march carries the extrema, inf v too, into the kernel
         for n in range(self.STEPS):
             status_ref, dt_ref, t_ref, u, v, sup_u, sup_v = _ref_advance(
                 ref_rates, u, v, sup_u, sup_v, t_ref, None, cfg, v_cap)
-            status, dt, t, su, sv, lv = _advance(kernel, s, su, sv, lv, t, None, cfg, v_cap)
+            status, dt, t, extrema = _advance(kernel, s, extrema, t, None, cfg, v_cap)
+            _, su, lv, sv, _ = extrema
             assert (status, dt, t, su, sv, lv) == (
                 status_ref, dt_ref, t_ref, sup_u, sup_v, _ref_extrema(u, v)[2]), n
             assert s[0].tobytes() == u.tobytes(), n
