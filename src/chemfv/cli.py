@@ -29,7 +29,7 @@ from .certificates import CertificateReport, evaluate_certificate
 from .config import RunConfig, parse_config
 from .errors import ChemfvError
 from .grid import integrate, lp_norm, write_field
-from .initial import build_initial_data
+from .initial import build_initial_data, profile_sup
 from .monitors import MonitorRecord, gradv_l2sq, phi_trend
 from .oracle import verify_fields, verify_pbar_relations, verify_young_combination
 # Not called here; the bench tracer in bench/child.py wraps these names in
@@ -89,11 +89,16 @@ def _csv_text(records: list[MonitorRecord]) -> str:
 
 
 def _certificate_for(cfg: RunConfig) -> tuple[CertificateReport, SimState]:
+    """The certificate of ``cfg``'s initial data, and that data as a state.
+
+    ``v0_sup`` is the profile's sup, not the largest sample, which would
+    lower ``mu_min`` by the discretization error; the larger of the two
+    guards the closed form, and a tie keeps the sample's bits."""
     u0, v0 = build_initial_data(cfg.grid, cfg.u0_spec, cfg.v0_spec)
     with np.errstate(over="ignore"):   # an overflowing integral is inf; the certificate rejects it
         cert = evaluate_certificate(
             cfg.model, cfg.exponents,
-            v0_sup=lp_norm(v0, math.inf),
+            v0_sup=max(lp_norm(v0, math.inf), profile_sup(cfg.v0_spec)),
             u0_mass=integrate(u0),
             gradv0_l2sq=gradv_l2sq(v0),
             domain_volume=cfg.grid.volume,

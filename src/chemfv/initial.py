@@ -6,7 +6,9 @@ Profiles are specified as strings such as ``constant(1.0)``,
 each axis extent.  ``parse_profile`` owns every rule, so a profile with a
 non-finite parameter, or whose minimum would be negative, is rejected before
 any grid exists.  ``build_profile`` samples a bump at the cell centres through
-``grid.field_from_function`` and a cosine through ``grid.cosine_field``.
+``grid.field_from_function`` and a cosine through ``grid.cosine_field``;
+``profile_sup`` gives the profile's sup over the domain in closed form, which
+no sample exceeds.
 """
 from __future__ import annotations
 
@@ -109,6 +111,23 @@ def build_profile(grid: Grid, text: str) -> ScalarField:
         # cosine: floor + amplitude * prod_a cos(mode pi x_a / L_a)
         mode = int(args["mode"])
         return ScalarField(grid, floor + cosine_field(grid, [[mode] * grid.dim], [amplitude]).values)
+
+
+def profile_sup(text: str) -> float:
+    """The sup of profile ``text`` over the domain, never below a sample of it.
+
+    Exact for a constant and a cosine: at a nonzero mode every cosine factor
+    is 1 at x = 0 and -1 at the first trough, and at mode 0 each is 1.  A
+    bump peaks at its centre, so floor + max(amplitude, 0) is exact for
+    amplitude >= 0 and a centre in the domain, and an upper bound otherwise.
+    """
+    name, args = parse_profile(text)
+    if name == "constant":
+        return args["value"]
+    floor, amplitude = args["floor"], args["amplitude"]
+    if name == "gaussian-bump":
+        return floor + max(amplitude, 0.0)
+    return floor + (abs(amplitude) if args["mode"] else amplitude)
 
 
 def build_initial_data(grid: Grid, u0_spec: str, v0_spec: str) -> tuple[ScalarField, ScalarField]:

@@ -18,7 +18,7 @@ import chemfv.cli
 import chemfv.monitors
 import chemfv.oracle
 import chemfv.solver
-from chemfv import ChemfvError, CorruptionError
+from chemfv import ChemfvError, CorruptionError, mu_threshold
 from chemfv.cli import CSV_HEADER, main, sweep_report
 from chemfv.config import parse_config
 
@@ -88,6 +88,29 @@ class TestCertify:
         report = read_json(tmp_path, "certificate.json")
         assert report["mu_min"] == 0.0
         assert report["satisfied"] is True
+
+    def test_verdict_reads_the_profiles_sup(self, tmp_path):
+        # the narrow bump's largest sample, about 1.097, would put mu_min near
+        # 1754, below mu = 1770; the profile's sup, 1.1, puts it near 1783.3
+        example = str(Path(__file__).resolve().parents[1] / "configs" / "example.ini")
+        code = main(["certify", "--config", example, "--out", str(tmp_path), "--set",
+                     "init.v0=gaussian-bump(center=0.3, width=0.01, amplitude=1, floor=0.1)",
+                     "--set", "model.mu=1770"])
+        assert code == 0
+        report = read_json(tmp_path, "certificate.json")
+        assert report["inputs"]["v0_sup"] == 1.1
+        assert report["mu_min"] == mu_threshold(3.0, 1, 1.1) == pytest.approx(1783.30, abs=0.01)
+        assert report["satisfied"] is False
+
+    @pytest.mark.parametrize("value", ["1.0", "0.0", "-0.0", "0.3"])
+    def test_constant_v0_certificate_is_the_sampled_ones(self, tmp_path, monkeypatch, value):
+        cfg = write_config(tmp_path)
+        argv = ["certify", "--config", cfg, "--set", f"init.v0=constant({value})"]
+        assert main(argv + ["--out", str(tmp_path / "profile")]) == 0
+        monkeypatch.setattr(chemfv.cli, "profile_sup", lambda text: -math.inf)
+        assert main(argv + ["--out", str(tmp_path / "sampled")]) == 0
+        assert ((tmp_path / "profile" / "certificate.json").read_bytes()
+                == (tmp_path / "sampled" / "certificate.json").read_bytes())
 
     def test_inadmissible_alpha_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

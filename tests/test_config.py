@@ -5,10 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemfv import ConfigError, Grid, default_exponents
 from chemfv.config import parse_config
-from chemfv.initial import build_profile, parse_profile
+from chemfv.initial import build_profile, parse_profile, profile_sup
 from chemfv.oracle import OracleConfig
 
 
@@ -286,6 +288,42 @@ def _ref_gaussian_bump(grid, center, width, amplitude, floor):
         r_sq = r_sq + (centers[axis] - c) ** 2
     values = floor + amplitude * np.exp(-r_sq / (2.0 * width**2))
     return np.broadcast_to(values, grid.shape).copy()
+
+
+@st.composite
+def profile_cases(draw):
+    """An admissible profile of each kind and a 1D or 2D grid to sample it on."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = Grid(tuple(draw(st.integers(4, 40)) for _ in range(dim)),
+                tuple(draw(st.floats(1e-3, 1e3)) for _ in range(dim)))
+    kind = draw(st.sampled_from(["constant", "gaussian-bump", "cosine"]))
+    floor = draw(st.floats(0.0, 10.0))
+    if kind == "constant":
+        return grid, f"constant({floor!r})"
+    if kind == "gaussian-bump":
+        center, width = draw(st.floats(-0.5, 1.5)), draw(st.floats(1e-3, 2.0))
+        return grid, (f"gaussian-bump(center={center!r}, width={width!r}, "
+                      f"amplitude={draw(st.floats(-floor, 10.0))!r}, floor={floor!r})")
+    return grid, (f"cosine(amplitude={draw(st.floats(-floor, floor))!r}, "
+                  f"mode={draw(st.integers(-9, 9))}, floor={floor!r})")
+
+
+class TestProfileSup:
+    @pytest.mark.parametrize("text, sup", [
+        ("constant(0.7)", 0.7),
+        ("gaussian-bump(center=0.3, width=0.01, amplitude=1, floor=0.1)", 1.1),
+        ("gaussian-bump(amplitude=-0.4, floor=0.5)", 0.5),
+        ("cosine(amplitude=-0.3, mode=2, floor=0.5)", 0.8),
+        ("cosine(amplitude=-0.3, mode=0, floor=0.5)", 0.2),
+    ])
+    def test_closed_forms(self, text, sup):
+        assert profile_sup(text) == sup
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=profile_cases())
+    def test_no_sample_exceeds_it(self, case):
+        grid, text = case
+        assert profile_sup(text) >= build_profile(grid, text).values.max()
 
 
 class TestProfiles:
