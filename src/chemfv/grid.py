@@ -210,6 +210,13 @@ def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
     return _HELD[role]
 
 
+def _work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A ``(2, *shape)`` face buffer and two cell arrays, ``_scratch`` roles that
+    the solver's kernel and the monitor record share; they carry nothing."""
+    return (_scratch("work.faces", (2, *shape)), _scratch("work.cell_a", shape),
+            _scratch("work.cell_b", shape))
+
+
 def _spacing_divisor(h: float):
     """``(ufunc, c)`` with ``ufunc(x, c)`` equal to ``x / h`` bit for bit.
 
@@ -265,9 +272,9 @@ def _second_difference(f: ScalarField | FieldStack, axis: int, out: np.ndarray) 
     return scale(out, by, out=out)
 
 
-def gradient_cells(f: ScalarField | FieldStack) -> np.ndarray:
+def gradient_cells(f: ScalarField | FieldStack, out: np.ndarray | None = None) -> np.ndarray:
     """Per-axis cell-centered central differences (f_{i+1} - f_{i-1})/(2h),
-    shape (dim, *f.values.shape).
+    shape (dim, *f.values.shape), into C-contiguous ``out`` if given.
 
     Mirror ghosts make the boundary cells use a one-sided stencil of the same
     form, consistent with the zero-flux closure: the first cell of an axis
@@ -278,7 +285,7 @@ def gradient_cells(f: ScalarField | FieldStack) -> np.ndarray:
     """
     values, dim = f.values, f.grid.dim
     flat = values.reshape(-1)
-    out = np.empty((dim,) + values.shape)
+    out = np.empty((dim,) + values.shape) if out is None else out
     for axis, h in enumerate(f.grid.spacing):
         st = math.prod(f.grid.shape[axis + 1:])
         grad = out[axis]

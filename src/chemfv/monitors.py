@@ -17,10 +17,10 @@ recorded but not checked here: the maximum principles u >= 0 and v <= sup v0
 belong to the solver, which ends a run ``corrupted`` before any state that
 breaks them reaches the monitor hook.
 
-``phi`` writes u + 1 and the powers into two work arrays of the grid's shape,
-held from one call to the next, so a record frees no grid-sized power.  The
-two persist until a grid of another shape replaces them; ``phi`` is not for
-concurrent threads.
+A record allocates no grid-sized array: the gradient goes into the face buffer
+of ``grid._work`` and phi's powers into its two cell arrays, which the solver's
+kernel also uses as scratch, dead while the march's hook runs.  They carry
+nothing from one call to the next and are not for concurrent threads.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .certificates import CertificateReport
 from .errors import CorruptionError, DomainError
-from .grid import _scratch, gradient_cells, integrate, ScalarField
+from .grid import _require_finite, _work, gradient_cells, integrate, ScalarField
 from .solver import Extrema, SimState
 
 PHI_OVERFLOW = "phi overflowed (large p on a large state)"
@@ -62,8 +62,9 @@ class MonitorRecord:
 
 
 def _grad_sq(v: ScalarField) -> np.ndarray:
-    """|grad v|^2 per cell, with the cell-centered gradient; inf where a square overflows."""
-    grads = gradient_cells(v)
+    """|grad v|^2 per cell, with the cell-centered gradient, in the grid's face
+    buffer; inf where a square overflows."""
+    grads = gradient_cells(v, _work(v.grid.shape)[0][:v.grid.dim])
     with np.errstate(over="ignore"):   # integrate and phi report a non-finite result
         gsq = np.square(grads[0], out=grads[0])
         for g in grads[1:]:
@@ -94,8 +95,13 @@ def _power(x: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
 
 
 def gradv_l2sq(v: ScalarField) -> float:
-    """int |grad v|^2 with the cell-centered gradient."""
-    return integrate(ScalarField(v.grid, _grad_sq(v)))
+    """int |grad v|^2 with the cell-centered gradient; inf when v is finite
+    and a cell's square overflows, and a ``CorruptionError`` when v is not."""
+    try:
+        return integrate(ScalarField(v.grid, _grad_sq(v)))
+    except CorruptionError:
+        _require_finite(v.values)
+        return math.inf
 
 
 def phi(state: SimState, p: float, chi0: float, *, grad_sq: np.ndarray | None = None) -> float:
@@ -107,8 +113,7 @@ def phi(state: SimState, p: float, chi0: float, *, grad_sq: np.ndarray | None = 
     """
     if not p >= 1.0:
         raise DomainError("phi requires p >= 1")
-    shape = state.u.grid.shape
-    base, powered = _scratch("phi.base", shape), _scratch("phi.power", shape)
+    _, base, powered = _work(state.u.grid.shape)
     with np.errstate(over="ignore"):  # overflow is detected and reported below
         np.add(state.u.values, 1.0, out=base)
         try:

@@ -12,8 +12,10 @@ mass of u is conserved to round-off regardless of the nonlinearity.
 One kernel, ``_kernel``, computes every operator (face fluxes, divergence,
 lap v, the step limits) for ``step``, ``stable_dt`` and ``run``.  The march
 holds u and v stacked in one ``(2, *shape)`` state, updated in place by each
-step, and its rates in one more; like the work arrays, both are allocated once
-per run.  The kernel reads each as one flat run of 2n entries, u's cells then
+step, and its rates in one more, both allocated once per run; its scratch is
+the grid's work arrays, shared with the monitor record and holding nothing
+between calls, so two marches on one grid shape must not run in concurrent
+threads.  The kernel reads each as one flat run of 2n entries, u's cells then
 v's, so each axis's faces are two offset views of one contiguous block and one
 ufunc call serves both fields; the pairs that join u's last line to v's first
 are zeroed right after the face difference.  The hook and the result get a
@@ -36,7 +38,7 @@ import numpy as np
 
 from .certificates import ModelParams
 from .errors import CorruptionError, DomainError
-from .grid import Grid, ScalarField, _spacing_divisor
+from .grid import Grid, ScalarField, _spacing_divisor, _work
 
 # Tolerances for the scheme-level invariants: u may dip to -1e-12 from round-off;
 # v may exceed its initial sup by 1e-10 relative.  Anything worse is corrupted.
@@ -118,8 +120,8 @@ def _kernel(grid: Grid, params: ModelParams):
     unscaled: diffusive with max(1, max (u+1)^(m-1)), as v diffuses with unit
     diffusivity; advective on the speed |w| (u+1)^max(alpha, 0) over both
     cells of a face; reaction with sup u, the consumption rate of v, added so
-    the v update stays convex.  Work arrays and face views are made here once,
-    and one call on the face buffer serves u and v alike.  The faces are
+    the v update stays convex.  Face views on ``grid._work``'s arrays are made
+    here once, and one call on the face buffer serves u and v alike.  The faces are
     scaled by 1/h through ``grid``'s spacing rule, chosen once per axis here,
     and alpha = m - 1 takes both powers from one buffer.  Every per-step
     constant operand but dt and the exponents is a 0-d float64 array built
@@ -200,9 +202,9 @@ def _kernel(grid: Grid, params: ModelParams):
     s, R = np.empty((2, *shape)), np.empty((2, *shape))
     s_run, R_run = s.reshape(2 * n), R.reshape(2 * n)
     u, v, du_dt, dv_dt = s_run[:n], s_run[n:], R_run[:n], R_run[n:]
-    # Scratch that the axes, one after another, and then the reaction terms share.
-    scratch = [np.empty(2 * n), np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)]
-    c1, c2 = scratch[1], scratch[2]
+    # The grid's work arrays serve the axes, one after another, then the reaction terms.
+    faces_run, c1, c2 = (b.reshape(-1) for b in _work(shape))
+    mask_run = np.empty(n, dtype=bool)
     coef = None if m == 1.0 else np.empty(n)
     trans = (None if alpha == 0.0 or chi0 == 0.0
              else coef if alpha == m - 1.0 else np.empty(n))
@@ -214,8 +216,8 @@ def _kernel(grid: Grid, params: ModelParams):
     for axis, hx in enumerate(h):
         st = math.prod(shape[axis + 1:])
         lo, hi = slice(0, n - st), slice(st, n)
-        F = scratch[0][:2 * n - st]   # [u's faces; junction; v's faces]
-        w, s1, s2, mask = (b[:n - st] for b in scratch[1:])
+        F = faces_run[:2 * n - st]   # [u's faces; junction; v's faces]
+        w, s1, mask = (b[:n - st] for b in (c1, c2, mask_run))
         # An axis with an outer axis is, on a grid of at most two axes, the
         # last axis of a 2D grid (st = 1): its joining pairs, else None.
         join = slice(shape[axis] - 1, None, shape[axis]) if st * shape[axis] < n else None
@@ -227,7 +229,7 @@ def _kernel(grid: Grid, params: ModelParams):
         scale, by = _spacing_divisor(hx)
         faces.append((scale, np.array(by, float), F[n - st:n], *joins, s_run[:2 * n - st],
                       s_run[st:], v[lo], v[hi], F, F[:n - st], F[n:], *gain, R_lo,
-                      R_run[st:], *c_lh, *t_lh, w, s1, s2, mask))
+                      R_run[st:], *c_lh, *t_lh, w, s1, mask))
 
     add, subtract, multiply, divide, maximum = (   # bound once
         np.add, np.subtract, np.multiply, np.divide, np.maximum)
@@ -254,7 +256,7 @@ def _kernel(grid: Grid, params: ModelParams):
         R_tail.fill(0.0)
         speed_max = 0.0
         for (scale, by, junction, speed_join, F_join, s_lo, s_hi, v_l, v_r, F, f_u, f_v,
-             g0, g1, R_lo, R_hi, c_l, c_r, t_l, t_r, w, s1, s2, mask) in faces:
+             g0, g1, R_lo, R_hi, c_l, c_r, t_l, t_r, w, s1, mask) in faces:
             subtract(s_hi, s_lo, F)
             junction.fill(0.0)
             scale(F, by, F)   # F = [grad u; 0; grad v], scale(x, by) = x / h
@@ -265,8 +267,9 @@ def _kernel(grid: Grid, params: ModelParams):
                 multiply(divide(chi0_, np.square(w, w), w), f_v, w)
                 f_chem = w
                 if trans is not None:   # the donor cell's factor, by the sign of w
-                    f_chem = multiply(t_r, w, s2)
-                    multiply(t_l, w, s2, where=np.greater(w, zero, mask))
+                    f_chem = multiply(t_r, w, s1)
+                    multiply(t_l, w, s1, where=np.greater(w, zero, mask))
+                subtract(f_u, f_chem, f_u)
                 if exact:
                     speed = np.abs(w, s1)
                     if pow_alpha is not None:
@@ -274,7 +277,6 @@ def _kernel(grid: Grid, params: ModelParams):
                     if speed_join is not None:
                         speed_join.fill(0.0)
                     speed_max = max(speed_max, float(maximum.reduce(speed)))
-                subtract(f_u, f_chem, f_u)
             scale(F, by, F)           # F = [flux; 0; dv/h]
             if F_join is not None:
                 F_join.fill(0.0)

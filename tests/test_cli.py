@@ -128,11 +128,24 @@ class TestCertify:
         assert "error: cosine mode" in capsys.readouterr().err
 
     def test_overflowing_signal_gradient_is_one_error_line(self, tmp_path, capsys):
-        # |grad v|^2 overflows to inf, which the finiteness check reports
+        # |grad v|^2 overflows to inf, which the certificate's input check names
         code = main(["certify", "--config", write_config(tmp_path), "--out", str(tmp_path),
                      "--set", "init.v0=cosine(amplitude=1e160, floor=1e160)"])
         assert code == 1
-        assert capsys.readouterr().err == "error: field contains non-finite values\n"
+        assert capsys.readouterr().err == "error: gradv0_l2sq must be finite, got inf\n"
+
+    @pytest.mark.parametrize("command", ["certify", "run", "sweep"])
+    def test_overflowing_signal_gradient_is_named_by_every_command(self, command, tmp_path,
+                                                                   capsys):
+        # every cell of v0 and its sup are finite; the gradient itself overflows
+        text = BASE_CONFIG + "\n[sweep]\nmu_lo = 0.5\nmu_hi = 4.0\nbisection_steps = 1\n"
+        out = tmp_path / "out"
+        code = main([command, "--config", write_config(tmp_path, text), "--out", str(out),
+                     "--set", "grid.nx=4",
+                     "--set", "init.v0=cosine(amplitude=0.8e308, mode=1, floor=0.9e308)"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: gradv0_l2sq must be finite, got inf\n"
+        assert not out.exists()
 
     def test_overflowing_cosine_is_one_error_line(self, tmp_path, capsys):
         # floor + amplitude cos overflows to inf, which the finiteness check reports

@@ -187,12 +187,38 @@ class TestRecord:
         calls = []
         real = chemfv.monitors.gradient_cells
         monkeypatch.setattr(chemfv.monitors, "gradient_cells",
-                            lambda f: calls.append(f) or real(f))
+                            lambda f, *rest: calls.append(f) or real(f, *rest))
         rec = record(state, 1e-3, cert, extrema_of(state))
         assert len(calls) == 1
         monkeypatch.undo()
         assert rec.gradv_l2sq == gradv_l2sq(v)
         assert rec.phi_p == phi(state, 4.5, cert.params.chi0)
+
+    def test_a_march_record_allocates_no_field(self):
+        # the gradient and phi's powers go into the grid's work arrays, which
+        # the march's kernel already holds: no record allocates a field
+        g = Grid.rect(64, 64, 1.0, 1.0)
+        u0 = field_from_function(g, lambda x, y: 0.2 + 0.1 * np.cos(np.pi * x))
+        v0 = field_from_function(g, lambda x, y: 1.0 + 0.3 * np.cos(np.pi * x)
+                                 * np.cos(np.pi * y))
+        params = ModelParams(n=2, m=1.5, alpha=0.5, k=1.0, mu=2.0, chi0=1.0, a=1.0)
+        cert = make_cert(p=4.5)
+        peaks = []
+
+        def hook(state, dt, extrema):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            record(state, dt, cert, extrema)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+        tracemalloc.start()
+        try:
+            result = run(SimState(0.0, u0, v0), params,
+                         SolverConfig(t_end=1.0, max_steps=5, cadence_steps=1), hook)
+        finally:
+            tracemalloc.stop()
+        assert (result.status, len(peaks)) == ("step_budget_exceeded", 6)
+        assert max(peaks) < u0.values.nbytes
 
     def test_phi_is_taken_at_the_certificates_p_used(self):
         # exps.p = 1.5 lies below p_bar = 3, so the certificate takes mu_min,
@@ -214,6 +240,22 @@ class TestGradEnergy:
         v = field_from_function(g, lambda x: np.cos(np.pi * x))
         # int_0^1 pi^2 sin^2(pi x) = pi^2 / 2, up to O(h^2)
         assert gradv_l2sq(v) == pytest.approx(math.pi**2 / 2.0, rel=1e-3)
+
+    # 1e160: the square overflows; 0.8e308 on 4 cells: the gradient itself
+    @pytest.mark.parametrize("amplitude, floor, cells", [(1e160, 1e160, 16),
+                                                         (0.8e308, 0.9e308, 4)])
+    def test_overflow_on_a_finite_signal_is_inf(self, amplitude, floor, cells):
+        v = field_from_function(Grid.line(cells, 1.0),
+                                lambda x: floor + amplitude * np.cos(np.pi * x))
+        assert np.isfinite(v.values).all()
+        with np.errstate(over="ignore"):
+            assert gradv_l2sq(v) == math.inf
+
+    def test_non_finite_signal_raises(self):
+        v = constant_field(Grid.line(16, 1.0), 1.0)
+        v.values[3] = math.inf
+        with pytest.raises(CorruptionError, match="non-finite"):
+            gradv_l2sq(v)
 
 
 class TestPhiTrend:
