@@ -31,11 +31,14 @@ The stencils, the integral and the cosine series act on the trailing
 The cosine series builds each mode's term for every field as one gather of
 rows of a basis of mode products, cos(kx pi x / Lx) cos(ky pi y / Ly) in 2D
 and cos(k pi x / L) in 1D, scaled by the coefficients and added in mode
-order.  ``cosine_field`` builds the basis of its own modes.
+order.  ``cosine_field`` builds the basis of its own modes;
 ``random_smooth_stack`` reads the basis of every mode with indices
-0..MAX_MODE_INDEX, built once per grid value (cells and extents) and held,
-as ``_scratch`` holds work arrays, until another grid arrives: 25 floats per
-cell in 2D, 800 KB at 64^2, and 5 per cell in 1D; not for concurrent threads.
+0..MAX_MODE_INDEX, 25 floats per cell in 2D (800 KB at 64^2) and 5 in 1D.
+
+Held arrays: ``_held_basis`` holds that basis per grid value (cells and
+extents), and ``_scratch`` one work array per role and grid shape.  Each is
+replaced when another grid or shape arrives, carries nothing from one call to
+the next, and is not for concurrent threads.
 
 Quadrature is the midpoint rule, which is the natural pairing for a
 cell-centered finite volume scheme and is exact for cellwise-linear data.
@@ -203,8 +206,7 @@ _HELD: dict[str, np.ndarray] = {}
 
 
 def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The work array held for ``role``, replaced when ``shape`` changes: one
-    array per role, not for concurrent threads."""
+    """The work array of ``shape`` held for ``role`` (see the module docstring)."""
     if role not in _HELD or _HELD[role].shape != shape:
         _HELD[role] = np.empty(shape)
     return _HELD[role]
@@ -212,7 +214,7 @@ def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def _work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A ``(2, *shape)`` face buffer and two cell arrays, ``_scratch`` roles that
-    the solver's kernel and the monitor record share; they carry nothing."""
+    the solver's kernel and the monitor record share."""
     return (_scratch("work.faces", (2, *shape)), _scratch("work.cell_a", shape),
             _scratch("work.cell_b", shape))
 
@@ -397,8 +399,7 @@ MAX_MODE_INDEX = 4
 @lru_cache(maxsize=1)
 def _held_basis(grid: Grid) -> np.ndarray:
     """``_mode_basis`` of every mode with indices 0..MAX_MODE_INDEX, in C
-    order of the indices, held for one grid value (cells and extents) at a
-    time and replaced when another grid arrives; not for concurrent threads."""
+    order of the indices, held for one grid value (see the module docstring)."""
     modes = np.indices((MAX_MODE_INDEX + 1,) * grid.dim).reshape(grid.dim, -1).T
     basis = _mode_basis(grid, modes)
     basis.flags.writeable = False   # every later call on the grid reads it

@@ -19,8 +19,8 @@ breaks them reaches the monitor hook.
 
 A record allocates no grid-sized array: the gradient goes into the face buffer
 of ``grid._work`` and phi's powers into its two cell arrays, which the solver's
-kernel also uses as scratch, dead while the march's hook runs.  They carry
-nothing from one call to the next and are not for concurrent threads.
+kernel also uses as scratch, dead while the march's hook runs; ``grid``
+describes how they are held.
 """
 from __future__ import annotations
 
@@ -64,8 +64,8 @@ class MonitorRecord:
 def _grad_sq(v: ScalarField) -> np.ndarray:
     """|grad v|^2 per cell, with the cell-centered gradient, in the grid's face
     buffer; inf where a square overflows."""
-    grads = gradient_cells(v, _work(v.grid.shape)[0][:v.grid.dim])
     with np.errstate(over="ignore"):   # integrate and phi report a non-finite result
+        grads = gradient_cells(v, _work(v.grid.shape)[0][:v.grid.dim])
         gsq = np.square(grads[0], out=grads[0])
         for g in grads[1:]:
             gsq += np.square(g, out=g)

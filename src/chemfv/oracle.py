@@ -31,13 +31,11 @@ result from the pass.  A margin or ratio that evaluates to NaN (say, a cell
 volume that overflows) is never skipped: it makes the worst margin NaN, which
 fails the verdict, and makes the GN constant NaN.
 
-The arrays derived from a stack's operators (the squared gradients, |D2 f|^2,
-|grad f|^2, the margin sides and denominators, the powers, |f| and f^2) go
-through ufunc ``out=`` into five work arrays held from one stack to the next;
-a stack of another size or grid shape replaces them.  The pass is not for
-concurrent threads.  The two pointwise margins run on every cell of the
-stack's contiguous arrays; ``_min_margins`` alone picks the interior cells,
-for each field's minimum.
+The arrays derived from a stack's operators (|D2 f|^2, |grad f|^2, the
+margin sides and denominators, the powers, |f| and f^2) go through ufunc
+``out=`` into four ``_scratch`` work arrays, held as ``grid`` describes.  The
+two pointwise margins run on every cell of the stack's contiguous arrays;
+``_min_margins`` alone picks the interior cells, for each field's minimum.
 """
 from __future__ import annotations
 
@@ -106,24 +104,24 @@ class _StackOps(NamedTuple):
     values: np.ndarray    # f, shape (count, *grid.shape)
     hess: np.ndarray      # D2 f, shape (n, n, count, *grid.shape)
     grads: np.ndarray     # grad f, shape (n, count, *grid.shape)
-    grads_sq: np.ndarray  # grads**2, field by field: shape (count, n, *grid.shape)
     hsq: np.ndarray       # |D2 f|^2 per cell
     gsq: np.ndarray       # |grad f|^2 per cell
+
+
+def _sum_of_squares(entries: np.ndarray, role: str) -> np.ndarray:
+    """``(entries**2).sum(axis=0)`` in the held array of ``role``, added entry by entry."""
+    total = np.square(entries[0], out=_scratch(role, entries.shape[1:]))
+    for entry in entries[1:]:
+        total += np.square(entry, out=_scratch("oracle.work", entries.shape[1:]))
+    return total
 
 
 def _stack_ops(stack: FieldStack) -> _StackOps:
     hess = hessian(stack)
     grads = gradient_cells(stack)
-    shape = stack.values.shape
-    grads_sq = _scratch("oracle.grads_sq", (shape[0], len(grads), *shape[1:]))
-    np.square(grads, out=np.moveaxis(grads_sq, 1, 0))
-    # |D2 f|^2 summed entry by entry in (i, j) order, as (hess**2).sum(axis=(0, 1))
-    entries = hess.reshape(-1, *shape)
-    hsq = np.square(entries[0], out=_scratch("oracle.hsq", shape))
-    for entry in entries[1:]:
-        hsq += np.square(entry, out=_scratch("oracle.work", shape))
-    return _StackOps(stack.grid, stack.values, hess, grads, grads_sq, hsq,
-                     grads_sq.sum(axis=1, out=_scratch("oracle.gsq", shape)))
+    return _StackOps(stack.grid, stack.values, hess, grads,
+                     _sum_of_squares(hess.reshape(-1, *stack.values.shape), "oracle.hsq"),
+                     _sum_of_squares(grads, "oracle.gsq"))
 
 
 def _min_margins(lhs: np.ndarray, rhs: np.ndarray, den: np.ndarray, dim: int) -> list[float]:
@@ -183,9 +181,10 @@ def _gn_ratios(ops: _StackOps, theta: float, count: int) -> list[float]:
     values, work = ops.values[:count], _scratch("oracle.work", ops.values.shape)[:count]
     vol = ops.grid.cell_volume
     ratios = []   # each sum is a list before the next one writes into work
+    # a field's squared gradient is its (n, *shape) block, summed as one contiguous row
     for sq, absolute, gsq in zip(_rows(np.square(values, out=work)).sum(axis=1).tolist(),
                                  _rows(np.abs(values, out=work)).sum(axis=1).tolist(),
-                                 _rows(ops.grads_sq[:count]).sum(axis=1).tolist()):
+                                 (float(np.square(ops.grads[:, k]).sum()) for k in range(count))):
         l2 = math.sqrt(vol * sq)
         l1 = vol * absolute
         g2 = math.sqrt(vol * gsq)

@@ -13,15 +13,15 @@ One kernel, ``_kernel``, computes every operator (face fluxes, divergence,
 lap v, the step limits) for ``step``, ``stable_dt`` and ``run``.  The march
 holds u and v stacked in one ``(2, *shape)`` state, updated in place by each
 step, and its rates in one more, both allocated once per run; its scratch is
-the grid's work arrays, shared with the monitor record and holding nothing
-between calls, so two marches on one grid shape must not run in concurrent
-threads.  The kernel reads each as one flat run of 2n entries, u's cells then
-v's, so each axis's faces are two offset views of one contiguous block and one
-ufunc call serves both fields; the pairs that join u's last line to v's first
-are zeroed right after the face difference.  The hook and the result get a
-``SimState`` over read-only views of the march state, never a copy.  One
-min/max reduction per step, ``_extrema``, gives the extrema that the
-invariant checks, the kernel's step limits and the hook all read.
+the grid's work arrays (``grid._work``), shared with the monitor record and
+held as ``grid`` describes.  The kernel reads the state and the rates as
+one flat run of 2n entries, u's cells then v's, so each axis's faces are two
+offset views of one contiguous block and one ufunc call serves both fields;
+the pairs that join u's last line to v's first are zeroed right after the
+face difference.  The hook and the result get a ``SimState`` over read-only
+views of the march state, never a copy.  One min/max reduction per step,
+``_extrema``, gives the extrema that the invariant checks, the kernel's step
+limits and the hook all read.
 
 Loss of boundedness is detected numerically: a run ends ``blowup_detected``
 when sup u exceeds a threshold, ``dt_underflow`` when the stable step
@@ -374,6 +374,7 @@ def _call_hook(hook: MonitorHook, state: SimState, dt: float, extrema: Extrema) 
     return None
 
 
+@np.errstate(over="ignore")
 def run(initial: SimState, params: ModelParams, config: SolverConfig,
         monitor_hook: MonitorHook | None = None) -> RunResult:
     """March the system to t_end, blow-up, step underflow, corruption or ``max_steps``.
@@ -388,7 +389,8 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     the march's own state: valid during a hook call only, fixed once ``run``
     returns.  With each state the hook gets its ``_extrema``, ``(min u, max
     u, min v, max v, finite)``, which also carry over from a step's
-    post-update check into the next step's limits.
+    post-update check into the next step's limits.  Overflow in the march and
+    its hook is silent: each inf fails the finite flag or is the right limit.
     """
     s, rates, extrema = _load(initial, params)
     u_lo, sup_u, v_lo, sup_v, finite = extrema

@@ -81,6 +81,17 @@ class TestPBar:
             margins = pbar_relation_margins(*args, p_bar - 1.5)
             assert min(margins.values()) <= 0.0
 
+    def test_nonpositive_interp_denominator_is_the_margin(self):
+        # 1 - n/2 + (n/2)(m + p - 1) = m + p - 1 = -0.25 at n = 2: the margin
+        # is that denominator, not a quotient by it
+        margins = pbar_relation_margins(2, 0.5, 0.0, 5.0, 2.5, 0.25)
+        assert margins["interp_fraction"] == -0.25
+
+    def test_relations_failing_at_pbar_are_rejected(self):
+        # the + 1 of p_bar is absorbed by q1 / 2 = 5e19, so p_bar = q1 / 2
+        with pytest.raises(DomainError, match=r"^exponent relations fail at p_bar=5e\+19: "):
+            compute_p_bar(1, 1.0, 0.0, 1e20, 3.0)
+
 
 class TestThresholdCoefficients:
     def test_k1_hand_value(self):
@@ -119,6 +130,12 @@ class TestThresholdCoefficients:
             k2_coeff(0.5, 1)
         with pytest.raises(DomainError):
             k1_coeff(2.0, 1, -1.0)
+
+    @pytest.mark.parametrize("coeff, args", [(k1_coeff, (2.0, 0, 1.0)), (k2_coeff, (2.0, 0))],
+                             ids=["k1", "k2"])
+    def test_dimension_below_one_rejected(self, coeff, args):
+        with pytest.raises(DomainError, match=r"requires n >= 1, got 0$"):
+            coeff(*args)
 
 
 class TestMuThreshold:
@@ -163,6 +180,14 @@ class TestUniformBounds:
             mass_bound(1.0, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             gradv_bound(1.0, -1.0, 1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("domain_volume, u0_mass, message", [
+        (0.0, 1.0, "domain_volume must be positive"),
+        (1.0, -1.0, "u0_mass must be nonnegative"),
+    ])
+    def test_mass_bound_rejects_its_inputs(self, domain_volume, u0_mass, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            mass_bound(1.0, 1.0, domain_volume, u0_mass)
 
     def test_zero_signal_ignores_an_overflowing_bracket(self):
         # (k_+ + 1)/mu m_mass overflows at mu = 1e-300; v0 = 0 keeps v = 0
@@ -215,6 +240,12 @@ class TestModelParams:
         with pytest.raises(DomainError):
             ModelParams(n=0, m=1.0, alpha=0.0, k=0.0, mu=1.0, chi0=1.0, a=0.0)
 
+    @pytest.mark.parametrize("name", ["chi0", "a"])
+    def test_negative_sensitivity_coefficients_rejected(self, name):
+        kwargs = dict(n=1, m=1.0, alpha=0.0, k=0.0, mu=1.0, chi0=1.0, a=0.0)
+        with pytest.raises(DomainError, match=f"^{name} must be nonnegative$"):
+            ModelParams(**{**kwargs, name: -1.0})
+
     def test_zero_chi0_is_the_degenerate_model(self):
         params = ModelParams(n=1, m=1.0, alpha=0.0, k=0.0, mu=1.0, chi0=0.0, a=0.0)
         assert params.chi0 == 0.0
@@ -266,6 +297,11 @@ class TestCertificate:
         inputs[name] = value
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             evaluate_certificate(self._params(1.0), exps, **inputs)
+
+    def test_negative_v0_sup_rejected(self):
+        with pytest.raises(DomainError, match="^v0_sup must be nonnegative$"):
+            evaluate_certificate(self._params(1.0), AuxiliaryExponents(4.0, 2.0, 3.0),
+                                 v0_sup=-1.0)
 
     @pytest.mark.parametrize("p, v0_sup, mu, message", [
         (150.0, 1.0, 1.0, "certificate constants overflow"),       # a power in k2 raises

@@ -288,6 +288,16 @@ class TestRun:
         assert summary["schema"] == 1
         assert summary["certificate"]["m_mass"] == pytest.approx(0.5, rel=1e-2)
 
+    def test_overflowing_sensitivity_denominator_is_silent(self, tmp_path, capsys):
+        # (1 + a v_face)^2 overflows at a = 1e300, where chi -> 0 is the right
+        # limit; warnings are errors in this suite
+        example = str(Path(__file__).resolve().parents[1] / "configs" / "example.ini")
+        code = main(["run", "--config", example, "--out", str(tmp_path),
+                     "--set", "model.a=1e300", "--set", "time.t_end=0.001"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert read_json(tmp_path, "summary.json")["status"] == "completed"
+
     def test_pure_heat_mass_conservation(self, tmp_path):
         cfg = write_config(tmp_path)
         code = main(["run", "--config", cfg, "--out", str(tmp_path),
@@ -973,6 +983,26 @@ class TestUnwritableOutput:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.ini"]
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unwritable_ancestor_fails_before_the_march(self, tmp_path, capsys, monkeypatch,
+                                                        command):
+        # root may write anywhere, so the ancestor's permission bits alone
+        # cannot show this: os.access reports it unwritable
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched before checking --out")
+
+        monkeypatch.setattr(chemfv.cli, "run", no_march)
+        text = BASE_CONFIG + "\n[sweep]\nmu_lo = 0.5\nmu_hi = 4.0\nbisection_steps = 1\n"
+        cfg = write_config(tmp_path, text)
+        monkeypatch.setattr(chemfv.cli.os, "access", lambda path, mode: False)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "new" / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot write output: [Errno 13] Permission denied: '{tmp_path}'\n")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
 
 class TestTimeCadence:
     def test_config_time_cadence_rows(self, tmp_path):
@@ -1025,3 +1055,23 @@ def test_bench_traced_attributes_resolve():
     missing = [f"{module}.{attr}" for module, attr, _ in child.TRACED
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_output_digests_hash_the_certify_outputs(tmp_path, capsys, monkeypatch):
+    # tools/output_digests.py runs the CLI in a subprocess; its certify digest
+    # must be that of the exit code, streams and files this process gets
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("output_digests",
+                                                  root / "tools" / "output_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main([str(root), "--case", "certify"]) == 0
+    name, digest = capsys.readouterr().out.split()
+    assert name == "certify"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "example.ini").write_bytes((root / "configs" / "example.ini").read_bytes())
+    code = main(["certify", "--config", "example.ini", "--out", "out"])
+    captured = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert list(files) == ["certificate.json"]
+    assert digest == tool.digest(code, captured.out.encode(), captured.err.encode(), files)

@@ -139,6 +139,11 @@ class TestSemanticErrors:
             parse_config("[sweep]\nmu_lo = 2.0\nmu_hi = 1.0\n")
 
     @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_sweep_bisection_steps_positive(self, value):
+        with pytest.raises(ConfigError, match=r"^invalid \[sweep\]: bisection_steps must be >= 1$"):
+            parse_config(f"[sweep]\nmu_lo = 1.0\nmu_hi = 2.0\nbisection_steps = {value}\n")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
     def test_oracle_num_modes_positive(self, value):
         with pytest.raises(ConfigError, match="num_modes must be >= 1"):
             parse_config(f"[oracle]\nnum_modes = {value}\n")
@@ -158,6 +163,16 @@ class TestSemanticErrors:
     def test_t_end_finite(self, value):
         with pytest.raises(ConfigError, match=r"invalid \[time\]: t_end must be positive and finite"):
             parse_config(f"[time]\nt_end = {value}\n")
+
+    @pytest.mark.parametrize("setting, message", [
+        ("safety = 0", r"safety must lie in \(0, 1\]"),
+        ("safety = 1.5", r"safety must lie in \(0, 1\]"),
+        ("u_max = 0", "u_max must be positive"),
+        ("u_max = nan", "u_max must be positive"),
+    ])
+    def test_time_settings_in_range(self, setting, message):
+        with pytest.raises(ConfigError, match=rf"^invalid \[time\]: {message}$"):
+            parse_config(f"[time]\n{setting}\n")
 
     def test_dt_min_finite(self):
         with pytest.raises(ConfigError, match=r"invalid \[time\]: dt_min must be positive and finite"):
@@ -396,6 +411,15 @@ class TestProfiles:
     def test_repeated_parameter_rejected(self, text, key):
         # the last value would otherwise win silently
         with pytest.raises(ConfigError, match=f"^profile '[a-z-]+' repeats parameter '{key}'$"):
+            parse_profile(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("cosine(0.5)", "profile argument '0.5' must be key=value"),
+        ("constant(1.0, )", "profile argument '' must be key=value"),
+        ("constant()", "constant profile needs a value"),
+    ])
+    def test_incomplete_arguments_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_profile(text)
 
     def test_narrow_bump_is_its_floor_off_the_center_cell(self):

@@ -258,6 +258,14 @@ class TestRandomSmoothField:
         with pytest.raises(DomainError):
             random_smooth_field(Grid.line(8, 1.0), 0, 0)
 
+    @pytest.mark.parametrize("grid, modes, coeffs", [
+        (Grid.line(16, 1.0), [(1,), (2,)], [1.0]),        # a mode without a coefficient
+        (Grid.rect(8, 8, 1.0, 1.0), [(1,)], [1.0]),       # one index for two axes
+    ], ids=["count", "dim"])
+    def test_cosine_field_shapes_validated(self, grid, modes, coeffs):
+        with pytest.raises(DomainError, match=r"^modes must be \(num_modes, dim\)"):
+            cosine_field(grid, modes, coeffs)
+
     def test_zero_coefficient_gives_zero_field(self):
         g = Grid.line(16, 1.0)
         f = cosine_field(g, [(1,)], [0.0])

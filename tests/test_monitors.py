@@ -12,6 +12,7 @@ from chemfv import (AuxiliaryExponents, CorruptionError, DomainError, Grid,
                     SimState, SolverConfig, constant_field, evaluate_certificate,
                     field_from_function, integrate, phi, phi_trend, record, run)
 import chemfv.monitors
+from chemfv.initial import build_profile
 from chemfv.monitors import gradv_l2sq
 from chemfv.solver import _extrema
 
@@ -60,6 +61,14 @@ class TestPhi:
         state = SimState(0.0, constant_field(g, 0.0), v)
         with pytest.raises(CorruptionError, match=r"^phi overflowed"):
             phi(state, 200.0, chi0)
+
+    def test_finite_terms_whose_sum_overflows(self):
+        # unit cells: the u term is 4 x 4e307 and the gradient term
+        # (5e153)^2 x 2.5 = 6.25e307, each finite; their sum is not
+        g = Grid.line(4, 4.0)
+        state = SimState(0.0, constant_field(g, 4e307), ScalarField(g, np.arange(4.0)))
+        with pytest.raises(CorruptionError, match=r"^phi overflowed"):
+            phi(state, 1.0, 5e153)
 
     def test_overflow_is_corruption(self):
         g = Grid.line(8, 1.0)
@@ -250,6 +259,13 @@ class TestGradEnergy:
         assert np.isfinite(v.values).all()
         with np.errstate(over="ignore"):
             assert gradv_l2sq(v) == math.inf
+
+    def test_gradient_overflow_is_inf_without_a_warning(self):
+        # the gradient's 1/(2h) scaling overflows; the suite turns a warning
+        # into an error, so gradv_l2sq must silence it itself
+        v = build_profile(Grid.line(4, 1.0), "cosine(amplitude=0.8e308, mode=1, floor=0.9e308)")
+        assert np.isfinite(v.values).all()
+        assert gradv_l2sq(v) == math.inf
 
     def test_non_finite_signal_raises(self):
         v = constant_field(Grid.line(16, 1.0), 1.0)

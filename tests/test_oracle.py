@@ -517,6 +517,15 @@ class TestStackMemory:
             tracemalloc.stop()
         assert peak < 32 * TRIAL_BATCH_CELLS * 8   # 4 MiB
 
+    def test_a_verify_pass_holds_six_stack_sized_arrays(self):
+        # |D2 f|^2, |grad f|^2, one work array and the three margin arrays; a
+        # field-major copy of the squared gradients would add two more
+        grid = Grid.rect(64, 64, 1.0, 1.0)   # the verify-2d grid
+        cfg = OracleConfig(grid=grid, trials=300, seed=0)
+        verify_fields(cfg)
+        held = [a for role, a in chemfv.grid._HELD.items() if role.startswith("oracle.")]
+        assert sum(a.size for a in held) == 6 * _stack_size(cfg) * math.prod(grid.shape)
+
     def test_a_second_stack_allocates_only_the_operators(self):
         # The squared gradients, |D2 f|^2, |grad f|^2, the powers and the
         # margin arrays go into scratch held from the first stack.  What a

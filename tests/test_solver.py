@@ -413,6 +413,15 @@ class TestRun:
         with pytest.raises(DomainError):
             run(state, params_1d(), SolverConfig(t_end=1.0))
 
+    @pytest.mark.parametrize("field", ["u", "v"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_initial_data(self, field, bad):
+        g = Grid.line(16, 1.0)
+        state = SimState(0.0, constant_field(g, 0.5), constant_field(g, 1.0))
+        getattr(state, field).values[3] = bad
+        with pytest.raises(CorruptionError, match="^non-finite initial data$"):
+            run(state, params_1d(), SolverConfig(t_end=1.0))
+
     def test_step_budget_returns_last_state(self):
         g = Grid.line(16, 1.0)
         u0 = field_from_function(g, lambda x: 0.2 + 0.5 * x)
