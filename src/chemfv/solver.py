@@ -374,7 +374,6 @@ def _call_hook(hook: MonitorHook, state: SimState, dt: float, extrema: Extrema) 
     return None
 
 
-@np.errstate(over="ignore")
 def run(initial: SimState, params: ModelParams, config: SolverConfig,
         monitor_hook: MonitorHook | None = None) -> RunResult:
     """March the system to t_end, blow-up, step underflow, corruption or ``max_steps``.
@@ -392,53 +391,54 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     post-update check into the next step's limits.  Overflow in the march and
     its hook is silent: each inf fails the finite flag or is the right limit.
     """
-    s, rates, extrema = _load(initial, params)
-    u_lo, sup_u, v_lo, sup_v, finite = extrema
-    if not finite:
-        raise CorruptionError("non-finite initial data")
-    if u_lo < 0.0 or v_lo < 0.0:
-        raise DomainError("initial data must be nonnegative")
-    frozen = s.view()
-    frozen.flags.writeable = False
-    march = SimState(initial.t, *(ScalarField(initial.u.grid, f) for f in frozen))
-    v_cap = sup_v * (1.0 + V_SUP_REL_TOL)
-    t, t_end = initial.t, config.t_end
-    every_time = config.cadence_time
-    every_steps = config.cadence_steps if every_time is None else None
-    sup_u_max, hooked_t, reason = sup_u, initial.t, None
-    if monitor_hook is not None:
-        reason = _call_hook(monitor_hook, initial, 0.0, extrema)
-        if reason is not None:
-            return RunResult(CORRUPTED, initial, 0, sup_u_max, reason)
-    if sup_u_max > config.u_max:
-        return RunResult(BLOWUP, initial, 0, sup_u_max)
-
-    status, steps, out_index = COMPLETED, 0, 1
-    while t < t_end:
-        if steps >= config.max_steps:
-            status = STEP_BUDGET
-            break
-        t_target = t_end if every_time is None else min(t_end, out_index * every_time)
-        status, dt, t, extrema = _advance(rates, s, extrema, t, t_target, config, v_cap)
-        if status == DT_UNDERFLOW:
-            break
-        steps += 1
-        sup_u_max = max(sup_u_max, extrema[1])
-        if status == CORRUPTED:
-            break
-        on_time = every_time is not None and t == out_index * every_time
-        if on_time:
-            out_index += 1
-        if monitor_hook is not None and t != hooked_t and (
-                status == BLOWUP or on_time or t == t_end
-                or (every_steps is not None and steps % every_steps == 0)):
-            march.t = hooked_t = t
-            reason = _call_hook(monitor_hook, march, dt, extrema)
+    with np.errstate(over="ignore"):
+        s, rates, extrema = _load(initial, params)
+        u_lo, sup_u, v_lo, sup_v, finite = extrema
+        if not finite:
+            raise CorruptionError("non-finite initial data")
+        if u_lo < 0.0 or v_lo < 0.0:
+            raise DomainError("initial data must be nonnegative")
+        frozen = s.view()
+        frozen.flags.writeable = False
+        march = SimState(initial.t, *(ScalarField(initial.u.grid, f) for f in frozen))
+        v_cap = sup_v * (1.0 + V_SUP_REL_TOL)
+        t, t_end = initial.t, config.t_end
+        every_time = config.cadence_time
+        every_steps = config.cadence_steps if every_time is None else None
+        sup_u_max, hooked_t, reason = sup_u, initial.t, None
+        if monitor_hook is not None:
+            reason = _call_hook(monitor_hook, initial, 0.0, extrema)
             if reason is not None:
-                status = CORRUPTED
+                return RunResult(CORRUPTED, initial, 0, sup_u_max, reason)
+        if sup_u_max > config.u_max:
+            return RunResult(BLOWUP, initial, 0, sup_u_max)
+
+        status, steps, out_index = COMPLETED, 0, 1
+        while t < t_end:
+            if steps >= config.max_steps:
+                status = STEP_BUDGET
                 break
-        if status == BLOWUP:
-            break
-    march.t = t
-    return RunResult(COMPLETED if status == ADVANCED else status, march if steps else initial,
-                     steps, sup_u_max, reason)
+            t_target = t_end if every_time is None else min(t_end, out_index * every_time)
+            status, dt, t, extrema = _advance(rates, s, extrema, t, t_target, config, v_cap)
+            if status == DT_UNDERFLOW:
+                break
+            steps += 1
+            sup_u_max = max(sup_u_max, extrema[1])
+            if status == CORRUPTED:
+                break
+            on_time = every_time is not None and t == out_index * every_time
+            if on_time:
+                out_index += 1
+            if monitor_hook is not None and t != hooked_t and (
+                    status == BLOWUP or on_time or t == t_end
+                    or (every_steps is not None and steps % every_steps == 0)):
+                march.t = hooked_t = t
+                reason = _call_hook(monitor_hook, march, dt, extrema)
+                if reason is not None:
+                    status = CORRUPTED
+                    break
+            if status == BLOWUP:
+                break
+        march.t = t
+        return RunResult(COMPLETED if status == ADVANCED else status, march if steps else initial,
+                         steps, sup_u_max, reason)

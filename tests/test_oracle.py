@@ -527,12 +527,13 @@ class TestStackMemory:
         assert sum(a.size for a in held) == 6 * _stack_size(cfg) * math.prod(grid.shape)
 
     def test_a_second_stack_allocates_only_the_operators(self):
-        # The squared gradients, |D2 f|^2, |grad f|^2, the powers and the
-        # margin arrays go into scratch held from the first stack.  What a
-        # stack still allocates is what the pinned calls return (the stack,
-        # its Hessian and its gradients), the Hessian's padded copy, and
-        # numpy's buffers for two strided ufunc operands.  Building all the
-        # derived arrays afresh, as before, peaked at about 2.2 MB here.
+        # |D2 f|^2, |grad f|^2, the powers and the margin arrays go into
+        # scratch held from the first stack.  What a stack still allocates is
+        # what the pinned calls return (the stack, its Hessian and its
+        # gradients), the Hessian's padded copy, numpy's buffers for two
+        # strided ufunc operands, and the GN ratio's square of each GN
+        # field's gradients, a transient of n cells-sized rows.  Building all
+        # the derived arrays afresh, as before, peaked at about 2.2 MB here.
         grid = Grid.rect(64, 64, 1.0, 1.0)
         cfg = OracleConfig(grid=grid, trials=8, seed=0)
         assert _stack_size(cfg) == 4

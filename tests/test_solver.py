@@ -422,6 +422,25 @@ class TestRun:
         with pytest.raises(CorruptionError, match="^non-finite initial data$"):
             run(state, params_1d(), SolverConfig(t_end=1.0))
 
+    def test_a_run_in_a_hook_leaves_the_callers_overflow_state(self):
+        # run enters np.errstate(over="ignore") per call: the outer march stays
+        # silent after a run inside its hook returns, and the caller's state
+        # is back once the outer run returns
+        def state(g):
+            return SimState(0.0, constant_field(g, 0.5), constant_field(g, 1.0))
+
+        seen = []
+
+        def hook(s, dt, _):
+            run(state(Grid.line(8, 1.0)), params_1d(), SolverConfig(t_end=0.001))
+            seen.append(np.geterr()["over"])
+
+        before = np.geterr()
+        run(state(Grid.line(16, 1.0)), params_1d(),
+            SolverConfig(t_end=0.001, cadence_steps=1), hook)
+        assert len(seen) > 1 and set(seen) == {"ignore"}
+        assert np.geterr() == before
+
     def test_step_budget_returns_last_state(self):
         g = Grid.line(16, 1.0)
         u0 = field_from_function(g, lambda x: 0.2 + 0.5 * x)

@@ -1,6 +1,6 @@
 """One sha256 per command-line case of a chemfv tree, for byte-identity checks.
 
-    python tools/output_digests.py TREE [--case NAME ...]
+    python tools/output_digests.py TREE
 
 runs ``python -m chemfv`` from ``TREE/src`` on a copy of
 ``TREE/configs/example.ini``, once per case, in a temporary directory outside
@@ -76,11 +76,9 @@ def run_case(tree: Path, name: str, work: Path) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree", type=Path, help="a chemfv checkout (with src/ and configs/)")
-    parser.add_argument("--case", action="append", choices=sorted(CASES),
-                        help="run only this case (repeatable; default: every case)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in args.case or CASES:
+        for name in CASES:
             work = Path(tmp) / name
             work.mkdir()
             print(name, run_case(args.tree, name, work), flush=True)
