@@ -361,17 +361,9 @@ def step(state: SimState, params: ModelParams, config: SolverConfig, *,
 
 
 # A hook gets a state, the step that reached it and the state's ``_extrema``.
-# The state is read-only and valid during the call only: to keep it, copy it.
+# Past the initial state, the state is read-only and valid during the call
+# only: to keep it, copy it.
 MonitorHook = Callable[[SimState, float, Extrema], None]
-
-
-def _call_hook(hook: MonitorHook, state: SimState, dt: float, extrema: Extrema) -> str | None:
-    """Run the hook; the message of a ``CorruptionError`` it raises, else None."""
-    try:
-        hook(state, dt, extrema)
-    except CorruptionError as exc:
-        return str(exc)
-    return None
 
 
 def run(initial: SimState, params: ModelParams, config: SolverConfig,
@@ -379,8 +371,11 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
     """March the system to t_end, blow-up, step underflow, corruption or ``max_steps``.
 
     The hook fires on the initial state, every ``cadence_steps`` steps or, if
-    ``cadence_time`` is set, at its exact multiples instead, on the final state,
-    and on a blow-up state.  A ``CorruptionError`` from the hook (say, phi
+    ``cadence_time`` is set, at its exact multiples instead, on the state at
+    t_end, and on a blow-up state.  A final state that ends ``dt_underflow``
+    or ``step_budget_exceeded``, or that the invariant checks end
+    ``corrupted``, is never hooked: the gap that ROADMAP's "every outcome
+    explains itself" item closes.  A ``CorruptionError`` from the hook (say, phi
     overflowing) ends the run ``corrupted`` on the hooked state, with the
     error's message as the result's ``reason``.  Initial data must be
     nonnegative and finite; the march never writes into it.  Past the initial
@@ -405,16 +400,21 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
         t, t_end = initial.t, config.t_end
         every_time = config.cadence_time
         every_steps = config.cadence_steps if every_time is None else None
-        sup_u_max, hooked_t, reason = sup_u, initial.t, None
-        if monitor_hook is not None:
-            reason = _call_hook(monitor_hook, initial, 0.0, extrema)
-            if reason is not None:
-                return RunResult(CORRUPTED, initial, 0, sup_u_max, reason)
-        if sup_u_max > config.u_max:
-            return RunResult(BLOWUP, initial, 0, sup_u_max)
-
-        status, steps, out_index = COMPLETED, 0, 1
-        while t < t_end:
+        status = BLOWUP if sup_u > config.u_max else ADVANCED
+        sup_u_max, steps, out_index, hooked_t, reason = sup_u, 0, 1, None, None
+        dt, on_time = 0.0, False
+        while True:
+            if monitor_hook is not None and t != hooked_t and (
+                    steps == 0 or status == BLOWUP or on_time or t == t_end
+                    or (every_steps is not None and steps % every_steps == 0)):
+                march.t = hooked_t = t
+                try:
+                    monitor_hook(march if steps else initial, dt, extrema)
+                except CorruptionError as exc:
+                    status, reason = CORRUPTED, str(exc)
+                    break
+            if status == BLOWUP or not t < t_end:
+                break
             if steps >= config.max_steps:
                 status = STEP_BUDGET
                 break
@@ -429,16 +429,6 @@ def run(initial: SimState, params: ModelParams, config: SolverConfig,
             on_time = every_time is not None and t == out_index * every_time
             if on_time:
                 out_index += 1
-            if monitor_hook is not None and t != hooked_t and (
-                    status == BLOWUP or on_time or t == t_end
-                    or (every_steps is not None and steps % every_steps == 0)):
-                march.t = hooked_t = t
-                reason = _call_hook(monitor_hook, march, dt, extrema)
-                if reason is not None:
-                    status = CORRUPTED
-                    break
-            if status == BLOWUP:
-                break
         march.t = t
         return RunResult(COMPLETED if status == ADVANCED else status, march if steps else initial,
                          steps, sup_u_max, reason)
