@@ -1057,14 +1057,21 @@ def test_bench_traced_attributes_resolve():
     assert missing == []
 
 
-def test_output_digests_hash_the_certify_outputs(tmp_path, capsys, monkeypatch):
-    # tools/output_digests.py runs the CLI in a subprocess; its certify digest
-    # must be that of the exit code, streams and files this process gets
+def load_digest_tool():
+    """tools/output_digests.py as a module."""
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("output_digests",
                                                   root / "tools" / "output_digests.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_output_digests_hash_the_certify_outputs(tmp_path, capsys, monkeypatch):
+    # tools/output_digests.py runs the CLI in a subprocess; its certify digest
+    # must be that of the exit code, streams and files this process gets
+    root = Path(__file__).resolve().parents[1]
+    tool = load_digest_tool()
     (tmp_path / "tool").mkdir()
     digest = tool.run_case(root, "certify", tmp_path / "tool")
     monkeypatch.chdir(tmp_path)
@@ -1074,3 +1081,29 @@ def test_output_digests_hash_the_certify_outputs(tmp_path, capsys, monkeypatch):
     files = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
     assert list(files) == ["certificate.json"]
     assert digest == tool.digest(code, captured.out.encode(), captured.err.encode(), files)
+
+
+PHI_OVERFLOW = "phi overflowed (large p on a large state)"
+DIGEST_RUN_ENDS = {   # digest case -> (status, reason) it is named for
+    "run-budget": ("step_budget_exceeded", None),
+    "run-blowup-t0": ("blowup_detected", None),
+    "run-blowup-march": ("blowup_detected", None),
+    "run-dt-underflow": ("dt_underflow", None),
+    "run-phi-overflow-t0": ("corrupted", PHI_OVERFLOW),
+    "run-phi-overflow-march": ("corrupted", PHI_OVERFLOW),
+    "run-cadence-time": ("completed", None),
+    "run-nx100-p3.5": ("completed", None),
+    "run-cosine-2d-24x20-chi0-2": ("corrupted", None),
+}
+
+
+@pytest.mark.parametrize("name", list(DIGEST_RUN_ENDS))
+def test_output_digest_run_cases_end_as_named(name, tmp_path, monkeypatch):
+    # a digest case that stopped reaching its terminal path would leave the
+    # byte-identity check blind to that path while still comparing equal
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "example.ini").write_bytes((root / "configs" / "example.ini").read_bytes())
+    main(load_digest_tool().case_argv(name))
+    summary = read_json(tmp_path / "out", "summary.json")
+    assert (summary["status"], summary.get("reason")) == DIGEST_RUN_ENDS[name]

@@ -457,6 +457,53 @@ class TestRun:
         assert np.array_equal(result.state.u.values, state.u.values)
         assert np.array_equal(result.state.v.values, state.v.values)
 
+    @pytest.mark.parametrize("make,status,steps,hooked_steps,final", [
+        (lambda g: (constant_field(g, 2.0), constant_field(g, 1.0), params_1d(),
+                    SolverConfig(t_end=1.0, u_max=1.5)),
+         BLOWUP, 0, [0], "initial"),
+        (lambda g: (constant_field(g, 1.0), constant_field(g, 0.0), params_1d(k=5.0, mu=1e-6),
+                    SolverConfig(t_end=1.0, u_max=1.5, cadence_steps=50)),
+         BLOWUP, 105, [0, 50, 100, 105], "hooked"),
+        (lambda g: (constant_field(g, 1.0), constant_field(g, 0.0), params_1d(k=50.0, mu=1e-6),
+                    SolverConfig(t_end=1.0, u_max=1e300, dt_min=5e-4)),
+         DT_UNDERFLOW, 176, [0], "unhooked"),
+        (lambda g: (field_from_function(g, lambda x: 0.2 + 0.5 * x),
+                    field_from_function(g, lambda x: 1.0 - 0.3 * x), params_1d(k=0.5),
+                    SolverConfig(t_end=1.0, max_steps=7, cadence_steps=3)),
+         STEP_BUDGET, 7, [0, 3, 6], "unhooked"),
+        (lambda g: (constant_field(g, 0.0), field_from_function(g, lambda x: x**2), params_1d(),
+                    SolverConfig(t_end=1.0, cadence_steps=1)),
+         CORRUPTED, 1, [0], "unhooked"),
+    ], ids=["blowup-t0", "blowup-march", "dt-underflow", "step-budget", "invariant-corruption"])
+    def test_hook_schedule_on_each_terminal_path(self, make, status, steps, hooked_steps, final):
+        # which states each way of ending hooks; a final state that ends
+        # dt_underflow, step_budget_exceeded or corrupted by the invariant
+        # checks is never hooked
+        u0, v0, params, cfg = make(Grid.line(16, 1.0))
+        initial = SimState(0.0, u0, v0)
+        hooked = []
+
+        def hook(s, dt, _):
+            hooked.append((s.t, dt, s is initial, float(s.u.values.min())))
+        result = run(initial, params, cfg, hook)
+        assert (result.status, result.steps, result.reason) == (status, steps, None)
+        reached, state = [(0.0, 0.0)], initial   # (t, dt) after each step
+        for _ in range(steps):
+            state, out = step(state, params, cfg, v0_sup=float(v0.values.max()),
+                              t_target=cfg.t_end)
+            reached.append((state.t, out.dt_used))
+        assert [(t, dt) for t, dt, *_ in hooked] == [reached[i] for i in hooked_steps]
+        assert [is_initial for _, _, is_initial, _ in hooked] == [True] + [False] * (
+            len(hooked) - 1)
+        assert min(u_min for *_, u_min in hooked) >= -U_NEG_TOL
+        if final == "initial":
+            assert result.state is initial
+        else:
+            assert result.state is not initial and result.state.t == reached[-1][0]
+            assert (result.state.t == hooked[-1][0]) == (final == "hooked")
+        if status == CORRUPTED:
+            assert result.state.u.values.min() < -U_NEG_TOL
+
     @pytest.mark.parametrize("fail_at", [0, 3])
     def test_corruption_raised_by_the_hook_ends_the_run(self, fail_at):
         g = Grid.line(16, 1.0)
