@@ -174,8 +174,9 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
 
     ``run_once(mu) -> (status, bounded, errored, extras)`` is injectable for
     tests; the default executes a full simulation with mu overridden.  An
-    errored probe (the step budget ran out, the monitors stopped the run, or
-    it raised a ``ChemfvError``) gives no verdict on mu: it is listed in
+    errored probe (the step budget ran out, the run ended ``corrupted`` by the
+    solver's invariant checks or by the monitors, or it raised a
+    ``ChemfvError``) gives no verdict on mu: it is listed in
     ``runs`` but enters neither end of the bracket nor the contradiction
     check.  Endpoints are probed first; bisection proceeds only while they
     bracket the frontier (unbounded at mu_lo, bounded at mu_hi) and stops at
@@ -192,7 +193,7 @@ def sweep_report(cfg: RunConfig, run_once=None) -> dict:
             executed = _execute(sub)
             result = executed.result
             bounded = result.status == COMPLETED and not executed.violations
-            errored = result.status == STEP_BUDGET or result.reason is not None
+            errored = result.status in (STEP_BUDGET, CORRUPTED)
             extras = {
                 "sup_u_max": result.sup_u_max,
                 "violations": len(executed.violations),

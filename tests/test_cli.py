@@ -519,6 +519,25 @@ class TestSweep:
         assert not any(r["bounded"] for r in report["runs"])
         assert report["all_runs_errored"] is True
 
+    def test_probes_the_invariant_checks_stopped_count_as_errored(self, tmp_path):
+        # the drift takes u below zero within 35 steps, and the positivity check
+        # ends both probes corrupted before u grows: a scheme defect, not a
+        # verdict, so mu_hi = 1e5 above mu_min (63,966) contradicts nothing
+        example = str(Path(__file__).resolve().parents[1] / "configs" / "example.ini")
+        code = main(["sweep", "--config", example, "--out", str(tmp_path),
+                     "--set", "grid.nx=32",
+                     "--set", "init.v0=cosine(amplitude=1, mode=1, floor=1)",
+                     "--set", "time.t_end=0.01", "--set", "sweep.mu_hi=1e5",
+                     "--set", "sweep.bisection_steps=1"])
+        assert code == 1
+        report = read_json(tmp_path, "sweep.json")
+        assert [r["status"] for r in report["runs"]] == ["corrupted"] * 2
+        assert not any("reason" in r for r in report["runs"])
+        assert report["mu_min_certificate"] < 1e5
+        assert report["sufficiency_contradicted"] is False
+        assert report["mu_empirical_lo"] is None and report["mu_empirical_hi"] is None
+        assert report["all_runs_errored"] is True
+
     def test_errored_endpoints_give_no_verdict(self, tmp_path):
         text = BASE_CONFIG + "\n[sweep]\nmu_lo = 1.0\nmu_hi = 2.0\nbisection_steps = 4\n"
         cfg = parse_config(text)
